@@ -2,13 +2,15 @@
 // building blocks. These are engineering (not paper-reproduction) numbers;
 // the table*_ binaries reproduce the paper's results.
 //
-// After the registered benchmarks run, a dedicated old-vs-new harness times
-// the encoder's LegacyScan (pre-index child-list scan + per-character
+// After the registered benchmarks run, a dedicated path harness times the
+// encoder's LegacyScan (pre-index child-list scan + per-character
 // word()/care_word() re-slice) against the Indexed strategy (hash index +
-// streaming CharCursor) on a dense and a 90%-X corpus, prints chars/sec for
-// both paths, and writes the numbers to BENCH_micro_codec.json (override
-// the path with $TDC_BENCH_JSON) so throughput trajectories can be tracked
-// across commits.
+// streaming CharCursor), then the two decode paths — lzw::Decoder over the
+// packed stream and the Fig. 5 cycle model — on a dense and a 90%-X
+// corpus. It prints chars/sec for every path and writes the numbers to
+// BENCH_micro_codec.json (override the path with $TDC_BENCH_JSON) so
+// throughput trajectories can be tracked across commits. It exits nonzero
+// when a decode path's output misses a care bit of the input.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -16,6 +18,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "bits/rng.h"
 #include "bits/simd.h"
@@ -219,24 +222,21 @@ void BM_TritVectorCareCount(benchmark::State& state) {
 }
 BENCHMARK(BM_TritVectorCareCount);
 
-// ------------------------------------------------- old-vs-new path harness
+// ------------------------------------------------------- path harness
 
-/// Encode chars/sec for one (corpus, strategy) point: repeats whole-corpus
-/// encodes until `min_seconds` of wall clock, best of `rounds` rounds.
-double encode_chars_per_sec(const bits::TritVector& input,
-                            lzw::MatchStrategy strategy) {
+/// Chars/sec of one whole-corpus pass `run` over `chars` characters:
+/// repeats passes until `kMinSeconds` of wall clock, best of `kRounds`.
+template <class Fn>
+double chars_per_sec(double chars, const Fn& run) {
   constexpr double kMinSeconds = 0.2;
   constexpr int kRounds = 3;
-  const lzw::Encoder enc(kConfig, lzw::Tiebreak::First, strategy);
-  const double chars =
-      static_cast<double>((input.size() + kConfig.char_bits - 1) / kConfig.char_bits);
   double best = 0.0;
   for (int r = 0; r < kRounds; ++r) {
     std::uint64_t iters = 0;
     const auto start = std::chrono::steady_clock::now();
     double elapsed = 0.0;
     do {
-      benchmark::DoNotOptimize(enc.encode(input));
+      run();
       ++iters;
       elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                               start)
@@ -245,6 +245,13 @@ double encode_chars_per_sec(const bits::TritVector& input,
     best = std::max(best, chars * static_cast<double>(iters) / elapsed);
   }
   return best;
+}
+
+/// Encode chars/sec for one (corpus, strategy) point.
+double encode_chars_per_sec(const bits::TritVector& input, double chars,
+                            lzw::MatchStrategy strategy) {
+  const lzw::Encoder enc(kConfig, lzw::Tiebreak::First, strategy);
+  return chars_per_sec(chars, [&] { benchmark::DoNotOptimize(enc.encode(input)); });
 }
 
 struct Corpus {
@@ -256,7 +263,47 @@ struct Corpus {
   // default 2^15-bit corpus; the JSON carries the gain as null otherwise.
   double baseline_legacy;
   double baseline_indexed;
+  // Decode chars/sec before the shared decode core (parent-chain decoder,
+  // per-code-vector cycle model): the median of three best-of-3 runs of
+  // this harness on a 4-vCPU Xeon VM, pinned the same way.
+  double baseline_decoder;
+  double baseline_model;
 };
+
+/// One decode row: a path's chars/sec on a corpus, whether its output
+/// covers every care bit of the input, and the gain over the pinned
+/// baseline (null off the default corpus size). Appends the row's table
+/// line to `table` and returns its JSON object.
+std::string decode_row(const Corpus& c, const char* path, std::size_t bits,
+                       double rate, bool covers, bool pinned, double baseline,
+                       std::string& table) {
+  const char* covered = covers ? "yes" : "NO";
+  char line[160];
+  if (pinned) {
+    std::snprintf(line, sizeof line, "%-14s %-8s %16.0f %7s %10.2fx\n", c.name, path,
+                  rate, covered, rate / baseline);
+  } else {
+    std::snprintf(line, sizeof line, "%-14s %-8s %16.0f %7s %11s\n", c.name, path,
+                  rate, covered, "n/a");
+  }
+  table += line;
+  char gain[128];
+  if (pinned) {
+    std::snprintf(gain, sizeof gain,
+                  "\"baseline_chars_per_sec\": %.0f, \"gain_vs_baseline\": %.3f",
+                  baseline, rate / baseline);
+  } else {
+    std::snprintf(gain, sizeof gain,
+                  "\"baseline_chars_per_sec\": null, \"gain_vs_baseline\": null");
+  }
+  char row[384];
+  std::snprintf(row, sizeof row,
+                "    {\"corpus\": \"%s\", \"path\": \"%s\", \"x_density\": %.2f, "
+                "\"input_bits\": %zu, \"chars_per_sec\": %.0f, "
+                "\"covers_input\": %s, %s}",
+                c.name, path, c.x_density, bits, rate, covers ? "true" : "false", gain);
+  return row;
+}
 
 /// Times LegacyScan vs Indexed per corpus, prints the comparison, writes
 /// the JSON trajectory file. Returns 0 on success.
@@ -272,8 +319,9 @@ int run_path_comparison() {
   }
   const std::size_t kBits = bits;
   const bool pinned = kBits == kDefaultBits;
-  const Corpus corpora[] = {{"dense_x0.1", 0.1, 7462016.0, 17060744.0},
-                            {"sparse_x0.9", 0.9, 13488172.0, 26738851.0}};
+  const Corpus corpora[] = {
+      {"dense_x0.1", 0.1, 7462016.0, 17060744.0, 19110358.0, 8501895.0},
+      {"sparse_x0.9", 0.9, 13488172.0, 26738851.0, 42778798.0, 18884487.0}};
 
   std::string json = "{\n  \"bench\": \"micro_codec\",\n  \"config\": {"
                      "\"dict_size\": " + std::to_string(kConfig.dict_size) +
@@ -285,12 +333,17 @@ int run_path_comparison() {
   std::printf("%-14s %16s %16s %9s %12s\n", "corpus", "legacy", "indexed",
               "speedup", "vs pre-PR6");
   bool first = true;
+  std::vector<std::string> decode_rows;
+  std::string decode_table;
+  bool decode_ok = true;
   for (const Corpus& c : corpora) {
     const auto input = random_cube(kBits, c.x_density, 7);
+    const double chars =
+        static_cast<double>((input.size() + kConfig.char_bits - 1) / kConfig.char_bits);
     const double legacy =
-        encode_chars_per_sec(input, lzw::MatchStrategy::LegacyScan);
+        encode_chars_per_sec(input, chars, lzw::MatchStrategy::LegacyScan);
     const double indexed =
-        encode_chars_per_sec(input, lzw::MatchStrategy::Indexed);
+        encode_chars_per_sec(input, chars, lzw::MatchStrategy::Indexed);
     const double speedup = legacy > 0 ? indexed / legacy : 0.0;
     const double gain = pinned ? indexed / c.baseline_indexed : 0.0;
     if (pinned) {
@@ -320,8 +373,40 @@ int run_path_comparison() {
                   indexed, speedup, gain_field);
     json += entry;
     first = false;
+
+    // Decode paths: the container decoder over the packed stream, and the
+    // cycle model over the same encoder result.
+    const lzw::EncodeResult encoded = lzw::Encoder(kConfig).encode(input);
+    const lzw::Decoder decoder(kConfig);
+    const auto decode = [&] {
+      bits::BitReader reader(encoded.stream);
+      return decoder.try_decode_stream(reader, encoded.codes.size(),
+                                       encoded.original_bits);
+    };
+    const hw::DecompressorModel model(hw::HwConfig{.lzw = kConfig, .clock_ratio = 10});
+    const auto decoded = decode();
+    const auto modeled = model.try_run(encoded);
+    const bool decoder_covers = decoded.ok() && input.covered_by(decoded.value().bits);
+    const bool model_covers = modeled.ok() && input.covered_by(modeled.value().scan_bits);
+    const double decoder_rate =
+        chars_per_sec(chars, [&] { benchmark::DoNotOptimize(decode()); });
+    const double model_rate =
+        chars_per_sec(chars, [&] { benchmark::DoNotOptimize(model.try_run(encoded)); });
+    decode_ok = decode_ok && decoder_covers && model_covers;
+    decode_rows.push_back(decode_row(c, "decoder", kBits, decoder_rate, decoder_covers,
+                                     pinned, c.baseline_decoder, decode_table));
+    decode_rows.push_back(decode_row(c, "model", kBits, model_rate, model_covers, pinned,
+                                     c.baseline_model, decode_table));
   }
-  json += "\n  ]\n}\n";
+  json += "\n  ],\n  \"decode\": [\n";
+  for (std::size_t i = 0; i < decode_rows.size(); ++i) {
+    json += decode_rows[i] + (i + 1 < decode_rows.size() ? ",\n" : "\n");
+  }
+  json += "  ]\n}\n";
+  std::printf("\nDecode paths (chars/sec, best of 3):\n");
+  std::printf("%-14s %-8s %16s %7s %11s\n", "corpus", "path", "chars/sec", "covers",
+              "vs parent");
+  std::printf("%s", decode_table.c_str());
 
   const char* path = std::getenv("TDC_BENCH_JSON");
   const std::string out_path =
@@ -333,6 +418,10 @@ int run_path_comparison() {
   }
   out << json;
   std::printf("wrote %s\n", out_path.c_str());
+  if (!decode_ok) {
+    std::fprintf(stderr, "micro_codec: a decode path missed a care bit of its input\n");
+    return 1;
+  }
   return 0;
 }
 

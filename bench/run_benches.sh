@@ -4,8 +4,11 @@
 #
 #   BENCH_micro_codec.json        — encoder path comparison (legacy vs
 #                                   indexed chars/sec, gain vs the pinned
-#                                   pre-PR-6 baseline) + google-benchmark
-#                                   micro numbers on stdout
+#                                   pre-PR-6 baseline), decoder and cycle-
+#                                   model decode rows (chars/sec, care-bit
+#                                   coverage flag, gain vs the pinned
+#                                   pre-decode-core baseline) +
+#                                   google-benchmark micro numbers on stdout
 #   BENCH_engine_throughput.json  — batch-engine scaling at 1/2/4/8 workers
 #                                   plus the contention baseline-vs-sharded
 #                                   comparison (queue notifies, blocked

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cassert>
+#include <utility>
 
 #include "bits/simd.h"
 #include "core/error.h"
@@ -26,6 +27,21 @@ TritVector::TritVector(std::size_t n, Trit fill) : size_(n) {
       value_.back() &= mask;
     }
   }
+}
+
+TritVector TritVector::from_value_plane(std::vector<std::uint64_t> values,
+                                        std::size_t n) {
+  assert(values.size() >= words_for(n));
+  TritVector v;
+  v.size_ = n;
+  values.resize(words_for(n));
+  v.care_.assign(values.size(), ~0ULL);
+  if (n % 64 != 0) {
+    values.back() &= low_mask(n % 64);
+    v.care_.back() = low_mask(n % 64);
+  }
+  v.value_ = std::move(values);
+  return v;
 }
 
 TritVector TritVector::from_string(std::string_view s) {
@@ -79,9 +95,17 @@ void TritVector::push_back(Trit t) {
 }
 
 void TritVector::append(const TritVector& other) {
-  // Word-aligned fast path is not worth the complexity here; appends are
-  // off the hot path (serialization happens once per test set).
-  for (std::size_t i = 0; i < other.size_; ++i) push_back(other.get(i));
+  const std::size_t at = size_;
+  const std::size_t n = other.size_;
+  care_.resize(words_for(at + n), 0);
+  value_.resize(words_for(at + n), 0);
+  // Storage past size() is zero (normal form), so both planes OR in whole
+  // words; appending *this to itself reads [0, at) and writes from `at` on.
+  or_plane_bits(care_.data(), care_.size(), at, other.care_.data(),
+                other.care_.size(), 0, n);
+  or_plane_bits(value_.data(), value_.size(), at, other.value_.data(),
+                other.value_.size(), 0, n);
+  size_ = at + n;
 }
 
 std::size_t TritVector::care_count() const {
@@ -111,7 +135,10 @@ void TritVector::merge_in(const TritVector& other) {
 TritVector TritVector::slice(std::size_t pos, std::size_t len) const {
   assert(pos + len <= size_);
   TritVector out(len);
-  for (std::size_t i = 0; i < len; ++i) out.set(i, get(pos + i));
+  or_plane_bits(out.care_.data(), out.care_.size(), 0, care_.data(), care_.size(),
+                pos, len);
+  or_plane_bits(out.value_.data(), out.value_.size(), 0, value_.data(),
+                value_.size(), pos, len);
   return out;
 }
 
@@ -165,60 +192,20 @@ std::string TritVector::to_string() const {
   return s;
 }
 
-namespace {
-
-/// LSB-first field [pos, pos+len) of a packed bit plane; bits at or past the
-/// vector's end read as 0 thanks to the normal-form invariant (storage bits
-/// past size() are kept zero), so only whole-word bounds need checks.
-std::uint64_t extract_plane_field(const std::vector<std::uint64_t>& words,
-                                  std::size_t nbits, std::size_t pos,
-                                  std::size_t len) {
-  if (pos >= nbits) return 0;
-  const std::size_t w = pos / 64;
-  const std::size_t off = pos % 64;
-  std::uint64_t raw = words[w] >> off;
-  if (off != 0 && w + 1 < words.size()) raw |= words[w + 1] << (64 - off);
-  return raw & low_mask(static_cast<unsigned>(len));
-}
-
-/// Word-parallel inverse: replaces plane bits [pos, pos+len) with the low
-/// `len` bits of `field` (LSB-first). Precondition: pos+len within storage.
-void deposit_plane_field(std::vector<std::uint64_t>& words, std::size_t pos,
-                         std::uint64_t field, std::size_t len) {
-  const std::size_t w = pos / 64;
-  const std::size_t off = pos % 64;
-  const std::uint64_t mask = low_mask(static_cast<unsigned>(len));
-  words[w] = (words[w] & ~(mask << off)) | (field << off);
-  if (off + len > 64) {
-    const std::size_t spill = off + len - 64;
-    const std::uint64_t hi_mask = low_mask(static_cast<unsigned>(spill));
-    words[w + 1] = (words[w + 1] & ~hi_mask) | (field >> (64 - off));
-  }
-}
-
-}  // namespace
-
 std::uint64_t TritVector::word(std::size_t pos, std::size_t len) const {
   assert(len <= 64);
   if (len == 0) return 0;
-  return reverse_low_bits(extract_plane_field(value_, size_, pos, len),
-                          static_cast<unsigned>(len));
+  return reverse_low_bits(
+      plane_field(value_.data(), value_.size(), size_, pos, static_cast<unsigned>(len)),
+      static_cast<unsigned>(len));
 }
 
 std::uint64_t TritVector::care_word(std::size_t pos, std::size_t len) const {
   assert(len <= 64);
   if (len == 0) return 0;
-  return reverse_low_bits(extract_plane_field(care_, size_, pos, len),
-                          static_cast<unsigned>(len));
-}
-
-void TritVector::set_word(std::size_t pos, std::uint64_t value, unsigned len) {
-  assert(len >= 1 && len <= 64);
-  assert(pos + len <= size_);
-  assert(len == 64 || (value >> len) == 0);
-  const std::uint64_t field = reverse_low_bits(value, len);
-  deposit_plane_field(value_, pos, field, len);
-  deposit_plane_field(care_, pos, low_mask(len), len);
+  return reverse_low_bits(
+      plane_field(care_.data(), care_.size(), size_, pos, static_cast<unsigned>(len)),
+      static_cast<unsigned>(len));
 }
 
 CharCursor::CharCursor(const TritVector& v, std::uint32_t char_bits)

@@ -27,6 +27,12 @@ class TritVector {
   /// Constructs `n` trits, all initialized to `fill`.
   explicit TritVector(std::size_t n, Trit fill = Trit::X);
 
+  /// Fully specified vector of `n` trits whose values are the LSB-first bit
+  /// plane `values` (trit i is bit i % 64 of values[i / 64]); takes the
+  /// words, dropping any past the n-th bit. Precondition: values holds at
+  /// least n bits.
+  static TritVector from_value_plane(std::vector<std::uint64_t> values, std::size_t n);
+
   /// Parses a textual cube, e.g. "01XX10-1" ('-' is an X alias).
   /// Throws std::invalid_argument on any other character.
   static TritVector from_string(std::string_view s);
@@ -107,13 +113,6 @@ class TritVector {
   /// character can be fetched without explicit padding.
   std::uint64_t care_word(std::size_t pos, std::size_t len) const;
 
-  /// Inverse of word(): writes trits [pos, pos+len) as specified bits whose
-  /// MSB-first value is `value` — one masked word store per plane instead of
-  /// `len` set() calls. The decoder's expansion writer uses this to emit a
-  /// whole character per call. Preconditions: pos+len <= size(), len in
-  /// [1, 64], value fits in `len` bits.
-  void set_word(std::size_t pos, std::uint64_t value, unsigned len);
-
  private:
   friend class CharCursor;
   static std::size_t words_for(std::size_t n) { return (n + 63) / 64; }
@@ -153,12 +152,15 @@ class CharCursor {
   /// Random access to any character (used by lookahead probes); does not
   /// move the cursor.
   Char at(std::uint64_t char_index) const {
+    // The planes store position i at bit i of a word, while characters
+    // are read MSB-first: each field is reversed (SWAR, constant cost).
     const std::size_t pos = static_cast<std::size_t>(char_index) * bits_;
+    const TritVector& v = *v_;
     return Char{
-        .value = reverse_low_bits(extract_field(v_->value_, v_->size_, pos, bits_),
-                                  bits_),
-        .care = reverse_low_bits(extract_field(v_->care_, v_->size_, pos, bits_),
-                                 bits_),
+        .value = reverse_low_bits(
+            plane_field(v.value_.data(), v.value_.size(), v.size_, pos, bits_), bits_),
+        .care = reverse_low_bits(
+            plane_field(v.care_.data(), v.care_.size(), v.size_, pos, bits_), bits_),
     };
   }
 
@@ -166,28 +168,6 @@ class CharCursor {
   Char next() { return at(index_++); }
 
  private:
-  /// LSB-first field [pos, pos+len) of a packed bit plane; bits at or past
-  /// `nbits` read as 0. Relies on the normal-form invariant that storage
-  /// bits past size() are kept zero, so only whole-word bounds need checks.
-  static std::uint64_t extract_field(const std::vector<std::uint64_t>& words,
-                                     std::size_t nbits, std::size_t pos,
-                                     std::size_t len) {
-    if (pos >= nbits) return 0;
-    const std::size_t w = pos / 64;
-    const std::size_t off = pos % 64;
-    std::uint64_t raw = words[w] >> off;
-    if (off != 0 && w + 1 < words.size()) raw |= words[w + 1] << (64 - off);
-    return raw & low_mask(static_cast<unsigned>(len));
-  }
-
-  /// Reverses the low `len` bits (the planes store position i at bit i of a
-  /// word, while characters are read MSB-first). Word-parallel: the SWAR
-  /// reversal costs the same for a 16-bit character as for a 1-bit one,
-  /// where the per-bit loop this replaced scaled with C_C.
-  static std::uint64_t reverse_low_bits(std::uint64_t raw, std::size_t len) {
-    return bits::reverse_low_bits(raw, static_cast<unsigned>(len));
-  }
-
   const TritVector* v_;
   std::uint32_t bits_;
   std::uint64_t char_count_;

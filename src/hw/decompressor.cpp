@@ -1,31 +1,15 @@
 #include "hw/decompressor.h"
 
 #include <algorithm>
-#include <bit>
+#include <utility>
 
-#include "lzw/dictionary.h"
+#include "lzw/decode_core.h"
 
 namespace tdc::hw {
 
-namespace {
-
-Error decode_error(ErrorKind kind, std::string message, std::size_t code_index,
-                   std::size_t bit_offset) {
-  Error err{kind, std::move(message)};
-  err.code_index = static_cast<std::int64_t>(code_index);
-  err.bit_offset = static_cast<std::int64_t>(bit_offset);
-  return err;
-}
-
-}  // namespace
-
 Result<HwRunResult> DecompressorModel::try_run(const lzw::EncodeResult& encoded) const {
-  const lzw::LzwConfig& lc = config_.lzw;
-  const std::uint32_t ce = lc.code_bits();
   const std::uint64_t k = config_.clock_ratio;
-
-  lzw::Dictionary dict(lc);
-  bits::BitReader reader(encoded.stream);
+  const std::uint64_t cc = config_.lzw.char_bits;
 
   HwRunResult result;
   result.uncompressed_tester_cycles = encoded.original_bits;
@@ -37,103 +21,46 @@ Result<HwRunResult> DecompressorModel::try_run(const lzw::EncodeResult& encoded)
   // receiving each code before decoding it.
   std::uint64_t t = 0;
   std::uint64_t bits_consumed = 0;
-  std::uint32_t prev = lzw::kNoCode;
-  std::uint64_t emitted_bits = 0;
 
-  const std::size_t code_count = encoded.codes.size();
-  for (std::size_t idx = 0; idx < code_count; ++idx) {
-    // --- Input: wait until the full code has arrived (C_E bits, or the
-    // current dictionary-fill width in variable-width mode — the model's
-    // dictionary is in lockstep with the encoder's, so the widths agree).
-    const std::uint32_t width =
-        lc.variable_width
-            ? std::min(static_cast<std::uint32_t>(std::bit_width(dict.size())), ce)
-            : ce;
-    if (reader.remaining() < width) {
-      return decode_error(ErrorKind::CodeStreamTruncated,
-                          "tester image ends inside code " + std::to_string(idx) +
-                              " of " + std::to_string(code_count),
-                          idx, reader.position());
-    }
-    bits_consumed += width;
-    if (config_.pipelined) {
-      const std::uint64_t arrival = bits_consumed * k;
-      if (arrival > t) {
-        result.input_stall_cycles += arrival - t;
-        t = arrival;
-      }
-    } else {
-      result.input_stall_cycles += width * k;
-      t += static_cast<std::uint64_t>(width) * k;
-    }
-    const std::size_t code_bit_offset = reader.position();
-    const auto code = static_cast<std::uint32_t>(reader.read(width));
+  // The decode core serves every code (one block copy per dictionary read)
+  // and keeps the dictionary in lockstep with the encoder; the model adds
+  // only the cycle arithmetic of each step.
+  bits::BitReader reader(encoded.stream);
+  lzw::StreamCodes codes{.reader = reader};
+  Result<lzw::DecodeResult> decoded = lzw::decode_codes(
+      config_.lzw, codes, encoded.codes.size(), encoded.original_bits,
+      [&](const lzw::CodeStep& step) {
+        // --- Input: wait until the full code has arrived (C_E bits, or the
+        // current dictionary-fill width in variable-width mode).
+        bits_consumed += step.width;
+        if (config_.pipelined) {
+          const std::uint64_t arrival = bits_consumed * k;
+          if (arrival > t) {
+            result.input_stall_cycles += arrival - t;
+            t = arrival;
+          }
+        } else {
+          result.input_stall_cycles += step.width * k;
+          t += step.width * k;
+        }
 
-    // --- Decode: literal pass-through, RAM read, or C_MLAST (KwKwK).
-    std::vector<std::uint32_t> entry;
-    std::uint64_t decode_cycles = 0;
-    if (code < lc.first_code()) {
-      if (!dict.defined(code)) {
-        return decode_error(ErrorKind::UndefinedCode, "literal code out of range",
-                            idx, code_bit_offset);
-      }
-      entry = dict.expand(code);
-      decode_cycles = config_.literal_load_cycles;
-    } else if (dict.defined(code)) {
-      entry = dict.expand(code);
-      decode_cycles = config_.mem_read_cycles;
-    } else if (prev != lzw::kNoCode && code == dict.next_code() &&
-               dict.extendable(prev) &&
-               dict.child(prev, dict.first_char(prev)) == lzw::kNoCode) {
-      // KwKwK: the expansion is Buffer + Buffer's first character, all held
-      // in the C_MLAST register — no RAM read needed. Only legal while the
-      // (prev, first_char) entry is still being created; otherwise the code
-      // is corrupt and accepting it would leave it undefined.
-      entry = dict.expand(prev);
-      entry.push_back(dict.first_char(prev));
-      decode_cycles = config_.literal_load_cycles;
-    } else {
-      return decode_error(ErrorKind::UndefinedCode,
-                          "code value " + std::to_string(code) +
-                              " undefined in the on-chip dictionary",
-                          idx, code_bit_offset);
-    }
-    result.mem_cycles += decode_cycles;
-    t += decode_cycles;
+        // --- Decode: a RAM read for a dictionary entry; a literal, or the
+        // KwKwK expansion held in the C_MLAST register, needs none.
+        const std::uint64_t decode_cycles = step.kind == lzw::CodeKind::Entry
+                                                ? config_.mem_read_cycles
+                                                : config_.literal_load_cycles;
+        result.mem_cycles += decode_cycles;
+        t += decode_cycles;
 
-    // --- Dictionary update (mirrors lzw::Decoder), overlapped with shift.
-    std::uint64_t write_cycles = 0;
-    if (prev != lzw::kNoCode && dict.child(prev, entry.front()) == lzw::kNoCode) {
-      if (dict.add(prev, entry.front()) != lzw::kNoCode) {
-        write_cycles = config_.mem_write_cycles;
-      }
-    }
-    prev = code;
-
-    // --- Output: shift entry.size()*C_C bits into the scan chain at one
-    // bit per internal cycle; the RAM write happens under the shift.
-    const std::uint64_t shift = static_cast<std::uint64_t>(entry.size()) * lc.char_bits;
-    const std::uint64_t busy = std::max(shift, write_cycles);
-    result.shift_cycles += shift;
-    t += busy;
-
-    for (const std::uint32_t ch : entry) {
-      for (std::uint32_t b = lc.char_bits; b-- > 0;) {
-        if (emitted_bits >= encoded.original_bits) break;
-        result.scan_bits.push_back(((ch >> b) & 1u) != 0 ? bits::Trit::One
-                                                         : bits::Trit::Zero);
-        ++emitted_bits;
-      }
-    }
-  }
-
-  if (emitted_bits < encoded.original_bits) {
-    return decode_error(ErrorKind::StreamTooShort,
-                        "decompressor produced " + std::to_string(emitted_bits) +
-                            " of " + std::to_string(encoded.original_bits) +
-                            " scan bits",
-                        code_count, reader.position());
-  }
+        // --- Output: shift chars*C_C bits into the scan chain at one bit
+        // per internal cycle; the new entry's RAM write happens under it.
+        const std::uint64_t shift = step.chars * cc;
+        const std::uint64_t write_cycles = step.added ? config_.mem_write_cycles : 0;
+        result.shift_cycles += shift;
+        t += std::max(shift, write_cycles);
+      });
+  if (!decoded.ok()) return decoded.error();
+  result.scan_bits = std::move(decoded).take().bits;
   result.internal_cycles = t;
   return result;
 }

@@ -103,10 +103,10 @@ class DecompressorModel {
   const HwConfig& config() const { return config_; }
 
   /// Strict run of the model over an encoder's output. `encoded.stream` is
-  /// the tester image; timing is derived from it and from the dictionary
-  /// state reconstructed on the fly (identical rules as lzw::Decoder). On a
-  /// corrupt stream the Error carries the failing code index and the
-  /// payload bit offset; every read is bounds-checked.
+  /// the tester image; its `encoded.codes.size()` codes run through the
+  /// decode core lzw::Decoder shares (lzw/decode_core.h), and the model
+  /// times each step. On a corrupt stream the Error carries the failing
+  /// code index and the payload bit offset; every read is bounds-checked.
   Result<HwRunResult> try_run(const lzw::EncodeResult& encoded) const;
 
   /// Throwing wrapper over try_run (DecodeError, i.e. std::invalid_argument,

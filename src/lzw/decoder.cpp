@@ -1,135 +1,47 @@
 #include "lzw/decoder.h"
 
-#include <algorithm>
-#include <bit>
+#include <utility>
 
+#include "lzw/decode_core.h"
 #include "obs/trace.h"
 
 namespace tdc::lzw {
 
-Result<DecodeResult> Decoder::try_decode(const std::vector<std::uint32_t>& codes,
-                                         std::uint64_t original_bits) const {
-  std::size_t i = 0;
-  return decode_impl(
-      [&](std::uint32_t) -> std::optional<std::uint32_t> { return codes[i++]; },
-      [] { return std::int64_t{-1}; }, codes.size(), original_bits);
+namespace {
+
+/// Runs the decode core with the decoder's telemetry as its observer.
+template <class Source>
+Result<DecodeResult> decode_traced(const LzwConfig& config, Source& source,
+                                   std::size_t code_count, std::uint64_t original_bits) {
+  obs::TraceSpan span("lzw.decode");
+  DecoderTelemetry tel;
+  Result<DecodeResult> result =
+      decode_codes(config, source, code_count, original_bits, [&tel](const CodeStep& step) {
+        ++tel.codes_consumed;
+        if (step.kind == CodeKind::KwKwK) ++tel.kwkwk_codes;
+        if (step.added) ++tel.entries_added;
+        tel.expansion_chars.record(step.chars);
+      });
+  if (!result.ok()) return result;
+  result.value().telemetry = std::move(tel);
+  span.arg("codes", result.value().telemetry.codes_consumed);
+  span.arg("output_bits", static_cast<std::uint64_t>(result.value().bits.size()));
+  return result;
 }
 
-Result<DecodeResult> Decoder::decode_impl(
-    const std::function<std::optional<std::uint32_t>(std::uint32_t)>& next_code,
-    const std::function<std::int64_t()>& tell, std::size_t code_count,
-    std::uint64_t original_bits) const {
-  obs::TraceSpan span("lzw.decode");
-  Dictionary dict(config_);
-  DecodeResult result;
-  DecoderTelemetry& tel = result.telemetry;
+}  // namespace
 
-  std::uint32_t prev = kNoCode;
-  for (std::size_t idx = 0; idx < code_count; ++idx) {
-    const std::uint32_t width =
-        config_.variable_width
-            ? std::min(static_cast<std::uint32_t>(std::bit_width(dict.size())),
-                       config_.code_bits())
-            : config_.code_bits();
-    const std::int64_t code_bit_offset = tell();
-    const std::optional<std::uint32_t> fetched = next_code(width);
-    if (!fetched) {
-      Error err{ErrorKind::CodeStreamTruncated,
-                "payload ends inside code " + std::to_string(idx) + " of " +
-                    std::to_string(code_count) + " (" + std::to_string(width) +
-                    " bits needed)"};
-      err.code_index = static_cast<std::int64_t>(idx);
-      err.bit_offset = code_bit_offset;
-      return err;
-    }
-    const std::uint32_t code = *fetched;
-    ++tel.codes_consumed;
-    // Expansions are written as runs directly into the output tail
-    // (expand_into: one backward parent-chain walk into preallocated room)
-    // instead of materializing a per-code vector and copying it — the
-    // decoder's hot path allocates only when the output grows.
-    std::uint32_t entry_len = 0;
-    std::uint32_t entry_first = 0;
-    if (dict.defined(code)) {
-      entry_len = dict.length(code);
-      entry_first = dict.first_char(code);
-      const std::size_t old = result.chars.size();
-      result.chars.resize(old + entry_len);
-      dict.expand_into(code, result.chars.data() + old);
-    } else if (prev != kNoCode && code == dict.next_code() && dict.extendable(prev) &&
-               dict.child(prev, dict.first_char(prev)) == kNoCode) {
-      // KwKwK (paper Fig. 4f): the code references the entry that is being
-      // created right now — its expansion is Buffer plus Buffer's first char.
-      // A real encoder only emits this while (prev, first_char) is still
-      // undefined; if that child exists the code is corrupt, and treating it
-      // as KwKwK would leave `code` undefined and poison `prev`.
-      entry_len = dict.length(prev) + 1;
-      entry_first = dict.first_char(prev);
-      const std::size_t old = result.chars.size();
-      result.chars.resize(old + entry_len);
-      dict.expand_into(prev, result.chars.data() + old);
-      result.chars.back() = entry_first;
-      ++tel.kwkwk_codes;
-    } else {
-      Error err{ErrorKind::UndefinedCode,
-                "code value " + std::to_string(code) + " undefined (dictionary holds " +
-                    std::to_string(dict.size()) + " codes, not the KwKwK case)"};
-      err.code_index = static_cast<std::int64_t>(idx);
-      err.bit_offset = code_bit_offset;
-      return err;
-    }
-
-    if (prev != kNoCode) {
-      // Mirror of the encoder's dictionary insertion; Dictionary::add
-      // enforces the identical freeze (capacity) and C_MDATA (width) rules.
-      if (dict.child(prev, entry_first) == kNoCode) {
-        if (dict.add(prev, entry_first) != kNoCode) ++tel.entries_added;
-      }
-    }
-
-    tel.expansion_chars.record(entry_len);
-    prev = code;
-  }
-
-  const std::uint32_t cc = config_.char_bits;
-  const std::uint64_t decoded_bits =
-      static_cast<std::uint64_t>(result.chars.size()) * cc;
-  if (decoded_bits < original_bits) {
-    Error err{ErrorKind::StreamTooShort,
-              "decoded " + std::to_string(decoded_bits) + " of " +
-                  std::to_string(original_bits) + " scan bits from " +
-                  std::to_string(code_count) + " codes"};
-    err.code_index = static_cast<std::int64_t>(code_count);
-    err.bit_offset = tell();
-    return err;
-  }
-  // Deposit whole characters with one masked word store per plane
-  // (set_word), truncating the final character to the original bit count —
-  // the word-parallel replacement for the per-bit push_back loop.
-  result.bits = bits::TritVector(original_bits, bits::Trit::Zero);
-  for (std::uint64_t pos = 0, i = 0; pos < original_bits; pos += cc, ++i) {
-    const std::uint32_t ch = result.chars[i];
-    const auto len = static_cast<unsigned>(
-        std::min<std::uint64_t>(cc, original_bits - pos));
-    result.bits.set_word(pos, (ch >> (cc - len)) & bits::low_mask(len), len);
-  }
-
-  result.dict_codes_used = dict.size();
-  span.arg("codes", tel.codes_consumed);
-  span.arg("output_bits", static_cast<std::uint64_t>(result.bits.size()));
-  return result;
+Result<DecodeResult> Decoder::try_decode(const std::vector<std::uint32_t>& codes,
+                                         std::uint64_t original_bits) const {
+  ListCodes source{.codes = codes};
+  return decode_traced(config_, source, codes.size(), original_bits);
 }
 
 Result<DecodeResult> Decoder::try_decode_stream(bits::BitReader& reader,
                                                 std::size_t code_count,
                                                 std::uint64_t original_bits) const {
-  return decode_impl(
-      [&reader](std::uint32_t width) -> std::optional<std::uint32_t> {
-        if (reader.remaining() < width) return std::nullopt;
-        return static_cast<std::uint32_t>(reader.read(width));
-      },
-      [&reader] { return static_cast<std::int64_t>(reader.position()); },
-      code_count, original_bits);
+  StreamCodes source{.reader = reader};
+  return decode_traced(config_, source, code_count, original_bits);
 }
 
 }  // namespace tdc::lzw

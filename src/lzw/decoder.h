@@ -2,8 +2,6 @@
 #define TDC_LZW_DECODER_H
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <vector>
 
 #include "bits/bitstream.h"
@@ -21,9 +19,6 @@ struct DecodeResult {
   /// original (unpadded) bit count.
   bits::TritVector bits;
 
-  /// Decoded characters before truncation (one per C_C output bits).
-  std::vector<std::uint32_t> chars;
-
   /// Codes defined in the dictionary at the end (including literals);
   /// equals the encoder's count, or exceeds it by one trailing entry
   /// (the decoder also learns from the final code).
@@ -35,10 +30,12 @@ struct DecodeResult {
   DecoderTelemetry telemetry;
 };
 
-/// Software reference model of the LZW decompressor (paper §4 / Fig. 4),
-/// including the classic "code not yet defined" (KwKwK) special case and the
-/// same dictionary-limit and entry-width freeze rules as the encoder, so the
-/// two dictionaries evolve in lockstep.
+/// Software LZW decompressor (paper §4 / Fig. 4), including the classic
+/// "code not yet defined" (KwKwK) special case and the same dictionary-limit
+/// and entry-width freeze rules as the encoder, so the two dictionaries
+/// evolve in lockstep. It runs the shared decode core (lzw/decode_core.h),
+/// the same loop hw::DecompressorModel times, with telemetry as its
+/// per-code observer.
 ///
 /// Every decode has two entry forms: a strict `try_*` path returning
 /// `Result<DecodeResult>` with full position context (code index, payload
@@ -80,15 +77,6 @@ class Decoder {
   }
 
  private:
-  /// Shared decode loop; `next_code(width)` supplies the next code (nullopt
-  /// = source exhausted), where `width` is the bit width a stream reader
-  /// must consume. `tell()` reports the current payload bit offset for
-  /// error context, or -1 when decoding from an explicit code list.
-  Result<DecodeResult> decode_impl(
-      const std::function<std::optional<std::uint32_t>(std::uint32_t)>& next_code,
-      const std::function<std::int64_t()>& tell, std::size_t code_count,
-      std::uint64_t original_bits) const;
-
   LzwConfig config_;
 };
 

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/contracts.h"
 #include "lzw/config.h"
 
 namespace tdc::lzw {
@@ -74,24 +75,16 @@ class Dictionary {
   std::uint32_t last_char(std::uint32_t code) const { return sib_[code].ch; }
 
   /// First character of `code`'s expansion — O(1), memoized at add time.
-  std::uint32_t first_char(std::uint32_t code) const;
-
-  /// Full expansion of `code`, first character first.
-  std::vector<std::uint32_t> expand(std::uint32_t code) const;
-
-  /// Writes the expansion of `code` into out[0, length(code)), first
-  /// character first, and returns length(code). The decoder's run writer:
-  /// no per-code vector, just one backward walk of the parent chain into
-  /// the caller's output tail. Precondition: defined(code), out has room.
-  std::uint32_t expand_into(std::uint32_t code, std::uint32_t* out) const {
-    std::uint32_t n = meta_[code].length;
-    std::uint32_t c = code;
-    for (std::uint32_t i = n; i-- > 0;) {
-      out[i] = sib_[c].ch;
-      c = meta_[c].parent;
-    }
-    return n;
+  /// Inline: the decode core reads it for every code.
+  std::uint32_t first_char(std::uint32_t code) const {
+    TDC_REQUIRE(defined(code), "first_char: undefined code");
+    return meta_[code].root_ch;
   }
+
+  /// Full expansion of `code`, first character first: one backward walk of
+  /// the parent chain (the reference path; the decode core copies entries
+  /// out of its output instead).
+  std::vector<std::uint32_t> expand(std::uint32_t code) const;
 
   /// Child of `code` along exactly character `ch`, or kNoCode. O(1) via the
   /// hash index; inline because it is the encoder's per-character fast path.

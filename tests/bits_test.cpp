@@ -380,6 +380,39 @@ TEST(TritVectorTest, PropertyMatchesReferenceModel) {
   std::size_t care = 0;
   for (const Trit t : ref) care += is_care(t);
   EXPECT_EQ(v.care_count(), care);
+
+  // Word-parallel append and slice against per-trit push_back references,
+  // at every bit offset 0-63 of the receiving (append) or source (slice)
+  // side, with X-carrying operands and empty sides. operator== compares the
+  // storage words, so it also pins the normal form: no stray bits past
+  // size().
+  const auto random_trits = [&rng](std::size_t n) {
+    TritVector t(n);
+    for (std::size_t i = 0; i < n; ++i) t.set(i, static_cast<Trit>(rng.below(3)));
+    return t;
+  };
+  const auto per_trit = [](const TritVector& from, std::size_t pos, std::size_t len,
+                           TritVector into) {
+    for (std::size_t i = 0; i < len; ++i) into.push_back(from.get(pos + i));
+    return into;
+  };
+  for (std::size_t offset = 0; offset < 64; ++offset) {
+    for (const std::size_t len : {0, 1, 5, 63, 64, 65, 130, 200}) {
+      TritVector head = random_trits(offset);
+      const TritVector tail = random_trits(len);
+      const TritVector want = per_trit(tail, 0, len, head);
+      head.append(tail);
+      ASSERT_EQ(head, want) << "append at offset " << offset << " len " << len;
+
+      const TritVector source = random_trits(offset + len + rng.below(70));
+      ASSERT_EQ(source.slice(offset, len), per_trit(source, offset, len, TritVector{}))
+          << "slice at offset " << offset << " len " << len;
+    }
+    TritVector self = random_trits(offset + 17);
+    const TritVector want = per_trit(self, 0, self.size(), self);
+    self.append(self);
+    ASSERT_EQ(self, want) << "self-append at offset " << offset;
+  }
 }
 
 // ---------------------------------------------------------------- wordops
@@ -486,41 +519,6 @@ TEST(BitstreamTest, PropertyChunkedReadMatchesBitSerialReference) {
       }
       ASSERT_EQ(chunked.read(width), expect);
       ASSERT_EQ(chunked.position(), serial.position());
-    }
-  }
-}
-
-// ------------------------------------------------------------- set_word
-
-// Property: set_word is the exact inverse of word() — deposit a random
-// field at a random (word-straddling) position, read it back, and verify
-// neighbours are untouched via a reference model.
-TEST(TritVectorTest, PropertySetWordRoundTrip) {
-  Rng rng(601);
-  for (int round = 0; round < 300; ++round) {
-    const std::size_t n = 1 + rng.below(300);
-    TritVector v(n);
-    std::vector<Trit> ref(n, Trit::X);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (rng.chance(0.5)) {
-        const Trit t = rng.bit() ? Trit::One : Trit::Zero;
-        v.set(i, t);
-        ref[i] = t;
-      }
-    }
-    const auto len =
-        static_cast<unsigned>(1 + rng.below(std::min<std::size_t>(64, n)));
-    const std::size_t pos = rng.below(n - len + 1);
-    const std::uint64_t value = rng.next_u64() & low_mask(len);
-    v.set_word(pos, value, len);
-    for (unsigned b = 0; b < len; ++b) {
-      ref[pos + b] = ((value >> (len - 1 - b)) & 1u) != 0 ? Trit::One : Trit::Zero;
-    }
-    ASSERT_EQ(v.word(pos, len), value);
-    ASSERT_EQ(v.care_word(pos, len), low_mask(len));
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(v.get(i), ref[i]) << "n=" << n << " pos=" << pos
-                                  << " len=" << len << " i=" << i;
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "codec/lz77.h"
 #include "codec/rle.h"
 #include "hw/decompressor.h"
+#include "hw/decompressor_rtl.h"
 #include "lzw/stream_io.h"
 #include "lzw/verify.h"
 
@@ -121,13 +123,17 @@ TEST_P(FuzzTest, EveryCodecRoundTrips) {
       }
     }
 
-    // --- LZW hardware model agreement.
+    // --- LZW hardware model agreement with the cycle-stepped RTL, which
+    // keeps its own decode loop (the model shares lzw::Decoder's core).
     {
       const lzw::LzwConfig config{.dict_size = 256, .char_bits = 4, .entry_bits = 32};
       const auto encoded = lzw::Encoder(config).encode(input);
-      const auto sw = lzw::Decoder(config).decode(encoded.codes, encoded.original_bits);
-      const hw::DecompressorModel model(hw::HwConfig{.lzw = config, .clock_ratio = 4});
-      ASSERT_EQ(model.run(encoded).scan_bits, sw.bits);
+      const hw::HwConfig hc{.lzw = config, .clock_ratio = 4};
+      const auto model = hw::DecompressorModel(hc).run(encoded);
+      const auto rtl = hw::DecompressorRtl(hc).run(encoded);
+      ASSERT_EQ(model.scan_bits, rtl.scan_bits);
+      ASSERT_EQ(model.internal_cycles, rtl.internal_cycles);
+      ASSERT_TRUE(input.covered_by(model.scan_bits));
     }
 
     // --- LZ77, two resource classes.
@@ -198,11 +204,27 @@ TEST_P(FuzzTest, DamagedContainersAlwaysFailCleanly) {
       view.original_bits = image.value().original_bits;
       view.stream = image.value().stream;
       view.codes.resize(image.value().code_count);
-      const hw::DecompressorModel model(
-          hw::HwConfig{.lzw = image.value().config, .clock_ratio = 2});
-      tdc::Result<hw::HwRunResult> hw_run = model.try_run(view);
-      if (decoded.ok() && hw_run.ok()) {
-        EXPECT_EQ(hw_run.value().scan_bits, decoded.value().bits);
+      const hw::HwConfig hc{.lzw = image.value().config, .clock_ratio = 2};
+      tdc::Result<hw::HwRunResult> hw_run = hw::DecompressorModel(hc).try_run(view);
+      // The RTL keeps its own decode loop: it must accept exactly the
+      // streams the shared core accepts, fail at the same code, and
+      // otherwise produce the same scan stream and cycle count.
+      std::optional<hw::HwRunResult> rtl;
+      std::optional<tdc::Error> rtl_error;
+      try {
+        rtl = hw::DecompressorRtl(hc).run(view);
+      } catch (const tdc::TdcErrorBase& e) {
+        rtl_error = e.error();
+      }
+      ASSERT_EQ(rtl.has_value(), hw_run.ok());
+      ASSERT_EQ(rtl.has_value(), decoded.ok());
+      if (rtl) {
+        EXPECT_EQ(hw_run.value().scan_bits, rtl->scan_bits);
+        EXPECT_EQ(hw_run.value().internal_cycles, rtl->internal_cycles);
+        EXPECT_EQ(decoded.value().bits, rtl->scan_bits);
+      } else {
+        EXPECT_EQ(hw_run.error().kind, rtl_error->kind);
+        EXPECT_EQ(hw_run.error().code_index, rtl_error->code_index);
       }
     }
   }

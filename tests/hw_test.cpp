@@ -3,6 +3,7 @@
 #include "bits/rng.h"
 #include "bits/tritvector.h"
 #include "hw/decompressor.h"
+#include "hw/decompressor_rtl.h"
 #include "hw/memory.h"
 #include "lzw/decoder.h"
 #include "lzw/encoder.h"
@@ -51,18 +52,38 @@ TEST(MemoryModelTest, LenFieldGrowsWithEntryWidth) {
 
 // ---------------------------------------------------------------- functional equivalence
 
-TEST(DecompressorModelTest, ScanOutputMatchesSoftwareDecoder) {
+// The model and lzw::Decoder share one decode core, so the reference is the
+// cycle-stepped RTL, which keeps its own parent-chain loop.
+TEST(DecompressorModelTest, ScanOutputMatchesRtlReference) {
   const auto input = random_cube(20000, 0.85, 42);
   const lzw::Encoder enc(paper_config());
   const auto encoded = enc.encode(input);
 
-  const DecompressorModel hw(HwConfig{.lzw = paper_config(), .clock_ratio = 10});
-  const auto run = hw.run(encoded);
-
-  const lzw::Decoder sw(paper_config());
-  const auto decoded = sw.decode(encoded.codes, encoded.original_bits);
-  EXPECT_EQ(run.scan_bits, decoded.bits);
+  const HwConfig hc{.lzw = paper_config(), .clock_ratio = 10};
+  const auto run = DecompressorModel(hc).run(encoded);
+  const auto rtl = DecompressorRtl(hc).run(encoded);
+  EXPECT_EQ(run.scan_bits, rtl.scan_bits);
+  EXPECT_EQ(run.internal_cycles, rtl.internal_cycles);
   EXPECT_TRUE(input.covered_by(run.scan_bits));
+}
+
+// Decode memory is the output plus one offset per entry, whatever C_MDATA
+// says. 2^20 bits is bench/table6's "unbounded" width, and a crafted v1
+// header or v3 LZW record can declare the same; storing each entry in a
+// ceil(C_MDATA/64)-word slot would need >= 1 GiB for the 8k+ entries here.
+TEST(DecompressorModelTest, UnboundedEntryWidthRoundTrips) {
+  const lzw::LzwConfig config{.dict_size = 65536, .char_bits = 7, .entry_bits = 1u << 20};
+  const auto input = random_cube(300000, 0.5, 43);
+  const auto encoded = lzw::Encoder(config).encode(input);
+
+  const auto decoded = lzw::Decoder(config).decode(encoded.codes, encoded.original_bits);
+  ASSERT_GE(decoded.telemetry.entries_added, 8192u);
+  EXPECT_TRUE(input.covered_by(decoded.bits));
+
+  const HwConfig hc{.lzw = config, .clock_ratio = 1};
+  const auto run = DecompressorModel(hc).run(encoded);
+  EXPECT_EQ(run.scan_bits, decoded.bits);
+  EXPECT_EQ(DecompressorRtl(hc).run(encoded).scan_bits, decoded.bits);
 }
 
 TEST(DecompressorModelTest, KwKwKServedFromRegister) {
