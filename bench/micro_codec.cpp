@@ -6,11 +6,13 @@
 // encoder's LegacyScan (pre-index child-list scan + per-character
 // word()/care_word() re-slice) against the Indexed strategy (hash index +
 // streaming CharCursor), then the two decode paths — lzw::Decoder over the
-// packed stream and the Fig. 5 cycle model — on a dense and a 90%-X
-// corpus. It prints chars/sec for every path and writes the numbers to
+// packed stream and the Fig. 5 cycle model — and the .tests text codec
+// (TritVector::from_string / to_string) on a dense and a 90%-X corpus. It
+// prints chars/sec for every path and writes the numbers to
 // BENCH_micro_codec.json (override the path with $TDC_BENCH_JSON) so
 // throughput trajectories can be tracked across commits. It exits nonzero
-// when a decode path's output misses a care bit of the input.
+// when a decode path's output misses a care bit of the input, or when
+// formatting and parsing a corpus does not give it back.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -268,23 +270,29 @@ struct Corpus {
   // this harness on a 4-vCPU Xeon VM, pinned the same way.
   double baseline_decoder;
   double baseline_model;
+  // Text chars/sec (one character per trit) of the per-character
+  // from_string / to_string loops before the word-parallel text kernels,
+  // pinned the same way on the same VM.
+  double baseline_parse;
+  double baseline_format;
 };
 
-/// One decode row: a path's chars/sec on a corpus, whether its output
-/// covers every care bit of the input, and the gain over the pinned
-/// baseline (null off the default corpus size). Appends the row's table
-/// line to `table` and returns its JSON object.
-std::string decode_row(const Corpus& c, const char* path, std::size_t bits,
-                       double rate, bool covers, bool pinned, double baseline,
-                       std::string& table) {
-  const char* covered = covers ? "yes" : "NO";
+/// One decode or text row: a path's chars/sec on a corpus, its correctness
+/// flag (decode: covers every care bit of the input; text: formatting then
+/// parsing returns the corpus), and the gain over the pinned baseline (null
+/// off the default corpus size). Appends the row's table line to `table`
+/// and returns its JSON object.
+std::string bench_row(const Corpus& c, const char* path, std::size_t bits, double rate,
+                      const char* flag_key, bool flag, bool pinned, double baseline,
+                      std::string& table) {
+  const char* flagged = flag ? "yes" : "NO";
   char line[160];
   if (pinned) {
     std::snprintf(line, sizeof line, "%-14s %-8s %16.0f %7s %10.2fx\n", c.name, path,
-                  rate, covered, rate / baseline);
+                  rate, flagged, rate / baseline);
   } else {
     std::snprintf(line, sizeof line, "%-14s %-8s %16.0f %7s %11s\n", c.name, path,
-                  rate, covered, "n/a");
+                  rate, flagged, "n/a");
   }
   table += line;
   char gain[128];
@@ -299,10 +307,19 @@ std::string decode_row(const Corpus& c, const char* path, std::size_t bits,
   char row[384];
   std::snprintf(row, sizeof row,
                 "    {\"corpus\": \"%s\", \"path\": \"%s\", \"x_density\": %.2f, "
-                "\"input_bits\": %zu, \"chars_per_sec\": %.0f, "
-                "\"covers_input\": %s, %s}",
-                c.name, path, c.x_density, bits, rate, covers ? "true" : "false", gain);
+                "\"input_bits\": %zu, \"chars_per_sec\": %.0f, \"%s\": %s, %s}",
+                c.name, path, c.x_density, bits, rate, flag_key, flag ? "true" : "false",
+                gain);
   return row;
+}
+
+/// Joins JSON rows into the body of an array.
+std::string json_rows(const std::vector<std::string>& rows) {
+  std::string out;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    out += rows[i] + (i + 1 < rows.size() ? ",\n" : "\n");
+  }
+  return out;
 }
 
 /// Times LegacyScan vs Indexed per corpus, prints the comparison, writes
@@ -320,8 +337,10 @@ int run_path_comparison() {
   const std::size_t kBits = bits;
   const bool pinned = kBits == kDefaultBits;
   const Corpus corpora[] = {
-      {"dense_x0.1", 0.1, 7462016.0, 17060744.0, 19110358.0, 8501895.0},
-      {"sparse_x0.9", 0.9, 13488172.0, 26738851.0, 42778798.0, 18884487.0}};
+      {"dense_x0.1", 0.1, 7462016.0, 17060744.0, 19110358.0, 8501895.0, 130692087.0,
+       229273160.0},
+      {"sparse_x0.9", 0.9, 13488172.0, 26738851.0, 42778798.0, 18884487.0, 266148981.0,
+       222615079.0}};
 
   std::string json = "{\n  \"bench\": \"micro_codec\",\n  \"config\": {"
                      "\"dict_size\": " + std::to_string(kConfig.dict_size) +
@@ -336,6 +355,9 @@ int run_path_comparison() {
   std::vector<std::string> decode_rows;
   std::string decode_table;
   bool decode_ok = true;
+  std::vector<std::string> text_rows;
+  std::string text_table;
+  bool text_ok = true;
   for (const Corpus& c : corpora) {
     const auto input = random_cube(kBits, c.x_density, 7);
     const double chars =
@@ -393,20 +415,37 @@ int run_path_comparison() {
     const double model_rate =
         chars_per_sec(chars, [&] { benchmark::DoNotOptimize(model.try_run(encoded)); });
     decode_ok = decode_ok && decoder_covers && model_covers;
-    decode_rows.push_back(decode_row(c, "decoder", kBits, decoder_rate, decoder_covers,
-                                     pinned, c.baseline_decoder, decode_table));
-    decode_rows.push_back(decode_row(c, "model", kBits, model_rate, model_covers, pinned,
-                                     c.baseline_model, decode_table));
+    decode_rows.push_back(bench_row(c, "decoder", kBits, decoder_rate, "covers_input",
+                                    decoder_covers, pinned, c.baseline_decoder,
+                                    decode_table));
+    decode_rows.push_back(bench_row(c, "model", kBits, model_rate, "covers_input",
+                                    model_covers, pinned, c.baseline_model, decode_table));
+
+    // .tests text codec: one character per trit, so the rate is text
+    // bytes (= trits) per second.
+    const std::string text = input.to_string();
+    const bool round_trips = bits::TritVector::from_string(text) == input;
+    const double text_chars = static_cast<double>(text.size());
+    const double parse_rate = chars_per_sec(
+        text_chars, [&] { benchmark::DoNotOptimize(bits::TritVector::from_string(text)); });
+    const double format_rate =
+        chars_per_sec(text_chars, [&] { benchmark::DoNotOptimize(input.to_string()); });
+    text_ok = text_ok && round_trips;
+    text_rows.push_back(bench_row(c, "parse", kBits, parse_rate, "round_trips",
+                                  round_trips, pinned, c.baseline_parse, text_table));
+    text_rows.push_back(bench_row(c, "format", kBits, format_rate, "round_trips",
+                                  round_trips, pinned, c.baseline_format, text_table));
   }
-  json += "\n  ],\n  \"decode\": [\n";
-  for (std::size_t i = 0; i < decode_rows.size(); ++i) {
-    json += decode_rows[i] + (i + 1 < decode_rows.size() ? ",\n" : "\n");
-  }
-  json += "  ]\n}\n";
+  json += "\n  ],\n  \"decode\": [\n" + json_rows(decode_rows) + "  ],\n  \"text\": [\n" +
+          json_rows(text_rows) + "  ]\n}\n";
   std::printf("\nDecode paths (chars/sec, best of 3):\n");
   std::printf("%-14s %-8s %16s %7s %11s\n", "corpus", "path", "chars/sec", "covers",
               "vs parent");
   std::printf("%s", decode_table.c_str());
+  std::printf("\n.tests text codec (text chars/sec, best of 3):\n");
+  std::printf("%-14s %-8s %16s %7s %11s\n", "corpus", "path", "chars/sec", "round",
+              "vs parent");
+  std::printf("%s", text_table.c_str());
 
   const char* path = std::getenv("TDC_BENCH_JSON");
   const std::string out_path =
@@ -420,6 +459,10 @@ int run_path_comparison() {
   std::printf("wrote %s\n", out_path.c_str());
   if (!decode_ok) {
     std::fprintf(stderr, "micro_codec: a decode path missed a care bit of its input\n");
+    return 1;
+  }
+  if (!text_ok) {
+    std::fprintf(stderr, "micro_codec: a text corpus does not survive format + parse\n");
     return 1;
   }
   return 0;

@@ -8,9 +8,10 @@ namespace tdc::bits::simd {
 
 /// Bulk kernels over packed 64-bit bit-plane arrays — the word-at-a-time
 /// bodies of TritVector's care_count / compatible_with / covered_by /
-/// merge_in. Every kernel is an exact bitwise computation, so the SIMD and
-/// scalar variants are bit-identical by construction (pinned by the
-/// SimdKernels property tests); vectorization changes speed, never results.
+/// merge_in / from_string / to_string. Every kernel is an exact bitwise
+/// computation, so the SIMD and scalar variants are bit-identical by
+/// construction (pinned by the SimdKernels property tests); vectorization
+/// changes speed, never results.
 ///
 /// Dispatch: when the tree is built with -DTDC_SIMD=ON (the default on
 /// x86-64) an AVX2 translation unit is compiled alongside the scalar one
@@ -45,6 +46,25 @@ void planes_merge(std::uint64_t* care_a, std::uint64_t* value_a,
                   const std::uint64_t* care_b, const std::uint64_t* value_b,
                   std::size_t n);
 
+/// Text <-> plane kernels behind TritVector::from_string / to_string and
+/// every .tests reader and writer. Both touch exactly the bytes [0, n) of
+/// the text: a partial last group goes through a padded local copy, never
+/// a wide load or store past the end, so `s` may be untrusted wire bytes
+/// ending at an unmapped page.
+
+/// Parses `n` characters of '0' '1' 'X' 'x' '-' into the (n + 63) / 64
+/// words of `care` and `value`, 64 trits per word (trit i at bit i % 64 of
+/// word i / 64). Every word is overwritten in normal form: value is 0
+/// under X and bits past n are 0. Returns n, or the index of the first
+/// byte that is none of the five (the planes are then unspecified).
+std::size_t parse_trit_chars(const char* s, std::size_t n, std::uint64_t* care,
+                             std::uint64_t* value);
+
+/// Writes trits [0, n) of the planes as '0' / '1' / 'X' to out[0, n);
+/// a value bit under X is ignored.
+void format_trit_chars(const std::uint64_t* care, const std::uint64_t* value,
+                       std::size_t n, char* out);
+
 namespace detail {
 
 /// The scalar reference kernels, always compiled; exposed so the property
@@ -61,6 +81,11 @@ bool planes_uncovered_scalar(const std::uint64_t* care_a,
 void planes_merge_scalar(std::uint64_t* care_a, std::uint64_t* value_a,
                          const std::uint64_t* care_b,
                          const std::uint64_t* value_b, std::size_t n);
+std::size_t parse_trit_chars_scalar(const char* s, std::size_t n,
+                                    std::uint64_t* care, std::uint64_t* value);
+void format_trit_chars_scalar(const std::uint64_t* care,
+                              const std::uint64_t* value, std::size_t n,
+                              char* out);
 
 }  // namespace detail
 

@@ -47,15 +47,14 @@ TritVector TritVector::from_value_plane(std::vector<std::uint64_t> values,
 TritVector TritVector::from_string(std::string_view s) {
   TritVector v;
   v.size_ = s.size();
-  v.care_.assign(words_for(s.size()), 0);
-  v.value_.assign(words_for(s.size()), 0);
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (!is_trit_char(s[i])) {
-      Error{ErrorKind::InvalidInput, "TritVector::from_string: bad character '" +
-                                         std::string(1, s[i]) + "'"}
-          .raise();
-    }
-    v.set(i, trit_from_char(s[i]));
+  v.care_.resize(words_for(s.size()));
+  v.value_.resize(words_for(s.size()));
+  if (const std::size_t bad =
+          simd::parse_trit_chars(s.data(), s.size(), v.care_.data(), v.value_.data());
+      bad != s.size()) {
+    Error{ErrorKind::InvalidInput, "TritVector::from_string: bad character '" +
+                                       std::string(1, s[bad]) + "'"}
+        .raise();
   }
   return v;
 }
@@ -186,10 +185,13 @@ bool TritVector::operator==(const TritVector& other) const {
 }
 
 std::string TritVector::to_string() const {
-  std::string s;
-  s.reserve(size_);
-  for (std::size_t i = 0; i < size_; ++i) s.push_back(to_char(get(i)));
+  std::string s(size_, '\0');
+  write_chars(s.data());
   return s;
+}
+
+void TritVector::write_chars(char* out) const {
+  simd::format_trit_chars(care_.data(), value_.data(), size_, out);
 }
 
 std::uint64_t TritVector::word(std::size_t pos, std::size_t len) const {

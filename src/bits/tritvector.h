@@ -33,8 +33,9 @@ class TritVector {
   /// least n bits.
   static TritVector from_value_plane(std::vector<std::uint64_t> values, std::size_t n);
 
-  /// Parses a textual cube, e.g. "01XX10-1" ('-' is an X alias).
-  /// Throws std::invalid_argument on any other character.
+  /// Parses a textual cube, e.g. "01XX10-1" ('x' and '-' are X aliases),
+  /// 64 characters per kernel step. Any other byte raises InvalidInput
+  /// (std::invalid_argument) naming the first such byte.
   static TritVector from_string(std::string_view s);
 
   /// Number of trits.
@@ -99,6 +100,10 @@ class TritVector {
 
   /// Textual form using '0'/'1'/'X'.
   std::string to_string() const;
+
+  /// Writes the size() characters of to_string() to out[0, size()): lets a
+  /// caller format many vectors into one preallocated buffer.
+  void write_chars(char* out) const;
 
   /// Interprets trits [pos, pos+len) as an MSB-first unsigned integer;
   /// X bits read as 0, as do positions at or past size() (implicit X

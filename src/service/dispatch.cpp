@@ -231,21 +231,19 @@ Frame Dispatcher::dispatch(const Frame& request) {
       std::istringstream in(payload, std::ios::binary);
       Result<lzw::CompressedImage> image = lzw::try_read_image(in);
       if (!image.ok()) return image.error();
-      const Result<bits::TritVector> decoded = codec::decode_image(image.value());
+      Result<bits::TritVector> decoded = codec::decode_image(image.value());
       if (!decoded.ok()) return decoded.error();
       // The same single-cube expansion tdc_cli decompress writes: without
       // side information the stream is one long vector.
       scan::TestSet out;
       out.circuit = "decompressed";
       out.width = static_cast<std::uint32_t>(decoded.value().size());
-      out.cubes.push_back(decoded.value());
-      std::ostringstream text;
-      scan::write_tests(text, out);
+      out.cubes.push_back(std::move(decoded).take());
       Frame resp;
       resp.op = "ok";
       resp.add_param("codes", u64_str(image.value().code_count));
-      resp.add_param("bits", u64_str(decoded.value().size()));
-      resp.payload = std::move(text).str();
+      resp.add_param("bits", u64_str(out.cubes.front().size()));
+      resp.payload = scan::format_tests(out);
       return resp;
     });
   }
@@ -297,8 +295,7 @@ Frame Dispatcher::dispatch(const Frame& request) {
         return resp;
       }
       // Not a readable container: try the .tests text format.
-      std::istringstream text(payload);
-      const scan::TestSet tests = scan::read_tests(text);
+      const scan::TestSet tests = scan::read_tests(payload);
       char buf[256];
       std::snprintf(buf, sizeof buf,
                     "test set '%s', %llu patterns x %u bits, %.1f%% don't-cares",
@@ -357,9 +354,8 @@ Frame Dispatcher::do_compress(const Frame& request) {
     Result<Frame> parsed =
         guarded_frame([&spec, &request]() -> Result<Frame> {
           spec.config.validate();
-          std::istringstream in(request.payload);
           spec.inline_tests =
-              std::make_shared<const scan::TestSet>(scan::read_tests(in));
+              std::make_shared<const scan::TestSet>(scan::read_tests(request.payload));
           return Frame{};
         });
     if (!parsed.ok()) return make_error_frame(request.id, parsed.error());

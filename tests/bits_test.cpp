@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "bits/trit.h"
 #include "bits/tritvector.h"
 #include "bits/wordops.h"
+#include "core/error.h"
 
 namespace tdc::bits {
 namespace {
@@ -194,16 +197,119 @@ TEST(TritVectorTest, ConstructDefaultAllX) {
   EXPECT_DOUBLE_EQ(v.x_density(), 1.0);
 }
 
+// Per-character text references: the property oracle for the
+// word-parallel text kernels behind from_string / to_string.
+
+std::size_t words_for(std::size_t n) { return (n + 63) / 64; }
+
+/// Parses like simd::parse_trit_chars, one character at a time.
+std::size_t parse_reference(const char* s, std::size_t n, std::vector<std::uint64_t>& care,
+                            std::vector<std::uint64_t>& value) {
+  care.assign(words_for(n), 0);
+  value.assign(words_for(n), 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!is_trit_char(s[i])) return i;
+    const Trit t = trit_from_char(s[i]);
+    if (is_care(t)) care[i / 64] |= 1ULL << (i % 64);
+    if (t == Trit::One) value[i / 64] |= 1ULL << (i % 64);
+  }
+  return n;
+}
+
+/// The trit vector of `s`, built one set() at a time.
+TritVector per_char_vector(const std::string& s) {
+  TritVector v(s.size());
+  for (std::size_t i = 0; i < s.size(); ++i) v.set(i, trit_from_char(s[i]));
+  return v;
+}
+
+/// Random text over all five accepted characters, in runs of three kinds:
+/// any character, X only ('X' 'x' '-') and care only ('0' '1').
+std::string random_trit_text(Rng& rng, std::size_t n) {
+  static constexpr std::string_view kRunAlphabets[] = {"01Xx-", "Xx-", "01"};
+  std::string s(n, 'X');
+  for (std::size_t i = 0; i < n;) {
+    const std::string_view alphabet = kRunAlphabets[rng.below(3)];
+    for (std::uint64_t run = 1 + rng.below(80); run > 0 && i < n; --run, ++i) {
+      s[i] = alphabet[rng.below(alphabet.size())];
+    }
+  }
+  return s;
+}
+
+/// Lengths that hit every tail size of the 8-byte SWAR step and the
+/// 32/64-byte vector steps: 0-130, then within +-1 of each multiple of 8
+/// up to 1024.
+std::vector<std::size_t> text_lengths() {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 130; ++n) lengths.push_back(n);
+  for (std::size_t m = 136; m <= 1024; m += 8) {
+    for (const std::size_t n : {m - 1, m, m + 1}) lengths.push_back(n);
+  }
+  return lengths;
+}
+
 TEST(TritVectorTest, FromStringAndBack) {
   const std::string s = "01XX10x-01";
   const TritVector v = TritVector::from_string(s);
   EXPECT_EQ(v.to_string(), "01XX10XX01");
   EXPECT_EQ(v.size(), 10u);
   EXPECT_EQ(v.care_count(), 6u);
+
+  // Both directions against the per-character reference. operator==
+  // compares the storage words, so equality with a set()-built vector also
+  // proves the storage past size() zero.
+  Rng rng(811);
+  for (const std::size_t n : text_lengths()) {
+    const std::string text = random_trit_text(rng, n);
+    const TritVector parsed = TritVector::from_string(text);
+    const TritVector want = per_char_vector(text);
+    ASSERT_EQ(parsed, want) << "n=" << n;
+    std::string canonical(n, 'X');
+    for (std::size_t i = 0; i < n; ++i) canonical[i] = to_char(want.get(i));
+    ASSERT_EQ(parsed.to_string(), canonical) << "n=" << n;
+    ASSERT_EQ(TritVector::from_string(parsed.to_string()), parsed) << "n=" << n;
+  }
 }
 
 TEST(TritVectorTest, FromStringRejectsBadChars) {
   EXPECT_THROW(TritVector::from_string("012"), std::invalid_argument);
+
+  // One bad byte at every position: the dispatched kernel, the scalar
+  // kernel and the per-character reference agree on its index, and
+  // from_string names exactly that byte. A second bad byte later on never
+  // wins over the first.
+  Rng rng(812);
+  const char bad_bytes[] = {'2', '\r', ' ', '\0', static_cast<char>(0x80),
+                            static_cast<char>(0xFF)};
+  std::vector<std::uint64_t> care;
+  std::vector<std::uint64_t> value;
+  for (std::size_t n = 1; n <= 130; ++n) {
+    care.resize(words_for(n));
+    value.resize(words_for(n));
+    for (std::size_t pos = 0; pos < n; ++pos) {
+      for (const char bad : bad_bytes) {
+        std::string text = random_trit_text(rng, n);
+        text[pos] = bad;
+        if (pos + 2 < n && rng.bit()) text[pos + 2] = bad_bytes[rng.below(6)];
+        ASSERT_EQ(simd::parse_trit_chars(text.data(), n, care.data(), value.data()), pos)
+            << "n=" << n;
+        ASSERT_EQ(simd::detail::parse_trit_chars_scalar(text.data(), n, care.data(),
+                                                        value.data()),
+                  pos)
+            << "n=" << n;
+        ASSERT_EQ(parse_reference(text.data(), n, care, value), pos) << "n=" << n;
+        try {
+          (void)TritVector::from_string(text);
+          FAIL() << "accepted byte " << static_cast<int>(bad) << " at " << pos;
+        } catch (const DecodeError& e) {
+          ASSERT_EQ(e.error().kind, ErrorKind::InvalidInput);
+          ASSERT_EQ(e.error().message,
+                    std::string("TritVector::from_string: bad character '") + bad + "'");
+        }
+      }
+    }
+  }
 }
 
 TEST(TritVectorTest, SetGetAcrossWordBoundary) {
@@ -562,6 +668,39 @@ TEST(SimdKernelsTest, PropertyDispatchedMatchesScalarReference) {
       ASSERT_EQ(ca, ca2);
       ASSERT_EQ(va, va2);
     }
+  }
+
+  // Text kernels: dispatched, scalar and the per-character reference on
+  // every tail length, in exact-size heap buffers so a sanitizer build
+  // reports any access one byte past either end.
+  for (const std::size_t n : text_lengths()) {
+    const std::string text = random_trit_text(rng, n);
+    const std::unique_ptr<char[]> in(new char[n]);
+    std::copy(text.begin(), text.end(), in.get());
+    std::vector<std::uint64_t> care_ref;
+    std::vector<std::uint64_t> value_ref;
+    ASSERT_EQ(parse_reference(in.get(), n, care_ref, value_ref), n);
+    // Poisoned planes: the kernels must overwrite every word, zeroing the
+    // bits past n.
+    std::vector<std::uint64_t> care(words_for(n), ~0ULL);
+    std::vector<std::uint64_t> value(words_for(n), ~0ULL);
+    ASSERT_EQ(simd::parse_trit_chars(in.get(), n, care.data(), value.data()), n);
+    ASSERT_EQ(care, care_ref) << "n=" << n;
+    ASSERT_EQ(value, value_ref) << "n=" << n;
+    care.assign(words_for(n), ~0ULL);
+    value.assign(words_for(n), ~0ULL);
+    ASSERT_EQ(simd::detail::parse_trit_chars_scalar(in.get(), n, care.data(), value.data()),
+              n);
+    ASSERT_EQ(care, care_ref) << "n=" << n;
+    ASSERT_EQ(value, value_ref) << "n=" << n;
+
+    std::string want(n, 'X');
+    for (std::size_t i = 0; i < n; ++i) want[i] = to_char(trit_from_char(text[i]));
+    const std::unique_ptr<char[]> out(new char[n]);
+    simd::format_trit_chars(care_ref.data(), value_ref.data(), n, out.get());
+    ASSERT_EQ(std::string(out.get(), n), want) << "n=" << n;
+    simd::detail::format_trit_chars_scalar(care_ref.data(), value_ref.data(), n, out.get());
+    ASSERT_EQ(std::string(out.get(), n), want) << "n=" << n;
   }
 }
 

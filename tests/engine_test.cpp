@@ -616,6 +616,48 @@ TEST(EngineTest, IsolatesBadInputsFromTheRestOfTheBatch) {
   fs::remove(corrupt);
 }
 
+/// A .tests file whose body disagrees with its header is the caller's data
+/// at fault: the job fails InvalidInput (not the transport-class IoError
+/// of a missing file), and every other job commits the bytes it commits in
+/// a batch without the bad job.
+TEST(EngineTest, MalformedTestsFileFailsAsInvalidInput) {
+  namespace fs = std::filesystem;
+  const fs::path short_file = fs::temp_directory_path() / "tdc_engine_count_mismatch.tests";
+  {
+    scan::TestSet tests = *synthetic_tests(42, 64);
+    tests.cubes.push_back(tests.cubes.front());
+    std::string text = scan::format_tests(tests);
+    text.replace(text.find("patterns 2"), 10, "patterns 3");
+    std::ofstream out(short_file, std::ios::binary);
+    out << text;
+  }
+
+  Manifest clean = inline_manifest();
+  clean.jobs.resize(5);
+  Manifest manifest = clean;
+  JobSpec bad;
+  bad.name = "count_mismatch";
+  bad.input_path = short_file.string();
+  bad.config = lzw::LzwConfig{.dict_size = 256, .char_bits = 7, .entry_bits = 63};
+  manifest.jobs.insert(manifest.jobs.begin() + 2, std::move(bad));
+
+  const BatchResult reference = run_with_workers(clean, 2);
+  const BatchResult result = run_with_workers(manifest, 2);
+  ASSERT_EQ(result.jobs.size(), 6u);
+  EXPECT_EQ(result.failed_count(), 1u);
+  ASSERT_FALSE(result.jobs[2].ok());
+  EXPECT_EQ(result.jobs[2].status.error().kind, ErrorKind::InvalidInput)
+      << result.jobs[2].status.error().describe();
+  EXPECT_NE(result.jobs[2].status.error().message.find("header declares 3 patterns, found 2"),
+            std::string::npos);
+  for (std::size_t i = 0; i < clean.jobs.size(); ++i) {
+    const JobOutcome& job = result.jobs[i < 2 ? i : i + 1];
+    ASSERT_TRUE(job.ok()) << job.name;
+    EXPECT_EQ(job.container, reference.jobs[i].container) << job.name;
+  }
+  fs::remove(short_file);
+}
+
 TEST(EngineTest, FailFastCancelsPendingJobs) {
   Manifest manifest;
   JobSpec bad;

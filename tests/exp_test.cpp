@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "exp/flow.h"
 #include "exp/table.h"
@@ -52,25 +54,83 @@ scan::TestSet sample_set() {
   return ts;
 }
 
+void expect_same_set(const scan::TestSet& a, const scan::TestSet& b) {
+  EXPECT_EQ(a.circuit, b.circuit);
+  EXPECT_EQ(a.width, b.width);
+  EXPECT_EQ(a.cubes, b.cubes);
+}
+
 TEST(TestSetIoTest, RoundTripThroughText) {
   const auto ts = sample_set();
   std::stringstream ss;
   scan::write_tests(ss, ts);
+  const std::string text = ss.str();
   const auto back = scan::read_tests(ss);
   EXPECT_EQ(back.circuit, "sample");
   EXPECT_EQ(back.width, 6u);
   ASSERT_EQ(back.cubes.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(back.cubes[i], ts.cubes[i]);
+
+  // One formatter: format_tests is exactly the bytes write_tests streams.
+  EXPECT_EQ(scan::format_tests(ts), text);
+  // One parser: the in-place overload reads what the stream overload
+  // reads, also around comments, blank lines and a missing final newline.
+  const std::string variants[] = {
+      text,
+      "# c\n\ncircuit sample\n# c\nwidth 6\n\npatterns 3\n01XX10\n# c\n"
+      "\nxx--xX\n110011\n\n",
+      "circuit sample\nwidth 6\npatterns 3\n01XX10\nXXXXXX\n110011",
+  };
+  for (const std::string& v : variants) {
+    std::istringstream in(v);
+    const auto streamed = scan::read_tests(in);
+    expect_same_set(streamed, ts);
+    expect_same_set(scan::read_tests(std::string_view(v)), streamed);
+  }
+}
+
+/// The typed error each read_tests overload raises for `text`.
+std::pair<Error, Error> read_errors(const std::string& text) {
+  std::pair<Error, Error> errors;
+  try {
+    std::istringstream in(text);
+    (void)scan::read_tests(in);
+    ADD_FAILURE() << "stream overload accepted: " << text;
+  } catch (const TdcErrorBase& e) {
+    errors.first = e.error();
+  }
+  try {
+    (void)scan::read_tests(std::string_view(text));
+    ADD_FAILURE() << "in-place overload accepted: " << text;
+  } catch (const TdcErrorBase& e) {
+    errors.second = e.error();
+  }
+  EXPECT_EQ(errors.first.message, errors.second.message);
+  return errors;
 }
 
 TEST(TestSetIoTest, RejectsWidthMismatch) {
-  std::stringstream ss("circuit c\nwidth 4\npatterns 1\n01X\n");
-  EXPECT_THROW(scan::read_tests(ss), std::runtime_error);
+  const auto [streamed, in_place] = read_errors("circuit c\nwidth 4\npatterns 1\n01X\n");
+  EXPECT_EQ(streamed.kind, ErrorKind::InvalidInput);
+  EXPECT_EQ(in_place.kind, ErrorKind::InvalidInput);
+  EXPECT_EQ(streamed.message, "read_tests: line 4: cube width 3, header says 4");
 }
 
 TEST(TestSetIoTest, RejectsCountMismatch) {
-  std::stringstream ss("circuit c\nwidth 3\npatterns 2\n01X\n");
-  EXPECT_THROW(scan::read_tests(ss), std::runtime_error);
+  const auto [streamed, in_place] = read_errors("circuit c\nwidth 3\npatterns 2\n01X\n");
+  EXPECT_EQ(streamed.kind, ErrorKind::InvalidInput);
+  EXPECT_EQ(in_place.kind, ErrorKind::InvalidInput);
+  EXPECT_EQ(streamed.message, "read_tests: line 3: header declares 2 patterns, found 1");
+}
+
+TEST(TestSetIoTest, RejectsUnknownHeaderAndBadCharacters) {
+  const auto header = read_errors("# ok\ncircuit c\ncolour blue\n");
+  EXPECT_EQ(header.first.kind, ErrorKind::InvalidInput);
+  EXPECT_EQ(header.first.message, "read_tests: line 3: unexpected header line: colour blue");
+  // A bad character keeps from_string's own message.
+  const auto character = read_errors("circuit c\nwidth 3\npatterns 1\n0?1\n");
+  EXPECT_EQ(character.first.kind, ErrorKind::InvalidInput);
+  EXPECT_EQ(character.first.message, "TritVector::from_string: bad character '?'");
 }
 
 TEST(TestSetIoTest, FileRoundTrip) {

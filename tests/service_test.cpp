@@ -326,6 +326,11 @@ TEST_F(ServiceTest, DecompressVerifyInspectRoundTrip) {
   std::istringstream orig_in(text);
   const scan::TestSet original = scan::read_tests(orig_in);
   EXPECT_TRUE(original.serialize().covered_by(decoded.cubes[0]));
+  // Byte for byte what the offline writer streams for that set.
+  std::ostringstream offline;
+  scan::write_tests(offline, decoded);
+  EXPECT_EQ(dec.value().payload, offline.str());
+  EXPECT_EQ(dec.value().param("bits"), std::to_string(decoded.width));
 
   Result<Frame> ver = client.call("verify", {}, container);
   ASSERT_TRUE(ver.ok()) << ver.error().describe();
@@ -377,6 +382,30 @@ TEST_F(ServiceTest, BadConfigParamsAreTypedNotFatal) {
       client.call("compress", {{"dict", "3"}}, tests_text(3));
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.error().kind, ErrorKind::ConfigMismatch);
+  EXPECT_TRUE(client.call("ping").ok());
+}
+
+TEST_F(ServiceTest, MalformedTestsTextIsInvalidInputNotFatal) {
+  StartServer();
+  Client client = MustConnect();
+  // Header says 8 trits per cube, the cube has 7: the caller's data is
+  // wrong, not the transport, so the kind is InvalidInput, as it is for a
+  // bad character in the same payload.
+  const std::string mismatched = "circuit c\nwidth 8\npatterns 1\n01X01X0\n";
+  for (const char* op : {"compress", "inspect"}) {
+    Result<Frame> resp = client.call(op, {}, mismatched);
+    ASSERT_FALSE(resp.ok()) << op;
+    EXPECT_EQ(resp.error().kind, ErrorKind::InvalidInput)
+        << op << ": " << resp.error().describe();
+    EXPECT_FALSE(is_container_error(resp.error().kind));
+    Result<Frame> ping = client.call("ping", {}, op);
+    ASSERT_TRUE(ping.ok()) << op;
+    EXPECT_EQ(ping.value().payload, op);
+  }
+  Result<Frame> bad_char =
+      client.call("compress", {}, "circuit c\nwidth 3\npatterns 1\n0\r1\n");
+  ASSERT_FALSE(bad_char.ok());
+  EXPECT_EQ(bad_char.error().kind, ErrorKind::InvalidInput);
   EXPECT_TRUE(client.call("ping").ok());
 }
 
