@@ -3,22 +3,25 @@
 // the table*_ binaries reproduce the paper's results.
 //
 // After the registered benchmarks run, a dedicated path harness times the
-// encoder's LegacyScan (pre-index child-list scan + per-character
-// word()/care_word() re-slice) against the Indexed strategy (hash index +
-// streaming CharCursor), then the two decode paths — lzw::Decoder over the
+// encoder's LegacyScan (child-by-child list walk + per-character
+// word()/care_word() re-slice) against the Indexed strategy (slab match
+// kernel + streaming CharCursor), then the Indexed encoder under each of
+// the five tie-break policies, the two decode paths — lzw::Decoder over the
 // packed stream and the Fig. 5 cycle model — and the .tests text codec
 // (TritVector::from_string / to_string) on a dense and a 90%-X corpus. It
 // prints chars/sec for every path and writes the numbers to
 // BENCH_micro_codec.json (override the path with $TDC_BENCH_JSON) so
 // throughput trajectories can be tracked across commits. It exits nonzero
-// when a decode path's output misses a care bit of the input, or when
-// formatting and parsing a corpus does not give it back.
+// when a policy's Indexed output differs from LegacyScan's, when a decode
+// path's output misses a care bit of the input, or when formatting and
+// parsing a corpus does not give it back.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -29,6 +32,7 @@
 #include "codec/lfsr_reseed.h"
 #include "codec/lz77.h"
 #include "codec/rle.h"
+#include "engine/manifest.h"
 #include "fault/fsim.h"
 #include "gen/circuit_gen.h"
 #include "hw/decompressor.h"
@@ -249,12 +253,17 @@ double chars_per_sec(double chars, const Fn& run) {
   return best;
 }
 
-/// Encode chars/sec for one (corpus, strategy) point.
+/// Encode chars/sec for one (corpus, strategy, policy) point.
 double encode_chars_per_sec(const bits::TritVector& input, double chars,
-                            lzw::MatchStrategy strategy) {
-  const lzw::Encoder enc(kConfig, lzw::Tiebreak::First, strategy);
+                            lzw::MatchStrategy strategy,
+                            lzw::Tiebreak tiebreak = lzw::Tiebreak::First) {
+  const lzw::Encoder enc(kConfig, tiebreak, strategy);
   return chars_per_sec(chars, [&] { benchmark::DoNotOptimize(enc.encode(input)); });
 }
+
+constexpr lzw::Tiebreak kPolicies[] = {lzw::Tiebreak::First, lzw::Tiebreak::LowestChar,
+                                       lzw::Tiebreak::MostRecent, lzw::Tiebreak::MostChildren,
+                                       lzw::Tiebreak::Lookahead};
 
 struct Corpus {
   const char* name;
@@ -275,23 +284,28 @@ struct Corpus {
   // pinned the same way on the same VM.
   double baseline_parse;
   double baseline_format;
+  // Indexed encode chars/sec per tie-break policy (kPolicies order) before
+  // the slab match kernel (sibling-chain walk, hash index), pinned the
+  // same way on the same VM.
+  double baseline_tiebreak[std::size(kPolicies)];
 };
 
-/// One decode or text row: a path's chars/sec on a corpus, its correctness
-/// flag (decode: covers every care bit of the input; text: formatting then
-/// parsing returns the corpus), and the gain over the pinned baseline (null
-/// off the default corpus size). Appends the row's table line to `table`
-/// and returns its JSON object.
-std::string bench_row(const Corpus& c, const char* path, std::size_t bits, double rate,
-                      const char* flag_key, bool flag, bool pinned, double baseline,
-                      std::string& table) {
+/// One tie-break, decode or text row: a path's chars/sec on a corpus, its
+/// correctness flag (tie-break: Indexed output equals LegacyScan's; decode:
+/// covers every care bit of the input; text: formatting then parsing
+/// returns the corpus), and the gain over the pinned baseline (null off the
+/// default corpus size). `path_key` names the JSON key holding `path`.
+/// Appends the row's table line to `table` and returns its JSON object.
+std::string bench_row(const Corpus& c, const char* path_key, const char* path,
+                      std::size_t bits, double rate, const char* flag_key, bool flag,
+                      bool pinned, double baseline, std::string& table) {
   const char* flagged = flag ? "yes" : "NO";
   char line[160];
   if (pinned) {
-    std::snprintf(line, sizeof line, "%-14s %-8s %16.0f %7s %10.2fx\n", c.name, path,
+    std::snprintf(line, sizeof line, "%-14s %-12s %16.0f %9s %10.2fx\n", c.name, path,
                   rate, flagged, rate / baseline);
   } else {
-    std::snprintf(line, sizeof line, "%-14s %-8s %16.0f %7s %11s\n", c.name, path,
+    std::snprintf(line, sizeof line, "%-14s %-12s %16.0f %9s %11s\n", c.name, path,
                   rate, flagged, "n/a");
   }
   table += line;
@@ -306,10 +320,10 @@ std::string bench_row(const Corpus& c, const char* path, std::size_t bits, doubl
   }
   char row[384];
   std::snprintf(row, sizeof row,
-                "    {\"corpus\": \"%s\", \"path\": \"%s\", \"x_density\": %.2f, "
+                "    {\"corpus\": \"%s\", \"%s\": \"%s\", \"x_density\": %.2f, "
                 "\"input_bits\": %zu, \"chars_per_sec\": %.0f, \"%s\": %s, %s}",
-                c.name, path, c.x_density, bits, rate, flag_key, flag ? "true" : "false",
-                gain);
+                c.name, path_key, path, c.x_density, bits, rate, flag_key,
+                flag ? "true" : "false", gain);
   return row;
 }
 
@@ -338,9 +352,9 @@ int run_path_comparison() {
   const bool pinned = kBits == kDefaultBits;
   const Corpus corpora[] = {
       {"dense_x0.1", 0.1, 7462016.0, 17060744.0, 19110358.0, 8501895.0, 130692087.0,
-       229273160.0},
+       229273160.0, {16377178.0, 15802133.0, 18609972.0, 21594033.0, 23130007.0}},
       {"sparse_x0.9", 0.9, 13488172.0, 26738851.0, 42778798.0, 18884487.0, 266148981.0,
-       222615079.0}};
+       222615079.0, {51779467.0, 21554348.0, 28847432.0, 19353293.0, 10452327.0}}};
 
   std::string json = "{\n  \"bench\": \"micro_codec\",\n  \"config\": {"
                      "\"dict_size\": " + std::to_string(kConfig.dict_size) +
@@ -352,6 +366,9 @@ int run_path_comparison() {
   std::printf("%-14s %16s %16s %9s %12s\n", "corpus", "legacy", "indexed",
               "speedup", "vs pre-PR6");
   bool first = true;
+  std::vector<std::string> tiebreak_rows;
+  std::string tiebreak_table;
+  bool tiebreak_ok = true;
   std::vector<std::string> decode_rows;
   std::string decode_table;
   bool decode_ok = true;
@@ -396,6 +413,22 @@ int run_path_comparison() {
     json += entry;
     first = false;
 
+    // Indexed encode under every tie-break policy, each checked against the
+    // LegacyScan reference walk.
+    for (std::size_t p = 0; p < std::size(kPolicies); ++p) {
+      const lzw::Tiebreak tb = kPolicies[p];
+      const auto fast = lzw::Encoder(kConfig, tb, lzw::MatchStrategy::Indexed).encode(input);
+      const auto reference =
+          lzw::Encoder(kConfig, tb, lzw::MatchStrategy::LegacyScan).encode(input);
+      const bool identical = fast.codes == reference.codes &&
+                             fast.stream.bytes() == reference.stream.bytes();
+      const double rate = encode_chars_per_sec(input, chars, lzw::MatchStrategy::Indexed, tb);
+      tiebreak_ok = tiebreak_ok && identical;
+      tiebreak_rows.push_back(bench_row(c, "policy", engine::tiebreak_name(tb), kBits,
+                                        rate, "identical_to_legacy", identical, pinned,
+                                        c.baseline_tiebreak[p], tiebreak_table));
+    }
+
     // Decode paths: the container decoder over the packed stream, and the
     // cycle model over the same encoder result.
     const lzw::EncodeResult encoded = lzw::Encoder(kConfig).encode(input);
@@ -415,10 +448,10 @@ int run_path_comparison() {
     const double model_rate =
         chars_per_sec(chars, [&] { benchmark::DoNotOptimize(model.try_run(encoded)); });
     decode_ok = decode_ok && decoder_covers && model_covers;
-    decode_rows.push_back(bench_row(c, "decoder", kBits, decoder_rate, "covers_input",
+    decode_rows.push_back(bench_row(c, "path", "decoder", kBits, decoder_rate, "covers_input",
                                     decoder_covers, pinned, c.baseline_decoder,
                                     decode_table));
-    decode_rows.push_back(bench_row(c, "model", kBits, model_rate, "covers_input",
+    decode_rows.push_back(bench_row(c, "path", "model", kBits, model_rate, "covers_input",
                                     model_covers, pinned, c.baseline_model, decode_table));
 
     // .tests text codec: one character per trit, so the rate is text
@@ -431,19 +464,24 @@ int run_path_comparison() {
     const double format_rate =
         chars_per_sec(text_chars, [&] { benchmark::DoNotOptimize(input.to_string()); });
     text_ok = text_ok && round_trips;
-    text_rows.push_back(bench_row(c, "parse", kBits, parse_rate, "round_trips",
+    text_rows.push_back(bench_row(c, "path", "parse", kBits, parse_rate, "round_trips",
                                   round_trips, pinned, c.baseline_parse, text_table));
-    text_rows.push_back(bench_row(c, "format", kBits, format_rate, "round_trips",
+    text_rows.push_back(bench_row(c, "path", "format", kBits, format_rate, "round_trips",
                                   round_trips, pinned, c.baseline_format, text_table));
   }
-  json += "\n  ],\n  \"decode\": [\n" + json_rows(decode_rows) + "  ],\n  \"text\": [\n" +
+  json += "\n  ],\n  \"tiebreak\": [\n" + json_rows(tiebreak_rows) +
+          "  ],\n  \"decode\": [\n" + json_rows(decode_rows) + "  ],\n  \"text\": [\n" +
           json_rows(text_rows) + "  ]\n}\n";
+  std::printf("\nIndexed encode per tie-break policy (chars/sec, best of 3):\n");
+  std::printf("%-14s %-12s %16s %9s %11s\n", "corpus", "policy", "chars/sec", "= legacy",
+              "vs parent");
+  std::printf("%s", tiebreak_table.c_str());
   std::printf("\nDecode paths (chars/sec, best of 3):\n");
-  std::printf("%-14s %-8s %16s %7s %11s\n", "corpus", "path", "chars/sec", "covers",
+  std::printf("%-14s %-12s %16s %9s %11s\n", "corpus", "path", "chars/sec", "covers",
               "vs parent");
   std::printf("%s", decode_table.c_str());
   std::printf("\n.tests text codec (text chars/sec, best of 3):\n");
-  std::printf("%-14s %-8s %16s %7s %11s\n", "corpus", "path", "chars/sec", "round",
+  std::printf("%-14s %-12s %16s %9s %11s\n", "corpus", "path", "chars/sec", "round",
               "vs parent");
   std::printf("%s", text_table.c_str());
 
@@ -457,6 +495,10 @@ int run_path_comparison() {
   }
   out << json;
   std::printf("wrote %s\n", out_path.c_str());
+  if (!tiebreak_ok) {
+    std::fprintf(stderr, "micro_codec: an Indexed tie-break pick differs from LegacyScan\n");
+    return 1;
+  }
   if (!decode_ok) {
     std::fprintf(stderr, "micro_codec: a decode path missed a care bit of its input\n");
     return 1;

@@ -4,11 +4,15 @@
 #
 #   BENCH_micro_codec.json        — encoder path comparison (legacy vs
 #                                   indexed chars/sec, gain vs the pinned
-#                                   pre-PR-6 baseline), decoder and cycle-
+#                                   pre-PR-6 baseline), indexed encode per
+#                                   tie-break policy (chars/sec, identical-
+#                                   to-LegacyScan flag, gain vs the pinned
+#                                   pre-slab baseline), decoder and cycle-
 #                                   model decode rows (chars/sec, care-bit
 #                                   coverage flag, gain vs the pinned
-#                                   pre-decode-core baseline) +
-#                                   google-benchmark micro numbers on stdout
+#                                   pre-decode-core baseline), .tests text
+#                                   rows + google-benchmark micro numbers
+#                                   on stdout
 #   BENCH_engine_throughput.json  — batch-engine scaling at 1/2/4/8 workers
 #                                   plus the contention baseline-vs-sharded
 #                                   comparison (queue notifies, blocked

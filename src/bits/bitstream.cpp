@@ -2,6 +2,9 @@
 
 #include <cassert>
 #include <cstring>
+#include <string>
+
+#include "core/error.h"
 
 namespace tdc::bits {
 
@@ -71,9 +74,18 @@ bool BitWriter::bit_at(std::size_t i) const {
   return (bytes_[i / 8] >> (7 - (i % 8))) & 1u;
 }
 
+void BitReader::overrun(unsigned width) const {
+  Error{.kind = ErrorKind::CodeStreamTruncated,
+        .message = "bit stream ends at bit " + std::to_string(bit_count_) +
+                   ": cannot read " + std::to_string(width) + " bits at bit " +
+                   std::to_string(pos_),
+        .bit_offset = static_cast<std::int64_t>(pos_)}
+      .raise();
+}
+
 std::uint64_t BitReader::read(unsigned width) {
   assert(width <= 64);
-  assert(width <= remaining());
+  if (width > remaining()) overrun(width);
   const std::uint8_t* data = bytes_->data();
   std::uint64_t v = 0;
   unsigned rem = width;
@@ -91,7 +103,7 @@ std::uint64_t BitReader::read(unsigned width) {
 }
 
 bool BitReader::read_bit() {
-  assert(pos_ < bit_count_);
+  if (pos_ >= bit_count_) overrun(1);
   const bool b = ((*bytes_)[pos_ / 8] >> (7 - (pos_ % 8))) & 1u;
   ++pos_;
   return b;

@@ -105,17 +105,21 @@ class BitReader {
   bool exhausted() const { return pos_ >= bit_count_; }
 
   /// Reads the next `width` bits as an MSB-first unsigned value, one byte
-  /// chunk at a time (not per bit). Precondition: width <= 64 and
-  /// width <= remaining().
+  /// chunk at a time (not per bit). Precondition: width <= 64. A read past
+  /// the end raises Error{CodeStreamTruncated} in every build, so decoders
+  /// of untrusted payloads need no bound check of their own.
   std::uint64_t read(unsigned width);
 
-  /// Reads one bit.
+  /// Reads one bit; past the end it raises like read().
   bool read_bit();
 
   /// Current cursor position in bits from the start.
   std::size_t position() const { return pos_; }
 
  private:
+  /// Raises Error{CodeStreamTruncated} for a `width`-bit read at pos_.
+  [[noreturn]] void overrun(unsigned width) const;
+
   const std::vector<std::uint8_t>* bytes_;
   std::size_t bit_count_;
   std::size_t pos_ = 0;

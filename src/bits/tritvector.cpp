@@ -111,6 +111,10 @@ std::size_t TritVector::care_count() const {
   return simd::popcount_words(care_.data(), care_.size());
 }
 
+std::size_t TritVector::ones_count() const {
+  return simd::popcount_words(value_.data(), value_.size());
+}
+
 bool TritVector::compatible_with(const TritVector& other) const {
   if (size_ != other.size_) return false;
   return !simd::planes_conflict(care_.data(), value_.data(), other.care_.data(),
@@ -166,18 +170,44 @@ TritVector TritVector::filled_random(Rng& rng) const {
   return out;
 }
 
-TritVector TritVector::filled_repeat_last() const {
-  TritVector out = *this;
-  Trit last = Trit::Zero;
-  for (std::size_t i = 0; i < size_; ++i) {
-    const Trit t = out.get(i);
-    if (t == Trit::X) {
-      out.set(i, last);
-    } else {
-      last = t;
+template <class Sink>
+void TritVector::repeat_fill_words(Sink&& sink) const {
+  std::uint64_t carry = 0;  // all ones when the previous filled bit is 1
+  for (std::size_t w = 0; w < value_.size(); ++w) {
+    // Prefix fill by doubling: after the step for shift s, every position
+    // with a care bit among the 2s positions ending at it holds that
+    // nearest care bit's value (value is 0 at X: normal form).
+    std::uint64_t known = care_[w];
+    std::uint64_t filled = value_[w];
+    for (unsigned s = 1; s < 64; s <<= 1) {
+      filled |= (filled << s) & ~known;
+      known |= known << s;
     }
+    filled |= carry & ~known;  // X before the word's first care bit
+    carry = 0 - (filled >> 63);
+    if (w + 1 == value_.size() && size_ % 64 != 0) filled &= low_mask(size_ % 64);
+    sink(w, filled);
   }
-  return out;
+}
+
+TritVector TritVector::filled_repeat_last() const {
+  std::vector<std::uint64_t> filled(value_.size());
+  repeat_fill_words([&](std::size_t w, std::uint64_t f) { filled[w] = f; });
+  return from_value_plane(std::move(filled), size_);
+}
+
+std::size_t TritVector::repeat_fill_runs() const {
+  if (size_ == 0) return 0;
+  std::size_t changes = 0;
+  std::uint64_t prev = 0;  // filled bit just before the word
+  repeat_fill_words([&](std::size_t w, std::uint64_t f) {
+    if (w == 0) prev = f & 1;  // position 0 starts the first run
+    std::uint64_t change = f ^ ((f << 1) | prev);
+    if (w + 1 == value_.size() && size_ % 64 != 0) change &= low_mask(size_ % 64);
+    changes += static_cast<std::size_t>(std::popcount(change));
+    prev = f >> 63;
+  });
+  return 1 + changes;
 }
 
 bool TritVector::operator==(const TritVector& other) const {

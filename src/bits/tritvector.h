@@ -57,6 +57,9 @@ class TritVector {
   /// Number of specified (0/1) positions.
   std::size_t care_count() const;
 
+  /// Number of positions holding 1.
+  std::size_t ones_count() const;
+
   /// Number of X positions.
   std::size_t x_count() const { return size_ - care_count(); }
 
@@ -92,7 +95,12 @@ class TritVector {
 
   /// Replaces each X by the value of the nearest preceding care bit
   /// (0 if none yet) — the "repeat fill" favoured by run-length coders.
+  /// One O(words) pass.
   TritVector filled_repeat_last() const;
+
+  /// Runs of equal values in filled_repeat_last(), counted without building
+  /// it: 1 + the filled-value changes after position 0 (0 when empty).
+  std::size_t repeat_fill_runs() const;
 
   /// Exact (value + care plane) equality.
   bool operator==(const TritVector& other) const;
@@ -120,6 +128,12 @@ class TritVector {
 
  private:
   friend class CharCursor;
+  /// The repeat fill, one plane word at a time: calls sink(w, filled) in
+  /// order with word w of filled_repeat_last()'s value plane (bits past
+  /// size() zero). Each word is prefix-filled by doubling shifts, and its
+  /// last filled bit carries into the next word.
+  template <class Sink>
+  void repeat_fill_words(Sink&& sink) const;
   static std::size_t words_for(std::size_t n) { return (n + 63) / 64; }
   std::size_t size_ = 0;
   std::vector<std::uint64_t> care_;

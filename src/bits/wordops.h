@@ -18,6 +18,15 @@ constexpr std::uint64_t low_mask(unsigned len) {
   return len >= 64 ? ~0ULL : (1ULL << len) - 1;
 }
 
+/// 0x8000 in each 16-bit lane of `x` that is zero, 0 elsewhere. Exact: the
+/// add runs on 15-bit fields, so no carry crosses into the next lane (the
+/// borrow-prone `(x - 0x0001...) & ~x & 0x8000...` shortcut reports false
+/// zeros in lanes above a zero lane).
+constexpr std::uint64_t zero_lanes16(std::uint64_t x) {
+  constexpr std::uint64_t kLow15 = 0x7FFF7FFF7FFF7FFFULL;
+  return ~(((x & kLow15) + kLow15) | x) & ~kLow15;
+}
+
 /// Byte-reverses a 64-bit word.
 constexpr std::uint64_t byteswap64(std::uint64_t x) {
 #if defined(__GNUC__) || defined(__clang__)

@@ -19,23 +19,10 @@ double ChunkFeatures::care_entropy() const {
 }
 
 ChunkFeatures analyze_chunk(const bits::TritVector& chunk) {
-  ChunkFeatures f;
-  f.trits = chunk.size();
-  bool have_prev = false;
-  bool prev = false;
-  for (std::size_t i = 0; i < chunk.size(); ++i) {
-    const bits::Trit t = chunk.get(i);
-    bool v = prev;  // repeat-fill: an X adopts the previous filled value
-    if (t != bits::Trit::X) {
-      ++f.care;
-      v = t == bits::Trit::One;
-      if (v) ++f.ones;
-    }
-    if (!have_prev || v != prev) ++f.runs;
-    have_prev = true;
-    prev = v;
-  }
-  return f;
+  return ChunkFeatures{.trits = chunk.size(),
+                       .care = chunk.care_count(),
+                       .ones = chunk.ones_count(),
+                       .runs = chunk.repeat_fill_runs()};
 }
 
 const char* to_string(CodecId id) {

@@ -89,7 +89,8 @@ struct ChunkFeatures {
   double care_entropy() const;
 };
 
-/// One scan over the chunk; deterministic.
+/// Word-parallel summary of the chunk (popcounts plus one repeat-fill
+/// pass, O(words)); deterministic.
 ChunkFeatures analyze_chunk(const bits::TritVector& chunk);
 
 /// One compressed chunk: the paper-convention size accounting plus the

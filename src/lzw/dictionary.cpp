@@ -10,22 +10,21 @@ namespace tdc::lzw {
 
 Dictionary::Dictionary(const LzwConfig& config) : config_(config) {
   config_.validate();
-  // All arenas sized once for the full dictionary: add() never allocates,
-  // and every field of code c sits at index c of a flat array.
-  sib_.reserve(config_.dict_size);
+  // Per-code arrays reserved once for the full dictionary, so add() never
+  // reallocates them and every field of code c sits at index c. The slab
+  // arenas are reserved for their worst case: a parent with k children has
+  // used slabs of 4, 8, ..., max(4, bit_ceil(k)) slots, at most 4k in all,
+  // so the N - 2^C_C entries need at most four slots each. Nothing is
+  // zero-filled beyond the literals.
   meta_.reserve(config_.dict_size);
-  tail_.assign(config_.dict_size, Tail{});
-  // Hash index sized once for the full dictionary: power of two with load
-  // factor <= 1/2 even at dictionary freeze, so probes stay short.
-  const std::size_t slots =
-      std::bit_ceil<std::size_t>(std::max<std::size_t>(16, 2 * config_.dict_size));
-  index_.assign(slots, IndexSlot{});
-  index_shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
+  slab_.reserve(config_.dict_size);
+  const std::size_t slots = 4 * std::size_t{config_.dict_size - config_.literal_count()};
+  chars_.reserve(slots);
+  codes_.reserve(slots);
   // Literal codes: one root per possible uncompressed character.
   for (std::uint32_t c = 0; c < config_.literal_count(); ++c) {
-    sib_.push_back(SibLink{.ch = c, .next = kNoCode});
-    meta_.push_back(Meta{.parent = kNoCode, .root_ch = c, .length = 1,
-                         .first_child = kNoCode});
+    meta_.push_back(Meta{.parent = kNoCode, .root_ch = c, .length = 1, .ch = c});
+    slab_.push_back(Slab{});
   }
   next_code_ = config_.literal_count();
   longest_bits_ = config_.char_bits;
@@ -36,19 +35,10 @@ std::vector<std::uint32_t> Dictionary::expand(std::uint32_t code) const {
   std::vector<std::uint32_t> out(length(code));
   std::uint32_t c = code;
   for (std::size_t i = out.size(); i-- > 0;) {
-    out[i] = sib_[c].ch;
+    out[i] = meta_[c].ch;
     c = meta_[c].parent;
   }
   return out;
-}
-
-void Dictionary::index_insert(std::uint32_t parent, std::uint32_t ch,
-                              std::uint32_t child) {
-  const std::uint64_t key = index_key(parent, ch);
-  const std::size_t mask = index_.size() - 1;
-  std::size_t slot = index_home(key);
-  while (index_[slot].key != kEmptySlot) slot = (slot + 1) & mask;
-  index_[slot] = IndexSlot{.key = key, .child = child};
 }
 
 std::uint32_t Dictionary::add(std::uint32_t parent, std::uint32_t ch) {
@@ -57,22 +47,28 @@ std::uint32_t Dictionary::add(std::uint32_t parent, std::uint32_t ch) {
   assert(child(parent, ch) == kNoCode);
   if (full() || !extendable(parent)) return kNoCode;
   const std::uint32_t code = next_code_++;
-  sib_.push_back(SibLink{.ch = ch, .next = kNoCode});
-  const Meta& pm = meta_[parent];
+  const Meta pm = meta_[parent];
   const std::uint32_t new_length = pm.length + 1;
   meta_.push_back(Meta{.parent = parent, .root_ch = pm.root_ch,
-                       .length = new_length, .first_child = kNoCode});
-  // Link into the parent's child chain at the tail so children() preserves
-  // insertion order (the First tie-break's contract).
-  Tail& pt = tail_[parent];
-  if (pt.last_child == kNoCode) {
-    meta_[parent].first_child = code;
-  } else {
-    sib_[pt.last_child].next = code;
+                       .length = new_length, .ch = ch});
+  slab_.push_back(Slab{});
+  // Append to the parent's slab so children() and the match scans keep
+  // insertion order (the First tie-break's contract). A slab is full when
+  // it is empty or its count reaches its capacity, max(4, bit_ceil(count));
+  // it then moves to the arenas' end with capacity max(4, 2 * count).
+  Slab& s = slab_[parent];
+  if (s.count == 0 || (s.count >= 4 && std::has_single_bit(s.count))) {
+    const auto offset = static_cast<std::uint32_t>(chars_.size());
+    const std::size_t capacity = s.count == 0 ? 4 : 2 * std::size_t{s.count};
+    chars_.resize(chars_.size() + capacity);
+    codes_.resize(codes_.size() + capacity);
+    std::copy_n(chars_.begin() + s.offset, s.count, chars_.begin() + offset);
+    std::copy_n(codes_.begin() + s.offset, s.count, codes_.begin() + offset);
+    s.offset = offset;
   }
-  pt.last_child = code;
-  ++pt.count;
-  index_insert(parent, ch, code);
+  chars_[s.offset + s.count] = static_cast<std::uint16_t>(ch);
+  codes_[s.offset + s.count] = code;
+  ++s.count;
   longest_bits_ = std::max<std::uint64_t>(
       longest_bits_,
       static_cast<std::uint64_t>(new_length) * config_.char_bits);

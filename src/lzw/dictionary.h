@@ -1,10 +1,13 @@
 #ifndef TDC_LZW_DICTIONARY_H
 #define TDC_LZW_DICTIONARY_H
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
+#include "bits/wordops.h"
 #include "core/contracts.h"
 #include "lzw/config.h"
 
@@ -24,24 +27,21 @@ inline constexpr std::uint32_t kNoCode = 0xffffffffu;
 /// at max_entry_chars() characters — the embedded-memory word bound that the
 /// paper introduces so the hardware can fetch a whole expansion in one read.
 ///
-/// The structure is a trie stored as contiguous arenas rather than per-node
-/// heap objects: all fields of code `c` live at index `c` of a handful of
-/// flat arrays, sized once for the full dictionary in the constructor (adds
-/// never allocate). Child lists are intrusive — each node carries its
-/// (character, next-sibling) pair in the scan-hot `sib_` array, and a parent
-/// points at its first/last child — so the don't-care-aware match ("which
-/// children are compatible with this ternary character?") walks an
-/// insertion-ordered sibling chain through one packed 8-byte-per-node array
-/// instead of chasing per-node vectors. The first character of every
-/// expansion is memoized at add time, making first_char() O(1) (the decoder
-/// consults it per code).
+/// The structure is a trie stored as flat arrays rather than per-node heap
+/// objects: the fields of code `c` live at index `c` of the per-code arrays,
+/// and the first character of every expansion is memoized at add time,
+/// making first_char() O(1) (the decoder consults it per code).
 ///
-/// On top of the sibling chains sits an open-addressed (code, character) ->
-/// child hash index sized for the whole dictionary up front, so the exact
-/// match — the only query possible when a character carries no X bits — is
-/// O(1) instead of O(#children). The encoder consults it first and falls
-/// back to the insertion-ordered sibling scan only when X bits leave several
-/// children compatible, which keeps every Tiebreak's output bit-identical.
+/// Each code's children sit in one contiguous slab, in insertion order
+/// (which is also increasing code order): their characters in a uint16_t
+/// arena (C_C <= 16) and their codes in a parallel uint32_t arena. A slab's
+/// capacity follows from its count — a power of two, at least 4 — and add()
+/// appends in place or, when the slab is full, moves it to the arenas' end
+/// at twice the size. Matching a ternary character against a slab is one
+/// SWAR kernel over four 16-bit lanes per 64-bit word (match_hits): the
+/// encoder answers every tie-break from those compatibility masks, and an
+/// exact lookup (child()) is the same kernel with a full care mask, so no
+/// separate (code, character) index exists.
 class Dictionary {
  public:
   explicit Dictionary(const LzwConfig& config);
@@ -72,7 +72,7 @@ class Dictionary {
   std::uint32_t parent(std::uint32_t code) const { return meta_[code].parent; }
 
   /// Last character of `code`'s expansion (the literal value for literals).
-  std::uint32_t last_char(std::uint32_t code) const { return sib_[code].ch; }
+  std::uint32_t last_char(std::uint32_t code) const { return meta_[code].ch; }
 
   /// First character of `code`'s expansion — O(1), memoized at add time.
   /// Inline: the decode core reads it for every code.
@@ -86,75 +86,100 @@ class Dictionary {
   /// out of its output instead).
   std::vector<std::uint32_t> expand(std::uint32_t code) const;
 
-  /// Child of `code` along exactly character `ch`, or kNoCode. O(1) via the
-  /// hash index; inline because it is the encoder's per-character fast path.
+  /// Child of `code` along exactly character `ch`, or kNoCode: the match
+  /// kernel with a full care mask, so at most one lane can hit and the
+  /// scan stops at the first nonzero word.
   std::uint32_t child(std::uint32_t code, std::uint32_t ch) const {
-    const std::uint64_t key = index_key(code, ch);
-    const std::size_t mask = index_.size() - 1;
-    for (std::size_t slot = index_home(key);; slot = (slot + 1) & mask) {
-      if (index_[slot].key == key) return index_[slot].child;
-      if (index_[slot].key == kEmptySlot) return kNoCode;
+    return first_match(code, ch, 0xffffu);
+  }
+
+  /// The match scans below test `code`'s children against the ternary
+  /// character (value, care): a child is compatible when its character
+  /// agrees with `value` on every `care` bit. Precondition: value, care
+  /// < 2^16.
+
+  /// First (oldest) compatible child of `code`, or kNoCode; stops at the
+  /// first nonzero word.
+  std::uint32_t first_match(std::uint32_t code, std::uint64_t value,
+                            std::uint64_t care) const {
+    const Slab s = slab_[code];
+    for (std::uint32_t base = 0; base < s.count; base += 4) {
+      if (const std::uint64_t h = match_hits(s, base, value, care)) {
+        return codes_[s.offset + base + first_lane(h)];
+      }
+    }
+    return kNoCode;
+  }
+
+  /// Last (newest, highest-code) compatible child of `code`, or kNoCode;
+  /// scans from the slab's end and stops at the first nonzero word.
+  std::uint32_t last_match(std::uint32_t code, std::uint64_t value, std::uint64_t care) const {
+    const Slab s = slab_[code];
+    for (std::uint32_t end = s.count; end > 0;) {
+      const std::uint32_t base = (end - 1) & ~3u;
+      if (const std::uint64_t h = match_hits(s, base, value, care)) {
+        const auto lane = static_cast<std::uint32_t>(std::bit_width(h) - 1) >> 4;
+        return codes_[s.offset + base + lane];
+      }
+      end = base;
+    }
+    return kNoCode;
+  }
+
+  /// Calls `visit(child, ch)` for every compatible child of `code` and its
+  /// character, in insertion order, until `visit` returns false.
+  template <class Visit>
+  void for_each_match(std::uint32_t code, std::uint64_t value, std::uint64_t care,
+                      Visit&& visit) const {
+    const Slab s = slab_[code];
+    for (std::uint32_t base = 0; base < s.count; base += 4) {
+      for (std::uint64_t h = match_hits(s, base, value, care); h != 0; h &= h - 1) {
+        const std::uint32_t i = s.offset + base + first_lane(h);
+        if (!visit(codes_[i], std::uint32_t{chars_[i]})) return;
+      }
     }
   }
 
-  /// Prefetches the hash-index home slot of (code, ch) — issued by the
-  /// encoder one character ahead so the probe's cache miss overlaps the
-  /// current character's work.
-  void prefetch_child(std::uint32_t code, std::uint32_t ch) const {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&index_[index_home(index_key(code, ch))], 0, 1);
-#else
-    (void)code;
-    (void)ch;
-#endif
-  }
-
   /// Forward iterator over a code's children as (character, child code)
-  /// pairs, in insertion order — the sibling chain walk the tie-break scan
-  /// runs. Yields by value; the pairs are synthesized from the arena.
+  /// pairs, in insertion order. Yields by value; the pairs are read from the
+  /// two parallel slab arenas.
   class ChildIterator {
    public:
     using value_type = std::pair<std::uint32_t, std::uint32_t>;
 
-    ChildIterator(const Dictionary* dict, std::uint32_t code)
-        : dict_(dict), code_(code) {}
+    ChildIterator(const std::uint16_t* ch, const std::uint32_t* code) : ch_(ch), code_(code) {}
 
-    value_type operator*() const {
-      return {dict_->sib_[code_].ch, code_};
-    }
+    value_type operator*() const { return {*ch_, *code_}; }
     ChildIterator& operator++() {
-      code_ = dict_->sib_[code_].next;
+      ++ch_;
+      ++code_;
       return *this;
     }
-    bool operator!=(const ChildIterator& other) const {
-      return code_ != other.code_;
-    }
-    bool operator==(const ChildIterator& other) const {
-      return code_ == other.code_;
-    }
+    bool operator!=(const ChildIterator& other) const { return ch_ != other.ch_; }
+    bool operator==(const ChildIterator& other) const { return ch_ == other.ch_; }
 
    private:
-    const Dictionary* dict_;
-    std::uint32_t code_;
+    const std::uint16_t* ch_;
+    const std::uint32_t* code_;
   };
 
-  /// Insertion-ordered view of `code`'s children. Replaces the per-node
-  /// vector-of-pairs of the previous layout; size() is O(1) (the count is
-  /// maintained at add time for the MostChildren tie-break).
+  /// Insertion-ordered view of `code`'s children; size() is O(1). Valid
+  /// until the next add().
   class ChildRange {
    public:
     ChildRange(const Dictionary* dict, std::uint32_t code)
-        : dict_(dict), code_(code) {}
-    ChildIterator begin() const {
-      return ChildIterator(dict_, dict_->meta_[code_].first_child);
-    }
-    ChildIterator end() const { return ChildIterator(dict_, kNoCode); }
-    std::size_t size() const { return dict_->tail_[code_].count; }
+        : ch_(dict->chars_.data() + dict->slab_[code].offset),
+          code_(dict->codes_.data() + dict->slab_[code].offset),
+          count_(dict->slab_[code].count) {}
+    ChildIterator begin() const { return ChildIterator(ch_, code_); }
+    ChildIterator end() const { return ChildIterator(ch_ + count_, code_ + count_); }
+    std::size_t size() const { return count_; }
     bool empty() const { return size() == 0; }
 
    private:
-    const Dictionary* dict_;
-    std::uint32_t code_;
+    const std::uint16_t* ch_;
+    const std::uint32_t* code_;
+    std::uint32_t count_;
   };
 
   /// All (character, child code) pairs under `code`, in insertion order.
@@ -162,7 +187,7 @@ class Dictionary {
 
   /// Number of children of `code` — O(1).
   std::uint32_t child_count(std::uint32_t code) const {
-    return tail_[code].count;
+    return slab_[code].count;
   }
 
   /// True when appending one character to `code` would still fit in a
@@ -181,53 +206,56 @@ class Dictionary {
   std::uint64_t longest_entry_bits() const { return longest_bits_; }
 
  private:
-  /// Scan-hot per-code pair: the character this code appends and the next
-  /// sibling under the same parent. 8 bytes, one load per scanned child.
-  struct SibLink {
-    std::uint32_t ch = 0;
-    std::uint32_t next = kNoCode;
-  };
-
   /// Match/expand fields: parent chain, memoized first character, expansion
-  /// length, head of the child chain. 16 bytes per code.
+  /// length, the character this code appends. 16 bytes per code.
   struct Meta {
     std::uint32_t parent = kNoCode;
     std::uint32_t root_ch = 0;  // first character of the expansion
     std::uint32_t length = 0;   // expansion length in characters
-    std::uint32_t first_child = kNoCode;
+    std::uint32_t ch = 0;       // last character of the expansion
   };
 
-  /// Append-side bookkeeping, touched only by add() and MostChildren.
-  struct Tail {
-    std::uint32_t last_child = kNoCode;
+  /// A code's child slab: `count` children at [offset, offset + count) of
+  /// chars_ and codes_, capacity max(4, bit_ceil(count)) (0 when empty).
+  struct Slab {
+    std::uint32_t offset = 0;
     std::uint32_t count = 0;
   };
 
-  /// Open-addressed hash slots for the (parent, ch) -> child index. The
-  /// table is sized once in the constructor (power of two, load factor
-  /// <= 1/2 at dictionary freeze) and never rehashes.
-  struct IndexSlot {
-    std::uint64_t key = kEmptySlot;
-    std::uint32_t child = kNoCode;
-  };
-  static constexpr std::uint64_t kEmptySlot = ~0ULL;
+  /// Compatibility hits of the slab's children [base, base + 4) against
+  /// (value, care): bit 16k + 15 is set iff child base + k exists and is
+  /// compatible. Precondition: base is a multiple of 4 below s.count. The
+  /// one SWAR kernel every match scan runs.
+  std::uint64_t match_hits(Slab s, std::uint32_t base, std::uint64_t value,
+                           std::uint64_t care) const {
+    std::uint64_t lanes = 0;
+    // The load stays inside the slab: offsets and capacities are multiples
+    // of 4 and base < count <= capacity.
+    std::memcpy(&lanes, chars_.data() + s.offset + base, sizeof lanes);
+    if constexpr (std::endian::native == std::endian::big) {
+      lanes = (lanes << 32) | (lanes >> 32);
+      lanes = ((lanes & 0x0000FFFF0000FFFFULL) << 16) |
+              ((lanes >> 16) & 0x0000FFFF0000FFFFULL);
+    }
+    constexpr std::uint64_t kLaneOnes = 0x0001000100010001ULL;
+    std::uint64_t hits = bits::zero_lanes16((lanes ^ value * kLaneOnes) & care * kLaneOnes);
+    // Lanes at or past the count hold stale or zero characters.
+    if (const std::uint32_t left = s.count - base; left < 4) {
+      hits &= (1ULL << (16 * left)) - 1;
+    }
+    return hits;
+  }
 
-  static std::uint64_t index_key(std::uint32_t parent, std::uint32_t ch) {
-    return (static_cast<std::uint64_t>(parent) << 32) | ch;
+  /// Lane of the lowest hit bit of match_hits().
+  static std::uint32_t first_lane(std::uint64_t hits) {
+    return static_cast<std::uint32_t>(std::countr_zero(hits)) >> 4;
   }
-  std::size_t index_home(std::uint64_t key) const {
-    // Fibonacci multiplicative hash onto the power-of-two table.
-    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >>
-                                    index_shift_);
-  }
-  void index_insert(std::uint32_t parent, std::uint32_t ch, std::uint32_t child);
 
   LzwConfig config_;
-  std::vector<SibLink> sib_;
   std::vector<Meta> meta_;
-  std::vector<Tail> tail_;
-  std::vector<IndexSlot> index_;
-  unsigned index_shift_ = 0;  // 64 - log2(index_.size())
+  std::vector<Slab> slab_;
+  std::vector<std::uint16_t> chars_;
+  std::vector<std::uint32_t> codes_;
   std::uint32_t next_code_ = 0;
   std::uint64_t longest_bits_ = 0;
 };

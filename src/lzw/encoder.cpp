@@ -132,6 +132,84 @@ std::uint32_t Encoder::pick_child(const Dictionary& dict, std::uint32_t buffer,
   return best;
 }
 
+std::uint32_t Encoder::pick_indexed(const Dictionary& dict, std::uint32_t buffer,
+                                    std::uint64_t value, std::uint64_t care,
+                                    const bits::CharCursor::Char& next,
+                                    const bits::CharCursor& cursor,
+                                    std::uint64_t char_index,
+                                    std::uint64_t input_chars) const {
+  // Every rule reads the compatibility hits of one slab scan. A code's
+  // children sit in increasing code order, so insertion order, age and
+  // code value agree; the strict comparisons below keep pick_child's ties.
+  std::uint32_t best = kNoCode;
+  switch (tiebreak_) {
+    case Tiebreak::First:
+      return dict.first_match(buffer, value, care);
+    case Tiebreak::MostRecent:
+      return dict.last_match(buffer, value, care);
+    case Tiebreak::LowestChar: {
+      std::uint32_t best_ch = 0;
+      dict.for_each_match(buffer, value, care, [&](std::uint32_t child, std::uint32_t ch) {
+        if (best == kNoCode || ch < best_ch) {
+          best = child;
+          best_ch = ch;
+        }
+        return true;
+      });
+      return best;
+    }
+    case Tiebreak::MostChildren: {
+      std::uint32_t best_children = 0;
+      dict.for_each_match(buffer, value, care, [&](std::uint32_t child, std::uint32_t) {
+        const std::uint32_t n = dict.child_count(child);
+        if (best == kNoCode || n > best_children) {
+          best = child;
+          best_children = n;
+        }
+        return true;
+      });
+      return best;
+    }
+    case Tiebreak::Lookahead: {
+      // Score = how many of the next two characters the child's subtree
+      // keeps matching along first-compatible descendants. Character i + 1
+      // is the loop's pipelined `next`; i + 2 is fetched at most once per
+      // probe. Scores never exceed min(2, characters after this one), and
+      // a later child replaces the best only with a strictly higher score,
+      // so the first child reaching that bound is the pick.
+      const std::uint64_t after = input_chars - 1 - char_index;
+      const int top = after < 2 ? static_cast<int>(after) : 2;
+      int best_score = -1;
+      bool have_second = false;
+      bits::CharCursor::Char second{};
+      dict.for_each_match(buffer, value, care, [&](std::uint32_t child, std::uint32_t) {
+        int score = 0;
+        const std::uint32_t grandchild =
+            top > 0 ? dict.first_match(child, next.value, next.care) : kNoCode;
+        if (grandchild != kNoCode) {
+          score = 1;
+          if (top > 1) {
+            if (!have_second) {
+              second = cursor.at(char_index + 2);
+              have_second = true;
+            }
+            if (dict.first_match(grandchild, second.value, second.care) != kNoCode) {
+              score = 2;
+            }
+          }
+        }
+        if (score > best_score) {
+          best = child;
+          best_score = score;
+        }
+        return score < top;
+      });
+      return best;
+    }
+  }
+  return best;
+}
+
 EncodeResult Encoder::encode(const bits::TritVector& raw_input, XAssignMode mode,
                              std::uint64_t rng_seed,
                              const StepObserver& observer) const {
@@ -201,7 +279,7 @@ EncodeResult Encoder::encode_indexed(const bits::TritVector& input,
   // x_input - x_zeroed, because every character is consumed by exactly one
   // branch. The match branch, the hottest code in the repo, carries zero
   // added work. The only live counter on a hot path is n_probes_scan, a
-  // register increment folded into the scan arm whose pick_child call
+  // register increment folded into the pick arm whose pick_indexed call
   // dwarfs it (micro_codec pins the total overhead under 2%).
   std::uint64_t n_probes_scan = 0, n_x_zeroed = 0;
   // Per-emit histogram samples are counted into this plain array (one
@@ -227,11 +305,9 @@ EncodeResult Encoder::encode_indexed(const bits::TritVector& input,
         std::max(result.longest_match_bits, dict.length_bits(code));
   };
 
-  // The cursor is software-pipelined one character ahead: `cur` always holds
-  // character i while the cursor has already decoded i+1 into `ahead`. That
-  // lets the loop prefetch the *next* iteration's hash-probe home slot right
-  // after `buffer` settles, so the probe's likely cache miss overlaps the
-  // current character's emit/add work instead of stalling the next probe.
+  // The cursor is software-pipelined one character ahead: once character i
+  // is read, `cur` already holds character i + 1, which the Lookahead rule
+  // scores against without a second extraction.
   const bool observing = static_cast<bool>(observer);
   std::uint32_t buffer = kNoCode;
   bits::CharCursor::Char cur{};
@@ -252,14 +328,15 @@ EncodeResult Encoder::encode_indexed(const bits::TritVector& input,
       buffer = static_cast<std::uint32_t>(value & care);
     } else if (const std::uint32_t child =
                    care == full_care
-                       // Fully specified character: exactly one child can be
-                       // compatible, so every Tiebreak agrees and the O(1)
-                       // hash probe replaces the list scan. Only the scan
-                       // path counts probes — the fast total is derived.
+                       // Fully specified character: at most one child can
+                       // be compatible, so every Tiebreak agrees and the
+                       // exact lookup (the match kernel with a full care
+                       // mask) replaces the pick rules. Only the pick path
+                       // counts probes — the fast total is derived.
                        ? dict.child(buffer, static_cast<std::uint32_t>(value))
                        : (++n_probes_scan,
-                          pick_child(dict, buffer, value, care, cursor, i,
-                                     result.input_chars));
+                          pick_indexed(dict, buffer, value, care, cur, cursor, i,
+                                       result.input_chars));
                child != kNoCode) {
       // The (Buffer, Input) pair exists (for some legal X binding): keep
       // matching. The X bits are hereby bound to the child's character.
@@ -274,10 +351,6 @@ EncodeResult Encoder::encode_indexed(const bits::TritVector& input,
       width_basis = dict.size();
       new_entry = dict.add(buffer, ch);
       buffer = ch;
-    }
-    if (has_ahead) {
-      dict.prefetch_child(buffer,
-                          static_cast<std::uint32_t>(cur.value & cur.care));
     }
     if (observing) {
       observer(EncoderStep{.char_index = i, .char_value = value,
@@ -341,7 +414,8 @@ EncodeResult Encoder::encode_legacy(const bits::TritVector& input,
   const std::uint64_t full_care = cc >= 64 ? ~0ULL : (1ULL << cc) - 1;
 
   // Same always-on telemetry as the indexed path; every probe counts as a
-  // scan here because the legacy strategy never consults the hash index.
+  // scan here because the legacy strategy walks the child list for every
+  // character, fully specified or not.
   EncoderTelemetry& tel = result.telemetry;
   // Same derive-after-the-loop discipline as the indexed path (see the
   // comment there): the legacy loop is the micro_codec baseline, so its
@@ -406,8 +480,8 @@ EncodeResult Encoder::encode_legacy(const bits::TritVector& input,
                            .emitted = buffer});
     }
   }
-  // Derived exactly as in the indexed path; the legacy strategy never
-  // consults the hash index, so every probe is a scan.
+  // Derived exactly as in the indexed path; the legacy strategy has no
+  // exact-lookup arm, so every probe is a scan.
   tel.probes_scan = result.input_chars > 0 ? result.input_chars - 1 : 0;
   tel.match_extensions = result.input_chars - result.codes.size();
   tel.x_bits_input =

@@ -30,19 +30,20 @@ enum class XAssignMode {
 
 /// How the encoder locates the matching dictionary child per character.
 ///
-/// `Indexed` (the default) consults the dictionary's O(1) (code, ch) hash
-/// index whenever the character carries no X bits — then exactly one child
-/// can be compatible, so every Tiebreak agrees and the list scan is pure
-/// overhead — and walks the input through a streaming CharCursor. It falls
-/// back to the insertion-ordered child-list scan only for characters with
-/// X bits. `LegacyScan` is the original per-character word()/care_word()
-/// re-slice plus unconditional list scan, kept as the reference
-/// implementation: both strategies produce bit-identical streams (enforced
-/// by the lzw_paths property test) and the micro_codec bench reports the
-/// throughput of each.
+/// `Indexed` (the default) walks the input through a streaming CharCursor
+/// and matches each character against the current code's child slab with
+/// the dictionary's SWAR kernel, four children per 64-bit word: a fully
+/// specified character takes the exact lookup (`Dictionary::child`, the
+/// kernel with a full care mask), and a character with X bits answers its
+/// Tiebreak from the compatibility hits (`pick_indexed`). `LegacyScan` is
+/// the original per-character word()/care_word() re-slice plus a
+/// child-by-child walk of the list (`pick_child`), kept as the independent
+/// reference implementation: both strategies produce bit-identical streams
+/// (enforced by the lzw_paths property test) and the micro_codec bench
+/// reports the throughput of each.
 enum class MatchStrategy {
-  Indexed,     ///< hash index + streaming cursor (fast path)
-  LegacyScan,  ///< insertion-ordered child-list scan (reference path)
+  Indexed,     ///< slab match kernel + streaming cursor (fast path)
+  LegacyScan,  ///< child-by-child list walk (reference path)
 };
 
 /// Tie-break policy when several dictionary children are compatible with a
@@ -144,8 +145,8 @@ class Encoder {
                       const StepObserver& observer = {}) const;
 
  private:
-  /// The optimized loop: streaming CharCursor fetch, O(1) hash probe for
-  /// fully specified characters, pre-sized result containers.
+  /// The optimized loop: streaming CharCursor fetch, slab match kernel for
+  /// every probe, pre-sized result containers.
   EncodeResult encode_indexed(const bits::TritVector& input,
                               const StepObserver& observer) const;
 
@@ -154,13 +155,24 @@ class Encoder {
   EncodeResult encode_legacy(const bits::TritVector& input,
                              const StepObserver& observer) const;
 
-  /// Picks among compatible children per the tie-break policy; kNoCode if
-  /// none. `cursor`/`char_index` feed the Lookahead policy's probe.
+  /// Reference pick for LegacyScan: walks every child, one compatibility
+  /// test each, and applies the tie-break policy; kNoCode if none.
+  /// `cursor`/`char_index` feed the Lookahead policy's probe.
   std::uint32_t pick_child(const Dictionary& dict, std::uint32_t buffer,
                            std::uint64_t value, std::uint64_t care,
                            const bits::CharCursor& cursor,
                            std::uint64_t char_index,
                            std::uint64_t input_chars) const;
+
+  /// The Indexed pick: the same policy answered from the slab kernel's
+  /// compatibility hits. `next` is character char_index + 1 (the loop's
+  /// pipelined cursor read), used only by Lookahead.
+  std::uint32_t pick_indexed(const Dictionary& dict, std::uint32_t buffer,
+                             std::uint64_t value, std::uint64_t care,
+                             const bits::CharCursor::Char& next,
+                             const bits::CharCursor& cursor,
+                             std::uint64_t char_index,
+                             std::uint64_t input_chars) const;
 
   LzwConfig config_;
   Tiebreak tiebreak_;

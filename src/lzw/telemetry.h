@@ -17,12 +17,14 @@ namespace tdc::lzw {
 /// cares, how deep matches ran, and which dictionary path answered each
 /// character.
 struct EncoderTelemetry {
-  /// Dictionary child lookups answered by the O(1) (code, char) hash index
-  /// (fully specified character on the Indexed strategy).
+  /// Dictionary child lookups answered by the exact lookup (fully specified
+  /// character on the Indexed strategy: the slab match kernel with a full
+  /// care mask).
   std::uint64_t probes_fast = 0;
 
-  /// Dictionary child lookups that walked the insertion-ordered child list
-  /// (character carried X bits, or the LegacyScan strategy).
+  /// Dictionary child lookups that ran a tie-break pick over the
+  /// insertion-ordered children (character carried X bits, or the
+  /// LegacyScan strategy).
   std::uint64_t probes_scan = 0;
 
   /// Characters that extended the running match (a compatible child existed).

@@ -181,6 +181,46 @@ TEST(BitstreamTest, RandomizedRoundTrip) {
   EXPECT_TRUE(r.exhausted());
 }
 
+// A read past the end is a typed error in every build, not an assert that
+// release builds compile out: decoders of untrusted payloads rely on it.
+TEST(BitstreamTest, ReadPastEndRaisesCodeStreamTruncated) {
+  BitWriter w;
+  w.write(0b1011, 4);
+  BitReader bits(w);
+  EXPECT_EQ(bits.read(4), 0b1011u);
+  try {
+    bits.read_bit();
+    FAIL() << "read_bit past the end did not raise";
+  } catch (const TdcErrorBase& e) {
+    EXPECT_EQ(e.error().kind, ErrorKind::CodeStreamTruncated);
+    EXPECT_EQ(e.error().bit_offset, 4);
+  }
+  EXPECT_EQ(bits.position(), 4u);
+
+  // A read that straddles the end raises before consuming anything.
+  BitReader straddle(w);
+  EXPECT_EQ(straddle.read(3), 0b101u);
+  try {
+    straddle.read(2);
+    FAIL() << "read(2) straddling the end did not raise";
+  } catch (const TdcErrorBase& e) {
+    EXPECT_EQ(e.error().kind, ErrorKind::CodeStreamTruncated);
+  }
+  EXPECT_EQ(straddle.position(), 3u);
+  EXPECT_EQ(straddle.read(1), 1u);
+
+  // The empty stream and a declared length shorter than the bytes held.
+  const std::vector<std::uint8_t> none;
+  BitReader empty(none, 0);
+  EXPECT_THROW(empty.read_bit(), std::invalid_argument);
+  EXPECT_THROW(empty.read(1), std::invalid_argument);
+  EXPECT_EQ(empty.read(0), 0u);
+  const std::vector<std::uint8_t> byte{0xff};
+  BitReader short_count(byte, 5);
+  EXPECT_EQ(short_count.read(5), 0x1fu);
+  EXPECT_THROW(short_count.read_bit(), std::invalid_argument);
+}
+
 // ---------------------------------------------------------------- TritVector
 
 TEST(TritVectorTest, ConstructFilled) {
@@ -399,6 +439,66 @@ TEST(TritVectorTest, FilledPreservesTailInvariant) {
   EXPECT_EQ(f.care_count(), 65u);
 }
 
+// Per-trit reference for the word-parallel repeat fill: each X takes the
+// previous filled value, 0 before the first care bit.
+TritVector repeat_fill_reference(const TritVector& v) {
+  TritVector out = v;
+  Trit last = Trit::Zero;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const Trit t = out.get(i);
+    if (t == Trit::X) {
+      out.set(i, last);
+    } else {
+      last = t;
+    }
+  }
+  return out;
+}
+
+std::size_t repeat_fill_runs_reference(const TritVector& v) {
+  const TritVector filled = repeat_fill_reference(v);
+  std::size_t runs = 0;
+  for (std::size_t i = 0; i < filled.size(); ++i) {
+    if (i == 0 || filled.get(i) != filled.get(i - 1)) ++runs;
+  }
+  return runs;
+}
+
+// Property: filled_repeat_last() and repeat_fill_runs() equal the per-trit
+// loops on random vectors shorter than 300 trits at four X densities, taken
+// whole and as odd-offset slices (so care runs straddle word edges at every
+// phase), plus long all-X stretches that carry one value across many words.
+TEST(TritVectorTest, PropertyRepeatFillMatchesPerTritReference) {
+  Rng rng(9090);
+  for (int iter = 0; iter < 20000; ++iter) {
+    static constexpr double kDensities[] = {0.0, 0.5, 0.9, 0.99};
+    const double x_density = kDensities[iter % 4];
+    const std::size_t n = rng.below(300);
+    TritVector v(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!rng.chance(x_density)) v.set(i, rng.bit() ? Trit::One : Trit::Zero);
+    }
+    if (iter % 2 == 1 && n > 1) {
+      const std::size_t pos = 1 + 2 * rng.below(n / 2);
+      v = v.slice(pos, rng.below(n - pos + 1));
+    }
+    const TritVector filled = v.filled_repeat_last();
+    ASSERT_EQ(filled, repeat_fill_reference(v)) << v.to_string();
+    ASSERT_TRUE(filled.fully_specified());
+    ASSERT_EQ(v.repeat_fill_runs(), repeat_fill_runs_reference(v)) << v.to_string();
+    const std::string text = v.to_string();
+    ASSERT_EQ(v.ones_count(),
+              static_cast<std::size_t>(std::count(text.begin(), text.end(), '1')));
+  }
+  TritVector sparse(1000);
+  sparse.set(3, Trit::One);
+  sparse.set(700, Trit::Zero);
+  EXPECT_EQ(sparse.filled_repeat_last(), repeat_fill_reference(sparse));
+  EXPECT_EQ(sparse.repeat_fill_runs(), 3u);
+  EXPECT_EQ(TritVector().repeat_fill_runs(), 0u);
+  EXPECT_EQ(TritVector(70).repeat_fill_runs(), 1u);
+}
+
 TEST(TritVectorTest, WordAndCareWord) {
   const auto v = TritVector::from_string("1X01");
   EXPECT_EQ(v.word(0, 4), 0b1001u);       // X reads 0
@@ -558,6 +658,40 @@ TEST(WordOpsTest, ReverseLowBitsMatchesPerBitReference) {
       ASSERT_EQ(reverse_low_bits(raw, len), naive(raw & low_mask(len), len))
           << "len=" << len;
     }
+  }
+}
+
+// The lane-zero test behind the dictionary's slab match kernel, against a
+// per-lane reference. Lanes 0x0000 next to 0x0001 / 0x8000 / 0xffff are the
+// cases a borrow-prone zero test gets wrong.
+TEST(WordOpsTest, ZeroLanes16MatchesPerLaneReference) {
+  const auto reference = [](std::uint64_t x) {
+    std::uint64_t out = 0;
+    for (unsigned k = 0; k < 4; ++k) {
+      if (((x >> (16 * k)) & 0xffff) == 0) out |= 0x8000ULL << (16 * k);
+    }
+    return out;
+  };
+  static_assert(zero_lanes16(0) == 0x8000800080008000ULL);
+  static_assert(zero_lanes16(0x0001000000010000ULL) == 0x0000800000008000ULL);
+  constexpr std::uint16_t kEdges[] = {0x0000, 0x0001, 0x7fff, 0x8000, 0x8001, 0xffff};
+  for (const std::uint16_t a : kEdges) {
+    for (const std::uint16_t b : kEdges) {
+      for (const std::uint16_t c : kEdges) {
+        for (const std::uint16_t d : kEdges) {
+          const std::uint64_t x = std::uint64_t{a} | std::uint64_t{b} << 16 |
+                                  std::uint64_t{c} << 32 | std::uint64_t{d} << 48;
+          ASSERT_EQ(zero_lanes16(x), reference(x)) << std::hex << x;
+        }
+      }
+    }
+  }
+  Rng rng(1616);
+  for (int i = 0; i < 20000; ++i) {
+    // Sparse lanes so zero lanes are common.
+    std::uint64_t x = rng.next_u64() & rng.next_u64() & rng.next_u64();
+    if (rng.chance(0.5)) x &= 0xffff0000ffff0000ULL >> (16 * rng.below(2));
+    ASSERT_EQ(zero_lanes16(x), reference(x)) << std::hex << x;
   }
 }
 

@@ -25,6 +25,49 @@ TritVector random_cube(std::size_t n, double x_density, std::uint64_t seed) {
   return v;
 }
 
+// ---------------------------------------------------------------- features
+
+// Per-trit reference for analyze_chunk: counts care and ones, and the runs
+// of the repeat-filled stream (an X adopts the previous filled value).
+ChunkFeatures analyze_chunk_reference(const TritVector& chunk) {
+  ChunkFeatures f;
+  f.trits = chunk.size();
+  bool have_prev = false;
+  bool prev = false;
+  for (std::size_t i = 0; i < chunk.size(); ++i) {
+    const Trit t = chunk.get(i);
+    bool v = prev;
+    if (t != Trit::X) {
+      ++f.care;
+      v = t == Trit::One;
+      if (v) ++f.ones;
+    }
+    if (!have_prev || v != prev) ++f.runs;
+    have_prev = true;
+    prev = v;
+  }
+  return f;
+}
+
+TEST(ChunkFeaturesTest, AnalyzeChunkMatchesPerTritReference) {
+  Rng rng(4096);
+  for (int iter = 0; iter < 4000; ++iter) {
+    static constexpr double kDensities[] = {0.0, 0.3, 0.9, 1.0};
+    const std::size_t n = rng.below(600);
+    TritVector chunk = random_cube(n, kDensities[iter % 4], rng.next_u64());
+    if (iter % 3 == 0 && n > 2) {
+      const std::size_t pos = 1 + rng.below(n - 1);
+      chunk = chunk.slice(pos, rng.below(n - pos + 1));
+    }
+    const ChunkFeatures want = analyze_chunk_reference(chunk);
+    const ChunkFeatures got = analyze_chunk(chunk);
+    ASSERT_EQ(got.trits, want.trits);
+    ASSERT_EQ(got.care, want.care);
+    ASSERT_EQ(got.ones, want.ones);
+    ASSERT_EQ(got.runs, want.runs) << chunk.to_string();
+  }
+}
+
 // ---------------------------------------------------------------- LZ77
 
 TEST(Lz77ConfigTest, DerivedQuantities) {

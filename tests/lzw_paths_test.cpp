@@ -1,10 +1,12 @@
 // Property tests for the encoder's two match strategies: the Indexed fast
-// path (hash index + streaming CharCursor) must produce byte-identical
-// output to the LegacyScan reference (insertion-ordered child-list scan)
-// for every tie-break and X-assignment combination — the bit-identical
-// invariant the throughput work is built on.
+// path (slab match kernel + streaming CharCursor) must produce
+// byte-identical output to the LegacyScan reference (child-by-child walk of
+// the insertion-ordered list) for every tie-break and X-assignment
+// combination — the bit-identical invariant the throughput work is built
+// on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -171,6 +173,94 @@ TEST(MatchStrategyProperty, AdversarialDensitiesVariableWidthIdentical) {
       EXPECT_TRUE(verify_roundtrip(input, a).ok);
     }
   }
+}
+
+// Largest child count any code reaches while `encoder` runs over `input`
+// (an entry's parent is the code emitted with it).
+std::uint32_t max_children(const Encoder& encoder, const TritVector& input) {
+  std::vector<std::uint32_t> children;
+  encoder.encode(input, XAssignMode::Dynamic, 1, [&](const EncoderStep& step) {
+    if (step.new_entry == kNoCode) return;
+    if (children.size() <= step.emitted) children.resize(step.emitted + 1);
+    ++children[step.emitted];
+  });
+  std::uint32_t most = 0;
+  for (const std::uint32_t n : children) most = std::max(most, n);
+  return most;
+}
+
+// A dense C_C = 7, N = 8192 stream gives root codes more than 64 children,
+// so every pick rule runs over slabs wider than one 64-lane mask and moved
+// five times or more.
+TEST(MatchStrategyProperty, DenseWideSlabsIdenticalForEveryTiebreak) {
+  const LzwConfig config{.dict_size = 8192, .char_bits = 7, .entry_bits = 63};
+  const TritVector input = random_cube(120000, 0.1, 8192);
+  ASSERT_GT(max_children(Encoder(config), input), 64u);
+  for (const Tiebreak tb : kTiebreaks) {
+    const auto a = Encoder(config, tb, MatchStrategy::Indexed).encode(input);
+    const auto b = Encoder(config, tb, MatchStrategy::LegacyScan).encode(input);
+    const std::string what = "dense N=8192 tiebreak=" + std::to_string(static_cast<int>(tb));
+    expect_identical(a, b, what.c_str());
+    EXPECT_TRUE(verify_roundtrip(input, a).ok);
+  }
+}
+
+// C_C = 16: characters drawn from a small alphabet spread over the whole
+// 16-bit range (0x0000 and 0x8000 among them), with X bits, so slabs of
+// 16-bit lanes grow wide and top-bit-only differences decide matches.
+TEST(MatchStrategyProperty, Cc16IdenticalForEveryTiebreak) {
+  const LzwConfig config{.dict_size = 65536 + 4096, .char_bits = 16, .entry_bits = 96};
+  Rng rng(1616);
+  std::vector<std::uint32_t> alphabet{0x0000, 0x8000, 0xffff, 0x7fff, 0x0001, 0x8001};
+  while (alphabet.size() < 48) {
+    alphabet.push_back(static_cast<std::uint32_t>(rng.below(65536)));
+  }
+  TritVector input;
+  for (int c = 0; c < 6000; ++c) {
+    const std::uint32_t ch = alphabet[rng.below(alphabet.size())];
+    for (int b = 15; b >= 0; --b) {
+      const bool one = ((ch >> b) & 1) != 0;
+      input.push_back(rng.chance(0.3) ? Trit::X : one ? Trit::One : Trit::Zero);
+    }
+  }
+  ASSERT_GT(max_children(Encoder(config), input), 16u);
+  for (const Tiebreak tb : kTiebreaks) {
+    const auto a = Encoder(config, tb, MatchStrategy::Indexed).encode(input);
+    const auto b = Encoder(config, tb, MatchStrategy::LegacyScan).encode(input);
+    const std::string what = "C_C=16 tiebreak=" + std::to_string(static_cast<int>(tb));
+    expect_identical(a, b, what.c_str());
+    EXPECT_TRUE(verify_roundtrip(input, a).ok);
+  }
+}
+
+// Hand-built Lookahead tie: at character 28 the match sits at literal 0,
+// whose children 4 ('11'), 8 ('00') and 9 ('10') are all compatible with
+// the all-X character. Child 4 keeps matching one more character, 8 and 9
+// both reach the top score of two. The pick is 8: a later child wins only
+// with a strictly higher score, so the first child reaching the top score
+// is kept (not the first compatible child, not the last tied one).
+TEST(MatchStrategyProperty, LookaheadTieKeepsInsertionOrder) {
+  const LzwConfig config{.dict_size = 64, .char_bits = 2, .entry_bits = 16};
+  const TritVector input = TritVector::from_string(
+      "001111X01100001001001011X1XX00XX101XXX0X00XX1011XXX1X0XXXXXX0X11XXXX00");
+  for (const MatchStrategy strategy : {MatchStrategy::Indexed, MatchStrategy::LegacyScan}) {
+    std::uint32_t picked = kNoCode;
+    std::uint32_t from = kNoCode;
+    const auto result = Encoder(config, Tiebreak::Lookahead, strategy)
+                            .encode(input, XAssignMode::Dynamic, 1,
+                                    [&](const EncoderStep& step) {
+                                      if (step.char_index == 28) {
+                                        from = step.buffer_before;
+                                        picked = step.buffer_after;
+                                      }
+                                    });
+    EXPECT_EQ(from, 0u);
+    EXPECT_EQ(picked, 8u);
+    EXPECT_TRUE(verify_roundtrip(input, result).ok);
+  }
+  const Encoder indexed(config, Tiebreak::Lookahead, MatchStrategy::Indexed);
+  const Encoder legacy(config, Tiebreak::Lookahead, MatchStrategy::LegacyScan);
+  expect_identical(indexed.encode(input), legacy.encode(input), "lookahead tie");
 }
 
 }  // namespace

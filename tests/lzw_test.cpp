@@ -102,10 +102,11 @@ TEST(DictionaryTest, ChildLookup) {
   EXPECT_EQ(d.children(0).size(), 1u);
 }
 
-// Property: the hash index behind child() agrees with a scan of the
-// insertion-ordered child lists for every (code, character) pair, at a
-// dictionary size that forces many index collisions.
-TEST(DictionaryTest, HashIndexAgreesWithChildLists) {
+// Property: the exact lookup behind child() (the slab match kernel with a
+// full care mask) agrees with a scan of the insertion-ordered child lists
+// for every (code, character) pair, on a random trie of N = 2048 whose
+// slabs move many times.
+TEST(DictionaryTest, ExactLookupAgreesWithChildLists) {
   const LzwConfig c{.dict_size = 2048, .char_bits = 7, .entry_bits = 1 << 16};
   Dictionary d(c);
   bits::Rng rng(4242);
@@ -121,7 +122,7 @@ TEST(DictionaryTest, HashIndexAgreesWithChildLists) {
     for (const auto& [ch, child] : d.children(code)) {
       ASSERT_EQ(d.child(code, ch), child);
     }
-    // A character no child list contains must miss in the index too.
+    // A character no child list contains must miss in the lookup too.
     for (int probe = 0; probe < 8; ++probe) {
       const auto ch = rng.below(c.literal_count());
       std::uint32_t expect = kNoCode;
@@ -131,6 +132,156 @@ TEST(DictionaryTest, HashIndexAgreesWithChildLists) {
       ASSERT_EQ(d.child(code, ch), expect);
     }
   }
+}
+
+// Reference compatibility scan: one test per child, insertion order.
+std::vector<std::uint32_t> compatible_reference(const Dictionary& d, std::uint32_t code,
+                                                std::uint64_t value, std::uint64_t care) {
+  std::vector<std::uint32_t> hits;
+  for (const auto& [ch, child] : d.children(code)) {
+    if (((ch ^ value) & care) == 0) hits.push_back(child);
+  }
+  return hits;
+}
+
+std::vector<std::pair<std::uint32_t, std::uint32_t>> listed_children(const Dictionary& d,
+                                                                     std::uint32_t code) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
+  for (const auto& pair : d.children(code)) out.push_back(pair);
+  return out;
+}
+
+// Characters 0 .. n-1 in a seeded random order (Fisher-Yates).
+std::vector<std::uint32_t> shuffled_chars(std::uint32_t n, Rng& rng) {
+  std::vector<std::uint32_t> chars(n);
+  for (std::uint32_t ch = 0; ch < n; ++ch) chars[ch] = ch;
+  for (std::size_t i = n; i > 1; --i) std::swap(chars[i - 1], chars[rng.below(i)]);
+  return chars;
+}
+
+// Checks every match scan of `code` against the reference for one ternary
+// character: for_each_match visits exactly the compatible children in
+// insertion order, each with its own character, and first_match /
+// last_match are the ends of that list.
+void expect_scans_match(const Dictionary& d, std::uint32_t code, std::uint64_t value,
+                        std::uint64_t care) {
+  const std::vector<std::uint32_t> want = compatible_reference(d, code, value, care);
+  std::vector<std::uint32_t> got;
+  d.for_each_match(code, value, care, [&](std::uint32_t child, std::uint32_t ch) {
+    EXPECT_EQ(ch, d.last_char(child));
+    got.push_back(child);
+    return true;
+  });
+  ASSERT_EQ(got, want) << "code " << code << " value " << value << " care " << care;
+  ASSERT_EQ(d.first_match(code, value, care), want.empty() ? kNoCode : want.front());
+  ASSERT_EQ(d.last_match(code, value, care), want.empty() ? kNoCode : want.back());
+}
+
+// One C_C = 7 parent gains all 128 children in a shuffled order: the slab
+// moves at counts 4, 8, ..., 64 and the order must survive every move.
+// child() finds each child and misses every other character after every
+// add.
+TEST(DictionaryTest, SlabGrowthKeepsInsertionOrderAtCc7) {
+  const LzwConfig c{.dict_size = 1024, .char_bits = 7, .entry_bits = 63};
+  Dictionary d(c);
+  Rng rng(77);
+  const std::vector<std::uint32_t> chars = shuffled_chars(128, rng);
+  const std::uint32_t parent = 5;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> added;
+  for (const std::uint32_t ch : chars) {
+    // Interleave children of another parent so slabs do not sit alone at
+    // the arena's end.
+    ASSERT_NE(d.add(parent, ch), kNoCode);
+    added.emplace_back(ch, d.size() - 1);
+    if (added.size() % 3 == 0) d.add(static_cast<std::uint32_t>(d.size() - 1), 0);
+    ASSERT_EQ(d.child_count(parent), added.size());
+    ASSERT_EQ(listed_children(d, parent), added);
+    std::vector<std::uint32_t> want(128, kNoCode);
+    for (const auto& [ach, acode] : added) want[ach] = acode;
+    for (std::uint32_t probe = 0; probe < 128; ++probe) {
+      ASSERT_EQ(d.child(parent, probe), want[probe]);
+    }
+  }
+}
+
+// One C_C = 16 parent gains 300 children spread over the whole 16-bit range,
+// including 0x0000 and 0x8000 (a top-bit-only difference).
+TEST(DictionaryTest, SlabGrowthKeepsInsertionOrderAtCc16) {
+  const LzwConfig c{.dict_size = 65536 + 512, .char_bits = 16, .entry_bits = 64};
+  Dictionary d(c);
+  Rng rng(1616);
+  std::vector<std::uint32_t> chars{0x0000, 0x8000, 0xffff, 0x0001, 0x7fff};
+  std::vector<bool> used(65536, false);
+  for (const std::uint32_t ch : chars) used[ch] = true;
+  while (chars.size() < 300) {
+    const auto ch = static_cast<std::uint32_t>(rng.below(65536));
+    if (!used[ch]) {
+      used[ch] = true;
+      chars.push_back(ch);
+    }
+  }
+  const std::uint32_t parent = 0x8000;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> added;
+  for (const std::uint32_t ch : chars) {
+    ASSERT_NE(d.add(parent, ch), kNoCode);
+    added.emplace_back(ch, d.size() - 1);
+    ASSERT_EQ(listed_children(d, parent), added);
+    for (const auto& [ach, acode] : added) ASSERT_EQ(d.child(parent, ach), acode);
+  }
+  std::vector<std::uint32_t> want(65536, kNoCode);
+  for (const auto& [ach, acode] : added) want[ach] = acode;
+  for (std::uint32_t ch = 0; ch < 65536; ++ch) ASSERT_EQ(d.child(parent, ch), want[ch]);
+}
+
+// Edge cases of the match kernel: slab counts 1-9, 63-65 and 127-129 (the
+// masked tail lane of every word phase, word and slab-move boundaries),
+// an all-X character (every child compatible), a full care mask (exact
+// match), and random partial masks.
+TEST(DictionaryTest, MatchKernelEdgeCases) {
+  const LzwConfig c{.dict_size = 4096, .char_bits = 7, .entry_bits = 63};
+  Rng rng(3131);
+  for (const std::uint32_t count :
+       {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 63u, 64u, 65u, 127u, 128u}) {
+    Dictionary d(c);
+    const std::vector<std::uint32_t> chars = shuffled_chars(128, rng);
+    for (std::uint32_t k = 0; k < count; ++k) ASSERT_NE(d.add(3, chars[k]), kNoCode);
+    ASSERT_EQ(d.child_count(3), count);
+    expect_scans_match(d, 3, 0, 0);  // all X: every child
+    for (std::uint32_t ch = 0; ch < 128; ++ch) {
+      expect_scans_match(d, 3, ch, 0x7f);  // full care
+      expect_scans_match(d, 3, ch & 0x55, 0x55);
+      const auto care = static_cast<std::uint32_t>(rng.below(128));
+      expect_scans_match(d, 3, ch & care, care);
+    }
+    expect_scans_match(d, 4, 0, 0);  // no children
+  }
+  // 129 children need C_C >= 8: a C_C = 8 parent with 127-129 children.
+  const LzwConfig c8{.dict_size = 4096, .char_bits = 8, .entry_bits = 64};
+  for (const std::uint32_t count : {127u, 128u, 129u}) {
+    Dictionary d(c8);
+    for (std::uint32_t k = 0; k < count; ++k) ASSERT_NE(d.add(9, (k * 37) & 0xff), kNoCode);
+    expect_scans_match(d, 9, 0, 0);
+    for (std::uint32_t ch = 0; ch < 256; ++ch) {
+      expect_scans_match(d, 9, ch, 0xff);
+      expect_scans_match(d, 9, ch & 0xf0, 0xf0);
+    }
+  }
+  // C_C = 16: 0x0000 and 0x8000 differ only in the top bit. With care on
+  // the top bit alone each matches only its own half; a borrow-prone zero
+  // test would report the lane above a zero lane as a false hit.
+  const LzwConfig c16{.dict_size = 65536 + 64, .char_bits = 16, .entry_bits = 64};
+  Dictionary d(c16);
+  for (const std::uint32_t ch : {0x0000u, 0x8000u, 0x0001u, 0x8001u, 0xffffu, 0x7fffu}) {
+    ASSERT_NE(d.add(1, ch), kNoCode);
+  }
+  for (const std::uint64_t care : {0x8000ull, 0xffffull, 0x0001ull, 0x7fffull, 0ull}) {
+    for (const std::uint64_t value : {0x0000ull, 0x8000ull, 0x0001ull, 0xffffull}) {
+      expect_scans_match(d, 1, value & care, care);
+    }
+  }
+  EXPECT_EQ(d.child(1, 0x8000), 65537u);
+  EXPECT_EQ(d.child(1, 0x0000), 65536u);
+  EXPECT_EQ(d.child(1, 0x4000), kNoCode);
 }
 
 TEST(DictionaryTest, FreezesAtCapacity) {
@@ -468,7 +619,7 @@ TEST(TelemetryTest, PrefillModesReportPrefilledBits) {
 TEST(TelemetryTest, ProbeSplitFollowsStrategyAndCareBits) {
   const LzwConfig c{.dict_size = 1024, .char_bits = 7, .entry_bits = 63};
   // Fully specified input: the Indexed strategy answers every probe through
-  // the O(1) hash path, the Legacy strategy never does.
+  // the exact lookup, the Legacy strategy never does.
   const auto dense = random_cube(7000, 0.0, 31);
   const auto indexed = Encoder(c, Tiebreak::First, MatchStrategy::Indexed).encode(dense);
   EXPECT_GT(indexed.telemetry.probes_fast, 0u);
