@@ -13,10 +13,10 @@
 #                                   pre-decode-core baseline), .tests text
 #                                   rows + google-benchmark micro numbers
 #                                   on stdout
-#   BENCH_engine_throughput.json  — batch-engine scaling at 1/2/4/8 workers
-#                                   plus the contention baseline-vs-sharded
-#                                   comparison (queue notifies, blocked
-#                                   waits, registry flushes)
+#   BENCH_engine_throughput.json  — batch-engine scaling at 1/2/4/8 worker
+#                                   threads (wall time, jobs/sec, MB/sec,
+#                                   speedup vs 1 thread) plus the last
+#                                   run's metrics snapshot
 #
 # Usage: bench/run_benches.sh [build-dir]
 #   build-dir defaults to ./build (must already be configured+built, e.g.

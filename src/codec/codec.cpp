@@ -130,12 +130,6 @@ Error malformed(const std::string& codec, const std::string& what) {
   return Error{ErrorKind::InvalidInput, codec + ": malformed chunk payload: " + what};
 }
 
-/// Plausibility cap on a dictionary size decoded from an untrusted payload,
-/// mirroring the container header's kMaxDictSize. The LZW decoder reserves
-/// dict_size entries up front, so a corrupted size field must be rejected
-/// here instead of turning into a multi-gigabyte allocation.
-constexpr std::uint32_t kMaxPayloadDictSize = 1u << 20;
-
 // ---------------------------------------------------------------- adapters
 
 class LzwCodec final : public Codec {
@@ -187,9 +181,6 @@ class LzwCodec final : public Codec {
     config.variable_width = (flags & 1u) != 0;
     if (std::string why = config.check(); !why.empty()) {
       return malformed(label_, why);
-    }
-    if (config.dict_size > kMaxPayloadDictSize) {
-      return malformed(label_, "dict_size exceeds the payload cap");
     }
     if (code_count > stream.bit_count()) {
       return malformed(label_, "code_count exceeds the stream's bit budget");

@@ -1,17 +1,15 @@
 #include "engine/engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <future>
 #include <map>
-#include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "codec/select.h"
-#include "exp/bounded_queue.h"
 #include "exp/flow.h"
 #include "exp/table.h"
 #include "exp/thread_pool.h"
@@ -26,7 +24,6 @@ namespace {
 
 /// One job in flight: the spec plus whatever earlier stages produced.
 struct Job {
-  std::size_t index = 0;
   const JobSpec* spec = nullptr;
   bits::TritVector stream;        // load
   lzw::EncodeResult encoded;      // encode, legacy whole-buffer LZW
@@ -38,61 +35,47 @@ struct Job {
   bool multi_codec() const { return !spec->codec.empty(); }
 };
 
-using JobPtr = std::unique_ptr<Job>;
-using JobQueue = exp::BoundedQueue<JobPtr>;
-
-/// Pre-resolved per-stage instruments, so stage workers never touch the
-/// registry's name map on the hot path. bits_in/bits_out are only wired for
-/// the encode stage.
+/// Pre-resolved instruments of one stage, so a job never touches the
+/// registry's name map on the hot path.
 struct StageMetrics {
+  StageMetrics(MetricsRegistry& m, const std::string& stage)
+      : in(&m.counter(stage + ".in")), ok(&m.counter(stage + ".ok")),
+        fail(&m.counter(stage + ".fail")), skip(&m.counter(stage + ".skip")),
+        micros(&m.histogram(stage + ".micros")) {}
+
   Counter* in;
   Counter* ok;
   Counter* fail;
   Counter* skip;
   Histogram* micros;
-  Counter* flushes;  ///< shard publications — the registry-lock traffic proxy
-  Counter* bits_in = nullptr;
-  Counter* bits_out = nullptr;
 };
 
-StageMetrics make_stage_metrics(MetricsRegistry& m, const std::string& stage) {
-  return StageMetrics{&m.counter(stage + ".in"),      &m.counter(stage + ".ok"),
-                      &m.counter(stage + ".fail"),    &m.counter(stage + ".skip"),
-                      &m.histogram(stage + ".micros"), &m.counter(stage + ".flushes")};
-}
-
-/// Per-worker metrics shard: plain integers plus an unsynchronized
-/// histogram, owned by one stage thread. Workers record every sample here
-/// and publish via flush_shard() — once at thread exit in the sharded
-/// discipline (a handful of atomic adds and one histogram lock per worker
-/// per run), or after every job in the contention-baseline discipline
-/// (reproducing the pre-PR per-job lock cadence for the bench).
-struct StageShard {
-  std::uint64_t in = 0;
-  std::uint64_t ok = 0;
-  std::uint64_t fail = 0;
-  std::uint64_t skip = 0;
-  std::uint64_t bits_in = 0;
-  std::uint64_t bits_out = 0;
-  LocalHistogram micros;
+/// gen= inputs shared by several jobs are prepared exactly once; later
+/// jobs block on the shared future (a failed prepare fails each of them).
+struct GenMemo {
+  core::Mutex mutex;
+  std::map<std::string, std::shared_future<std::shared_ptr<const bits::TritVector>>>
+      memo TDC_GUARDED_BY(mutex);
 };
 
-void flush_shard(const StageMetrics& sm, StageShard& shard) {
-  if (shard.in == 0 && shard.skip == 0 && shard.micros.snapshot().count == 0) {
-    return;  // nothing recorded since the last flush — no lock traffic
-  }
-  sm.flushes->add();
-  if (shard.in != 0) sm.in->add(shard.in);
-  if (shard.ok != 0) sm.ok->add(shard.ok);
-  if (shard.fail != 0) sm.fail->add(shard.fail);
-  if (shard.skip != 0) sm.skip->add(shard.skip);
-  if (shard.bits_in != 0 && sm.bits_in != nullptr) sm.bits_in->add(shard.bits_in);
-  if (shard.bits_out != 0 && sm.bits_out != nullptr) {
-    sm.bits_out->add(shard.bits_out);
-  }
-  if (shard.micros.snapshot().count != 0) sm.micros->merge(shard.micros.snapshot());
-  shard = StageShard{};
-}
+/// Everything the job path needs besides the job itself: the registry the
+/// codec layers record into, the four stages' instruments plus the encode
+/// bit totals, and the gen= memo. Engine::run builds one per batch,
+/// JobRunner one for its lifetime, so both front ends record under the
+/// same names.
+struct JobContext {
+  explicit JobContext(MetricsRegistry& m)
+      : registry(m), load(m, "load"), encode(m, "encode"),
+        container(m, "container"), verify(m, "verify"),
+        bits_in(&m.counter("encode.bits_in")),
+        bits_out(&m.counter("encode.bits_out")) {}
+
+  MetricsRegistry& registry;
+  StageMetrics load, encode, container, verify;
+  Counter* bits_in;
+  Counter* bits_out;
+  GenMemo gen;
+};
 
 Error typed_error(ErrorKind kind, std::string message) {
   Error e;
@@ -117,14 +100,20 @@ Status guarded(Fn&& fn) {
   }
 }
 
+std::uint64_t micros_since(std::chrono::steady_clock::time_point start) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
 std::string resolve_output(const std::string& output_dir, const std::string& path) {
   if (path.empty() || output_dir.empty() || path.front() == '/') return path;
   return output_dir + "/" + path;
 }
 
-/// Seeds the outcome's identity fields from the spec — shared by the batch
-/// feeder and the JobRunner submission path so reports describe jobs
-/// identically whichever front end ran them.
+/// Seeds the outcome's identity fields from the spec, so reports describe
+/// jobs identically whichever front end ran them.
 void init_outcome(Job& job) {
   const JobSpec& spec = *job.spec;
   job.outcome.name = spec.name;
@@ -136,6 +125,210 @@ void init_outcome(Job& job) {
   }
   job.outcome.container_version = spec.codec.empty() ? spec.container.version : 3;
 }
+
+// Stage bodies. Each may throw: run_stage maps exceptions to typed errors.
+
+Status stage_load(GenMemo& gen, Job& job) {
+  const JobSpec& spec = *job.spec;
+  if (spec.inline_tests) {
+    job.stream = spec.inline_tests->serialize();
+    return {};
+  }
+  if (!spec.input_path.empty()) {
+    job.stream = scan::read_tests_file(spec.input_path).serialize();
+    return {};
+  }
+  // gen= source: memoized exp::prepare so concurrent jobs over the same
+  // circuit never race on the ATPG disk cache.
+  using StreamPtr = std::shared_ptr<const bits::TritVector>;
+  std::shared_future<StreamPtr> future;
+  std::promise<StreamPtr> promise;
+  bool creator = false;
+  {
+    core::MutexLock lock(gen.mutex);
+    auto it = gen.memo.find(spec.gen_circuit);
+    if (it == gen.memo.end()) {
+      future = promise.get_future().share();
+      gen.memo.emplace(spec.gen_circuit, future);
+      creator = true;
+    } else {
+      future = it->second;
+    }
+  }
+  if (creator) {
+    try {
+      promise.set_value(std::make_shared<const bits::TritVector>(
+          exp::prepare(spec.gen_circuit).tests.serialize()));
+    } catch (...) {
+      promise.set_exception(std::current_exception());
+    }
+  }
+  job.stream = *future.get();
+  return {};
+}
+
+Status stage_encode(Job& job, MetricsRegistry& metrics) {
+  const JobSpec& spec = *job.spec;
+  if (job.multi_codec()) {
+    // Per-chunk codec selection. The reported compressed_bits stay in the
+    // paper's accounting (tester stream only), the same metric the legacy
+    // path reports, so mixed-codec and pure-LZW rows compare directly.
+    Result<codec::SelectOptions> mode = codec::parse_codec_mode(spec.codec);
+    if (!mode.ok()) return mode.error();
+    codec::SelectOptions options = std::move(mode).take();
+    options.lzw = spec.config;
+    options.tiebreak = spec.tiebreak;
+    if (spec.chunk_trits != 0) options.chunk_trits = spec.chunk_trits;
+    Result<codec::EncodedChunks> chunks =
+        codec::encode_chunks(job.stream, options, &metrics);
+    if (!chunks.ok()) return chunks.error();
+    job.chunks = std::move(chunks).take();
+    job.outcome.original_bits = job.chunks.original_bits;
+    job.outcome.compressed_bits = job.chunks.stats_bits;
+    job.outcome.ratio_percent = codec::ratio_percent(job.chunks.original_bits,
+                                                     job.chunks.stats_bits);
+    return {};
+  }
+  const lzw::Encoder encoder(spec.config, spec.tiebreak);
+  job.encoded = encoder.encode(job.stream, spec.xassign, spec.rng_seed);
+  job.outcome.original_bits = job.encoded.original_bits;
+  job.outcome.compressed_bits = job.encoded.compressed_bits();
+  job.outcome.ratio_percent = job.encoded.ratio_percent();
+  return {};
+}
+
+Status stage_container(Job& job) {
+  const JobSpec& spec = *job.spec;
+  std::ostringstream out;
+  if (job.multi_codec()) {
+    const std::uint32_t chunk_trits =
+        spec.chunk_trits != 0 ? spec.chunk_trits : codec::kDefaultChunkTrits;
+    lzw::write_image_v3(out, spec.config, job.chunks.original_bits,
+                        chunk_trits, job.chunks.records);
+  } else {
+    lzw::write_image(out, job.encoded, spec.container);
+  }
+  job.container = std::move(out).str();
+  job.outcome.container_bytes = job.container.size();
+  return {};
+}
+
+Status stage_verify(Job& job) {
+  // End-to-end check of what was actually containerized: read the bytes
+  // back, decode, and prove the expansion covers every care bit of the
+  // input — the invariant the whole repository is built around.
+  std::istringstream in(job.container);
+  Result<lzw::CompressedImage> image = lzw::try_read_image(in);
+  if (!image.ok()) return image.error();
+  // codec::decode_image routes v1/v2 through the LZW image decoder and v3
+  // through the codec registry, so one verify covers both container paths.
+  Result<bits::TritVector> decoded = codec::decode_image(image.value());
+  if (!decoded.ok()) return decoded.error();
+  if (decoded.value().size() != job.stream.size()) {
+    return typed_error(ErrorKind::StreamTooShort,
+                       "decoded stream length mismatch");
+  }
+  if (!job.stream.covered_by(decoded.value())) {
+    return typed_error(ErrorKind::ConfigMismatch,
+                       "decoded stream does not cover the input care bits");
+  }
+  return {};
+}
+
+/// The batch's commit step for a job with an output path.
+Status write_output(Job& job) {
+  const std::filesystem::path target(job.outcome.output_path);
+  if (target.has_parent_path()) {
+    std::filesystem::create_directories(target.parent_path());
+  }
+  std::ofstream out(job.outcome.output_path, std::ios::binary);
+  if (!out.write(job.container.data(),
+                 static_cast<std::streamsize>(job.container.size()))) {
+    return typed_error(ErrorKind::IoError, "cannot write " + job.outcome.output_path);
+  }
+  return {};
+}
+
+/// Runs one stage of `job`: counts in/ok/fail/skip, times the body into
+/// `<stage>.micros` and opens its span. A job that already failed or was
+/// cancelled skips the stage. `cancel` is the batch's fail-fast flag (null
+/// when there is none): once set, a job is cancelled at its next stage
+/// boundary, and a failing stage sets it.
+template <typename Body>
+void run_stage(const StageMetrics& sm, const char* span_name, Job& job,
+               std::atomic<bool>* cancel, Body&& body) {
+  sm.in->add();
+  if (cancel != nullptr && !job.failed &&
+      cancel->load(std::memory_order_relaxed)) {
+    job.outcome.cancelled = true;
+  }
+  if (job.failed || job.outcome.cancelled) {
+    sm.skip->add();
+    return;
+  }
+  Status status;
+  {
+    obs::TraceSpan span(span_name);
+    span.arg("job", job.outcome.name);
+    if (!job.spec->trace.empty()) span.arg("trace", job.spec->trace);
+    const auto start = std::chrono::steady_clock::now();
+    status = guarded([&]() -> Status { return body(job); });
+    sm.micros->record(micros_since(start));
+  }
+  if (status.ok()) {
+    sm.ok->add();
+    return;
+  }
+  job.failed = true;
+  job.outcome.status = std::move(status);
+  sm.fail->add();
+  if (cancel != nullptr) cancel->store(true, std::memory_order_relaxed);
+}
+
+/// The whole job path, load → encode → containerize → verify, on the
+/// calling thread: an Engine::run pool task and JobRunner::worker_loop
+/// both run a job through here.
+void run_job(JobContext& ctx, Job& job, bool verify, std::atomic<bool>* cancel) {
+  run_stage(ctx.load, "engine.load", job, cancel,
+            [&ctx](Job& j) { return stage_load(ctx.gen, j); });
+  run_stage(ctx.encode, "engine.encode", job, cancel, [&ctx](Job& j) {
+    const Status status = stage_encode(j, ctx.registry);
+    if (status.ok()) {
+      ctx.bits_in->add(j.outcome.original_bits);
+      ctx.bits_out->add(j.outcome.compressed_bits);
+    }
+    return status;
+  });
+  run_stage(ctx.container, "engine.container", job, cancel, stage_container);
+  if (verify) run_stage(ctx.verify, "engine.verify", job, cancel, stage_verify);
+}
+
+/// Finished batch jobs waiting for the in-order commit: pool tasks fill
+/// their manifest slot in any order, the committing thread takes slot
+/// after slot.
+class Slots {
+ public:
+  explicit Slots(std::size_t n) : jobs_(n) {}
+
+  void fill(std::size_t i, std::unique_ptr<Job> job) TDC_EXCLUDES(mutex_) {
+    {
+      core::MutexLock lock(mutex_);
+      jobs_[i] = std::move(job);
+    }
+    filled_.notify_one();  // the committer is the only waiter
+  }
+
+  std::unique_ptr<Job> take(std::size_t i) TDC_EXCLUDES(mutex_) {
+    core::MutexLock lock(mutex_);
+    while (jobs_[i] == nullptr) filled_.wait(lock);
+    return std::move(jobs_[i]);
+  }
+
+ private:
+  core::Mutex mutex_;
+  core::CondVar filled_;
+  std::vector<std::unique_ptr<Job>> jobs_ TDC_GUARDED_BY(mutex_);
+};
 
 }  // namespace
 
@@ -179,34 +372,6 @@ std::string BatchResult::report() const {
 
 // --------------------------------------------------------------------- Engine
 
-namespace {
-
-/// gen= inputs shared by several jobs are prepared exactly once; later
-/// jobs block on the shared future (a failed prepare fails each of them).
-/// Owned per batch run by RunState and per JobRunner for its lifetime.
-struct GenMemo {
-  core::Mutex mutex;
-  std::map<std::string, std::shared_future<std::shared_ptr<const bits::TritVector>>>
-      memo TDC_GUARDED_BY(mutex);
-};
-
-/// Per-run shared state: queues, the prepared-circuit memo and the
-/// fail-fast cancellation flag.
-struct RunState {
-  RunState(std::size_t capacity, bool eager_notify)
-      : to_load(capacity, eager_notify), to_encode(capacity, eager_notify),
-        to_container(capacity, eager_notify), to_verify(capacity, eager_notify),
-        done(capacity, eager_notify) {}
-
-  JobQueue to_load, to_encode, to_container, to_verify, done;
-  // tdc-sync: advisory fail-fast flag; relaxed on both sides — stages only
-  // skip work they would otherwise do, no data is published through it.
-  std::atomic<bool> cancelled{false};
-  GenMemo gen;
-};
-
-}  // namespace
-
 Engine::Engine(EngineOptions options, MetricsRegistry* metrics)
     : options_(std::move(options)) {
   if (metrics == nullptr) {
@@ -219,414 +384,78 @@ Engine::Engine(EngineOptions options, MetricsRegistry* metrics)
 
 Engine::~Engine() = default;
 
-namespace {
-
-Status stage_load(GenMemo& gen, Job& job) {
-  const JobSpec& spec = *job.spec;
-  if (spec.inline_tests) {
-    job.stream = spec.inline_tests->serialize();
-    return {};
-  }
-  if (!spec.input_path.empty()) {
-    return guarded([&]() -> Status {
-      job.stream = scan::read_tests_file(spec.input_path).serialize();
-      return {};
-    });
-  }
-  // gen= source: memoized exp::prepare so concurrent jobs over the same
-  // circuit never race on the ATPG disk cache.
-  using StreamPtr = std::shared_ptr<const bits::TritVector>;
-  std::shared_future<StreamPtr> future;
-  std::promise<StreamPtr> promise;
-  bool creator = false;
-  {
-    core::MutexLock lock(gen.mutex);
-    auto it = gen.memo.find(spec.gen_circuit);
-    if (it == gen.memo.end()) {
-      future = promise.get_future().share();
-      gen.memo.emplace(spec.gen_circuit, future);
-      creator = true;
-    } else {
-      future = it->second;
-    }
-  }
-  if (creator) {
-    try {
-      promise.set_value(std::make_shared<const bits::TritVector>(
-          exp::prepare(spec.gen_circuit).tests.serialize()));
-    } catch (...) {
-      promise.set_exception(std::current_exception());
-    }
-  }
-  return guarded([&]() -> Status {
-    job.stream = *future.get();
-    return {};
-  });
-}
-
-Status stage_encode(Job& job, MetricsRegistry& metrics) {
-  const JobSpec& spec = *job.spec;
-  if (job.multi_codec()) {
-    // Per-chunk codec selection. The reported compressed_bits stay in the
-    // paper's accounting (tester stream only), the same metric the legacy
-    // path reports, so mixed-codec and pure-LZW rows compare directly.
-    Result<codec::SelectOptions> mode = codec::parse_codec_mode(spec.codec);
-    if (!mode.ok()) return mode.error();
-    codec::SelectOptions options = std::move(mode).take();
-    options.lzw = spec.config;
-    options.tiebreak = spec.tiebreak;
-    if (spec.chunk_trits != 0) options.chunk_trits = spec.chunk_trits;
-    Result<codec::EncodedChunks> chunks =
-        codec::encode_chunks(job.stream, options, &metrics);
-    if (!chunks.ok()) return chunks.error();
-    job.chunks = std::move(chunks).take();
-    job.outcome.original_bits = job.chunks.original_bits;
-    job.outcome.compressed_bits = job.chunks.stats_bits;
-    job.outcome.ratio_percent = codec::ratio_percent(job.chunks.original_bits,
-                                                     job.chunks.stats_bits);
-    return {};
-  }
-  return guarded([&]() -> Status {
-    const lzw::Encoder encoder(spec.config, spec.tiebreak);
-    job.encoded = encoder.encode(job.stream, spec.xassign, spec.rng_seed);
-    job.outcome.original_bits = job.encoded.original_bits;
-    job.outcome.compressed_bits = job.encoded.compressed_bits();
-    job.outcome.ratio_percent = job.encoded.ratio_percent();
-    return {};
-  });
-}
-
-Status stage_container(Job& job) {
-  const JobSpec& spec = *job.spec;
-  return guarded([&]() -> Status {
-    std::ostringstream out;
-    if (job.multi_codec()) {
-      const std::uint32_t chunk_trits =
-          spec.chunk_trits != 0 ? spec.chunk_trits : codec::kDefaultChunkTrits;
-      lzw::write_image_v3(out, spec.config, job.chunks.original_bits,
-                          chunk_trits, job.chunks.records);
-    } else {
-      lzw::write_image(out, job.encoded, spec.container);
-    }
-    job.container = std::move(out).str();
-    job.outcome.container_bytes = job.container.size();
-    return {};
-  });
-}
-
-Status stage_verify(Job& job) {
-  // End-to-end check of what was actually containerized: read the bytes
-  // back, decode, and prove the expansion covers every care bit of the
-  // input — the invariant the whole repository is built around.
-  std::istringstream in(job.container);
-  Result<lzw::CompressedImage> image = lzw::try_read_image(in);
-  if (!image.ok()) return image.error();
-  // codec::decode_image routes v1/v2 through the LZW image decoder and v3
-  // through the codec registry, so one verify covers both container paths.
-  Result<bits::TritVector> decoded = codec::decode_image(image.value());
-  if (!decoded.ok()) return decoded.error();
-  if (decoded.value().size() != job.stream.size()) {
-    return typed_error(ErrorKind::StreamTooShort,
-                       "decoded stream length mismatch");
-  }
-  if (!job.stream.covered_by(decoded.value())) {
-    return typed_error(ErrorKind::ConfigMismatch,
-                       "decoded stream does not cover the input care bits");
-  }
-  return {};
-}
-
-}  // namespace
-
 BatchResult Engine::run(const Manifest& manifest, const CommitCallback& on_commit) {
+  const std::size_t n = manifest.jobs.size();
   const unsigned workers =
       options_.workers != 0 ? options_.workers : exp::ThreadPool::default_jobs();
-  const std::size_t capacity =
-      options_.queue_capacity != 0
-          ? options_.queue_capacity
-          : std::max<std::size_t>(2 * static_cast<std::size_t>(workers), 4);
 
   obs::TraceSpan run_span("engine.run");
-  run_span.arg("jobs", static_cast<std::uint64_t>(manifest.jobs.size()));
+  run_span.arg("jobs", static_cast<std::uint64_t>(n));
   run_span.arg("workers", static_cast<std::uint64_t>(workers));
 
-  const bool baseline = options_.contention_baseline;
-  // Batch granularity for queue transfers: small enough to keep the
-  // pipeline's hand-off latency low, large enough that a busy stage pays
-  // one lock round-trip for several jobs.
-  const std::size_t stage_batch = baseline ? 1 : 4;
-
-  RunState run(capacity, baseline);
   MetricsRegistry& m = *metrics_;
-  const StageMetrics load_m = make_stage_metrics(m, "load");
-  StageMetrics encode_m = make_stage_metrics(m, "encode");
-  encode_m.bits_in = &m.counter("encode.bits_in");
-  encode_m.bits_out = &m.counter("encode.bits_out");
-  const StageMetrics container_m = make_stage_metrics(m, "container");
-  const StageMetrics verify_m = make_stage_metrics(m, "verify");
-  const StageMetrics commit_m = make_stage_metrics(m, "commit");
+  JobContext ctx(m);
+  const StageMetrics commit_m(m, "commit");
   Counter& bytes_written = m.counter("commit.bytes_written");
-  m.counter("engine.jobs").add(manifest.jobs.size());
+  m.counter("engine.jobs").add(n);
   m.counter("engine.runs").add();
 
-  const bool fail_fast = options_.fail_fast;
-  const bool do_verify = options_.verify;
+  // tdc-sync: advisory fail-fast flag; relaxed on both sides — stages only
+  // skip work they would otherwise do, no data is published through it.
+  std::atomic<bool> cancelled{false};
+  // tdc-sync: the same flag as run_stage sees it; null without fail-fast.
+  std::atomic<bool>* const cancel = options_.fail_fast ? &cancelled : nullptr;
 
-  // One stage execution: skip failed/cancelled jobs, time the body (into the
-  // worker's unsynchronized shard, plus a trace span carrying the job name),
-  // map the result onto the job and the shard.
-  const auto process = [&run, fail_fast](StageShard& shard,
-                                         const char* span_name, Job& job,
-                                         const std::function<Status(Job&)>& body) {
-    ++shard.in;
-    if (!job.failed && run.cancelled.load(std::memory_order_relaxed) &&
-        !job.outcome.cancelled) {
-      job.outcome.cancelled = true;
+  // Commit (calling thread, manifest order): the output file, commit.*
+  // counters and span, the callback. A job that finished every stage
+  // commits even after fail-fast tripped; a failed write trips it.
+  const auto commit = [&](Job& job) {
+    if (job.outcome.output_path.empty()) {
+      commit_m.in->add();
+      (job.failed || job.outcome.cancelled ? commit_m.skip : commit_m.ok)->add();
+    } else {
+      run_stage(commit_m, "engine.commit", job, nullptr, write_output);
+      if (!job.failed && !job.outcome.cancelled) {
+        bytes_written.add(job.container.size());
+        job.container.clear();  // on disk now; don't hold the bytes twice
+      } else if (job.failed && cancel != nullptr) {
+        cancel->store(true, std::memory_order_relaxed);
+      }
     }
-    if (job.failed || job.outcome.cancelled) {
-      ++shard.skip;
-      return;
-    }
-    Status status;
-    {
-      obs::TraceSpan span(span_name);
-      span.arg("job", job.outcome.name);
-      const auto start = std::chrono::steady_clock::now();
-      status = body(job);
-      shard.micros.record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count()));
-    }
-    if (status.ok()) {
-      ++shard.ok;
-      return;
-    }
-    job.failed = true;
-    job.outcome.status = status;
-    ++shard.fail;
-    if (fail_fast) run.cancelled.store(true, std::memory_order_relaxed);
-  };
-
-  // A stage: `workers` threads popping `in`, processing, pushing `out`.
-  // Each worker drains its input up to `stage_batch` jobs per lock
-  // round-trip (pop_up_to) and forwards them the same way (push_all), and
-  // owns a StageShard merged into the registry at exit. The last worker out
-  // closes the downstream queue, so shutdown cascades from the feeder to
-  // the committer with no central coordinator.
-  struct Stage {
-    std::vector<std::thread> threads;
-    // tdc-sync: last-worker-out election; acq_rel on the decrement makes
-    // every worker's queue writes visible to whichever thread closes `out`.
-    std::shared_ptr<std::atomic<int>> remaining;
-  };
-  const auto spawn_stage = [&](JobQueue& in, JobQueue& out,
-                               std::function<void(Job&, StageShard&)> work,
-                               const StageMetrics& sm) {
-    Stage stage;
-    stage.remaining = std::make_shared<std::atomic<int>>(static_cast<int>(workers));
-    for (unsigned t = 0; t < workers; ++t) {
-      stage.threads.emplace_back([&in, &out, work, sm, baseline, stage_batch,
-                                  remaining = stage.remaining] {
-        StageShard shard;
-        if (baseline) {
-          // Pre-PR discipline: one job per queue round-trip, every sample
-          // flushed to the shared registry immediately.
-          while (auto item = in.pop()) {
-            JobPtr job = std::move(*item);
-            work(*job, shard);
-            flush_shard(sm, shard);
-            out.push(std::move(job));
-          }
-        } else {
-          std::vector<JobPtr> jobs;
-          jobs.reserve(stage_batch);
-          while (in.pop_up_to(stage_batch, jobs) > 0) {
-            for (JobPtr& job : jobs) work(*job, shard);
-            out.push_all(std::move(jobs));
-            jobs.clear();
-          }
-        }
-        flush_shard(sm, shard);
-        if (remaining->fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          out.close();
-        }
-      });
-    }
-    return stage;
+    job.outcome.container = std::move(job.container);
+    if (on_commit) on_commit(job.outcome);
   };
 
   const auto started = std::chrono::steady_clock::now();
-
-  std::vector<Stage> stages;
-  stages.push_back(spawn_stage(
-      run.to_load, run.to_encode,
-      [&](Job& job, StageShard& shard) {
-        process(shard, "engine.load", job,
-                [&run](Job& j) { return stage_load(run.gen, j); });
-      },
-      load_m));
-  stages.push_back(spawn_stage(
-      run.to_encode, run.to_container,
-      [&](Job& job, StageShard& shard) {
-        process(shard, "engine.encode", job, [&shard, &m](Job& j) {
-          const Status status = stage_encode(j, m);
-          if (status.ok()) {
-            shard.bits_in += j.outcome.original_bits;
-            shard.bits_out += j.outcome.compressed_bits;
-          }
-          return status;
-        });
-      },
-      encode_m));
-  stages.push_back(spawn_stage(
-      run.to_container, run.to_verify,
-      [&](Job& job, StageShard& shard) {
-        process(shard, "engine.container", job,
-                [](Job& j) { return stage_container(j); });
-      },
-      container_m));
-  stages.push_back(spawn_stage(
-      run.to_verify, run.done,
-      [&](Job& job, StageShard& shard) {
-        if (!do_verify) return;  // stage disabled: pass through untouched
-        process(shard, "engine.verify", job,
-                [](Job& j) { return stage_verify(j); });
-      },
-      verify_m));
-
-  // Feeder: materializes jobs into the first queue. Must be its own thread —
-  // the main thread commits, and a blocked committer must never block feeding
-  // (bounded queues + a single thread doing both would deadlock).
-  std::thread feeder([&manifest, &run, this, baseline, stage_batch] {
-    std::vector<JobPtr> pending_feed;
-    for (std::size_t i = 0; i < manifest.jobs.size(); ++i) {
-      auto job = std::make_unique<Job>();
-      job->index = i;
-      job->spec = &manifest.jobs[i];
-      init_outcome(*job);
-      job->outcome.output_path =
-          resolve_output(options_.output_dir, job->spec->output_path);
-      if (baseline) {
-        run.to_load.push(std::move(job));
-      } else {
-        pending_feed.push_back(std::move(job));
-        if (pending_feed.size() >= stage_batch) {
-          run.to_load.push_all(std::move(pending_feed));
-          pending_feed.clear();
-        }
-      }
-    }
-    if (!pending_feed.empty()) run.to_load.push_all(std::move(pending_feed));
-    run.to_load.close();
-  });
-
-  // Committer (this thread): commits — output-file write, callback, result
-  // slot — strictly in manifest order. The reorder buffer is a plain slot
-  // vector indexed by job index: an arrival is one pointer store, and an
-  // in-order arrival commits immediately with no ordered-map rebalancing or
-  // lookup — wait-free for the common case where the pipeline largely
-  // preserves order.
   BatchResult result;
-  result.jobs.resize(manifest.jobs.size());
-  std::vector<JobPtr> slots(manifest.jobs.size());
-  std::size_t next = 0;
-  StageShard commit_shard;
-  const auto commit = [&](JobPtr job) {
-    ++commit_shard.in;
-    if (job->failed || job->outcome.cancelled) {
-      ++commit_shard.skip;
-    } else if (!job->outcome.output_path.empty()) {
-      Status status;
-      {
-        obs::TraceSpan span("engine.commit");
-        span.arg("job", job->outcome.name);
-        const auto start = std::chrono::steady_clock::now();
-        status = guarded([&]() -> Status {
-          const std::filesystem::path target(job->outcome.output_path);
-          if (target.has_parent_path()) {
-            std::filesystem::create_directories(target.parent_path());
-          }
-          std::ofstream out(job->outcome.output_path, std::ios::binary);
-          if (!out.write(job->container.data(),
-                         static_cast<std::streamsize>(job->container.size()))) {
-            return typed_error(ErrorKind::IoError, "cannot write " +
-                                                       job->outcome.output_path);
-          }
-          return {};
-        });
-        commit_shard.micros.record(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count()));
-      }
-      if (status.ok()) {
-        bytes_written.add(job->container.size());
-        job->container.clear();  // on disk now; don't hold the bytes twice
-        ++commit_shard.ok;
-      } else {
-        job->failed = true;
-        job->outcome.status = status;
-        ++commit_shard.fail;
-        if (fail_fast) run.cancelled.store(true, std::memory_order_relaxed);
-      }
-    } else {
-      ++commit_shard.ok;
+  result.jobs.resize(n);
+  if (n != 0) {
+    Slots slots(n);
+    // One task per job, at most one thread per job. Declared after all the
+    // state its tasks use: if on_commit throws, the pool's destructor
+    // finishes the queued tasks before that state is destroyed.
+    exp::ThreadPool pool(static_cast<unsigned>(std::min<std::size_t>(workers, n)));
+    for (std::size_t i = 0; i < n; ++i) {
+      // noexcept: run_stage turns stage errors into job failures, and a
+      // task that threw anyway would leave its slot empty and the committer
+      // waiting forever, so it ends the process instead.
+      pool.submit([&, i]() noexcept {
+        auto job = std::make_unique<Job>();
+        job->spec = &manifest.jobs[i];
+        init_outcome(*job);
+        job->outcome.output_path =
+            resolve_output(options_.output_dir, job->spec->output_path);
+        run_job(ctx, *job, options_.verify, cancel);
+        slots.fill(i, std::move(job));
+      });
     }
-    job->outcome.container = std::move(job->container);
-    if (on_commit) on_commit(job->outcome);
-    result.jobs[job->index] = std::move(job->outcome);
-    if (baseline) flush_shard(commit_m, commit_shard);
-  };
-  const auto settle = [&](JobPtr job) {
-    slots[job->index] = std::move(job);
-    while (next < slots.size() && slots[next] != nullptr) {
-      commit(std::move(slots[next]));
-      ++next;
+    for (std::size_t next = 0; next < n; ++next) {
+      const std::unique_ptr<Job> job = slots.take(next);
+      commit(*job);
+      result.jobs[next] = std::move(job->outcome);
     }
-  };
-  if (baseline) {
-    while (auto item = run.done.pop()) settle(std::move(*item));
-  } else {
-    std::vector<JobPtr> arrivals;
-    arrivals.reserve(stage_batch);
-    while (run.done.pop_up_to(stage_batch, arrivals) > 0) {
-      for (JobPtr& job : arrivals) settle(std::move(job));
-      arrivals.clear();
-    }
+    pool.wait();
   }
-  flush_shard(commit_m, commit_shard);
-
-  feeder.join();
-  for (Stage& stage : stages) {
-    for (std::thread& t : stage.threads) t.join();
-  }
-
-  // Publish each queue's contention counters and roll the totals into the
-  // run trace span — the evidence surface for the wakeup/sharding work (the
-  // engine bench reads these same numbers into BENCH_engine_throughput.json).
-  exp::BoundedQueueStats totals;
-  const auto export_queue = [&m, &totals](const char* qname, const JobQueue& q) {
-    const exp::BoundedQueueStats s = q.stats();
-    add_queue_stats(m, qname, s);
-    totals.pushes += s.pushes;
-    totals.pops += s.pops;
-    totals.push_blocked += s.push_blocked;
-    totals.pop_blocked += s.pop_blocked;
-    totals.push_blocked_micros += s.push_blocked_micros;
-    totals.pop_blocked_micros += s.pop_blocked_micros;
-    totals.notifies_sent += s.notifies_sent;
-    totals.notifies_skipped += s.notifies_skipped;
-  };
-  export_queue("load", run.to_load);
-  export_queue("encode", run.to_encode);
-  export_queue("container", run.to_container);
-  export_queue("verify", run.to_verify);
-  export_queue("done", run.done);
-  run_span.arg("queue_blocked", totals.push_blocked + totals.pop_blocked);
-  run_span.arg("queue_blocked_micros", totals.blocked_micros());
-  run_span.arg("queue_notifies_sent", totals.notifies_sent);
-  run_span.arg("queue_notifies_skipped", totals.notifies_skipped);
 
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
@@ -637,13 +466,17 @@ BatchResult Engine::run(const Manifest& manifest, const CommitCallback& on_commi
   return result;
 }
 
+// ------------------------------------------------------------------ JobRunner
+
+namespace {
+
+/// Adds the submission queue's contention counters into `m` as
+/// "queue.<name>.*".
 void add_queue_stats(MetricsRegistry& m, const std::string& name,
                      const exp::BoundedQueueStats& s) {
   const std::string prefix = "queue." + name + ".";
   m.counter(prefix + "pushes").add(s.pushes);
   m.counter(prefix + "pops").add(s.pops);
-  m.counter(prefix + "batch_pushes").add(s.batch_pushes);
-  m.counter(prefix + "batch_pops").add(s.batch_pops);
   m.counter(prefix + "push_blocked").add(s.push_blocked);
   m.counter(prefix + "pop_blocked").add(s.pop_blocked);
   m.counter(prefix + "push_blocked_micros").add(s.push_blocked_micros);
@@ -651,14 +484,14 @@ void add_queue_stats(MetricsRegistry& m, const std::string& name,
   m.counter(prefix + "notifies_sent").add(s.notifies_sent);
   m.counter(prefix + "notifies_skipped").add(s.notifies_skipped);
   // Occupancy is a level, not an event stream: the gauge is set to the
-  // depth this snapshot saw (0 once a run or drain finished) while the
-  // queue's own lifetime max folds into the gauge's high-watermark.
+  // depth this snapshot saw (0 once drained) while the queue's own
+  // lifetime max folds into the gauge's high-watermark.
   obs::Gauge& depth = m.gauge(prefix + "depth");
   depth.set(static_cast<std::int64_t>(s.depth));
   depth.record_peak(static_cast<std::int64_t>(s.max_depth));
 }
 
-// ------------------------------------------------------------------ JobRunner
+}  // namespace
 
 /// One queued submission: either a full compression job (spec + done
 /// callback) or a raw closure from the service's decode-side endpoints.
@@ -668,66 +501,23 @@ struct JobRunner::Item {
   std::function<void()> task;  ///< when set, spec/done are unused
 };
 
-/// Pre-resolved instruments plus the gen= memo — everything the worker loop
-/// touches besides the queue.
+/// The job path's context plus the runner's own instruments — everything
+/// the worker loop touches besides the queue.
 struct JobRunner::RunnerState {
   explicit RunnerState(MetricsRegistry& m)
-      : load(make_stage_metrics(m, "load")),
-        encode(make_stage_metrics(m, "encode")),
-        container(make_stage_metrics(m, "container")),
-        verify(make_stage_metrics(m, "verify")),
-        jobs(&m.counter("runner.jobs")), tasks(&m.counter("runner.tasks")),
+      : ctx(m), jobs(&m.counter("runner.jobs")), tasks(&m.counter("runner.tasks")),
         ok(&m.counter("runner.ok")), failed(&m.counter("runner.failed")),
         busy_rejects(&m.counter("runner.busy_rejects")),
-        in_flight(&m.gauge("runner.in_flight")) {
-    encode.bits_in = &m.counter("encode.bits_in");
-    encode.bits_out = &m.counter("encode.bits_out");
-  }
+        in_flight(&m.gauge("runner.in_flight")) {}
 
-  StageMetrics load, encode, container, verify;
+  JobContext ctx;
   Counter* jobs;
   Counter* tasks;
   Counter* ok;
   Counter* failed;
   Counter* busy_rejects;
   obs::Gauge* in_flight;  ///< live queued+running level; peak = worst burst
-  GenMemo gen;
 };
-
-namespace {
-
-/// One stage of a runner job, recorded straight into the shared instruments
-/// (per-request cadence — a stats endpoint must see the numbers live, and a
-/// few atomic adds per request are noise next to the socket round trip).
-void run_runner_stage(const StageMetrics& sm, const char* span_name, Job& job,
-                      const std::function<Status(Job&)>& body) {
-  sm.in->add();
-  if (job.failed) {
-    sm.skip->add();
-    return;
-  }
-  Status status;
-  {
-    obs::TraceSpan span(span_name);
-    span.arg("job", job.outcome.name);
-    if (!job.spec->trace.empty()) span.arg("trace", job.spec->trace);
-    const auto start = std::chrono::steady_clock::now();
-    status = body(job);
-    sm.micros->record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count()));
-  }
-  if (status.ok()) {
-    sm.ok->add();
-    return;
-  }
-  job.failed = true;
-  job.outcome.status = status;
-  sm.fail->add();
-}
-
-}  // namespace
 
 JobRunner::JobRunner(Options options, MetricsRegistry* metrics)
     : options_(options) {
@@ -766,33 +556,12 @@ void JobRunner::worker_loop() {
       Job job;
       job.spec = &work->spec;
       init_outcome(job);
-      run_runner_stage(state_->load, "engine.load", job, [this](Job& j) {
-        return stage_load(state_->gen, j);
-      });
-      run_runner_stage(state_->encode, "engine.encode", job, [this](Job& j) {
-        const Status status = stage_encode(j, *metrics_);
-        if (status.ok()) {
-          state_->encode.bits_in->add(j.outcome.original_bits);
-          state_->encode.bits_out->add(j.outcome.compressed_bits);
-        }
-        return status;
-      });
-      run_runner_stage(state_->container, "engine.container", job,
-                       [](Job& j) { return stage_container(j); });
-      if (options_.verify) {
-        run_runner_stage(state_->verify, "engine.verify", job,
-                         [](Job& j) { return stage_verify(j); });
-      }
+      run_job(state_->ctx, job, options_.verify, nullptr);
       (job.failed ? state_->failed : state_->ok)->add();
       job.outcome.container = std::move(job.container);
       if (work->done) work->done(std::move(job.outcome));
     }
-    {
-      core::MutexLock lock(mutex_);
-      --in_flight_;
-    }
-    state_->in_flight->add(-1);
-    idle_.notify_all();
+    release();
   }
 }
 
@@ -800,22 +569,16 @@ bool JobRunner::submit(JobSpec spec, DoneCallback done) {
   auto item = std::make_unique<Item>();
   item->spec = std::move(spec);
   item->done = std::move(done);
-  {
-    core::MutexLock lock(mutex_);
-    if (stopping_ || in_flight_ >= options_.max_in_flight) {
-      state_->busy_rejects->add();
-      return false;
-    }
-    ++in_flight_;
-  }
-  state_->in_flight->add(1);
-  queue_->push(std::move(item));
-  return true;
+  return admit(std::move(item));
 }
 
 bool JobRunner::submit_task(std::function<void()> task) {
   auto item = std::make_unique<Item>();
   item->task = std::move(task);
+  return admit(std::move(item));
+}
+
+bool JobRunner::admit(std::unique_ptr<Item> item) {
   {
     core::MutexLock lock(mutex_);
     if (stopping_ || in_flight_ >= options_.max_in_flight) {
@@ -825,8 +588,20 @@ bool JobRunner::submit_task(std::function<void()> task) {
     ++in_flight_;
   }
   state_->in_flight->add(1);
-  queue_->push(std::move(item));
-  return true;
+  if (queue_->push(std::move(item))) return true;
+  // A stop() between the admission and the push closed the queue: the item
+  // was never queued, so its admission is rolled back.
+  release();
+  return false;
+}
+
+void JobRunner::release() {
+  {
+    core::MutexLock lock(mutex_);
+    --in_flight_;
+  }
+  state_->in_flight->add(-1);
+  idle_.notify_all();
 }
 
 std::size_t JobRunner::in_flight() const {
@@ -845,8 +620,6 @@ void JobRunner::publish_queue_stats() {
   exp::BoundedQueueStats delta;
   delta.pushes = now.pushes - published_.pushes;
   delta.pops = now.pops - published_.pops;
-  delta.batch_pushes = now.batch_pushes - published_.batch_pushes;
-  delta.batch_pops = now.batch_pops - published_.batch_pops;
   delta.push_blocked = now.push_blocked - published_.push_blocked;
   delta.pop_blocked = now.pop_blocked - published_.pop_blocked;
   delta.push_blocked_micros =

@@ -18,17 +18,13 @@ namespace tdc::engine {
 
 /// Tuning knobs of a batch run.
 struct EngineOptions {
-  /// Worker threads per pipeline stage; 0 = exp::ThreadPool::default_jobs()
-  /// ($TDC_JOBS, else hardware concurrency).
+  /// Worker threads; 0 = exp::ThreadPool::default_jobs() ($TDC_JOBS, else
+  /// hardware concurrency). A batch never starts more threads than jobs.
   unsigned workers = 0;
 
-  /// Capacity of each inter-stage queue; 0 = max(2 * workers, 4). Bounds
-  /// in-flight memory: at most `stages * (capacity + workers)` jobs are ever
-  /// materialized, regardless of the batch size.
-  std::size_t queue_capacity = 0;
-
-  /// After the first job failure, cancel every job that has not yet entered
-  /// a stage (failed/cancelled jobs still appear in the report).
+  /// After the first job failure, cancel every job that has not started and
+  /// every running job at its next stage boundary (failed/cancelled jobs
+  /// still appear in the report).
   bool fail_fast = false;
 
   /// Run the verify stage (container read-back + decode + care-bit
@@ -37,14 +33,6 @@ struct EngineOptions {
 
   /// Directory prepended to relative job output paths ("" = CWD).
   std::string output_dir = {};
-
-  /// Pre-PR concurrency discipline, kept as the engine bench's measured
-  /// contention baseline: queues notify on every transfer whether or not a
-  /// waiter exists, stage workers move one job per queue lock round-trip,
-  /// and every stage sample is flushed to the shared locked registry per
-  /// job instead of once per worker. Results are identical either way —
-  /// only lock/futex traffic changes (reported via the queue.* counters).
-  bool contention_baseline = false;
 };
 
 /// Everything the batch knows about one finished job, in manifest order.
@@ -85,23 +73,25 @@ struct BatchResult {
 /// the CLI's per-job progress line.
 using CommitCallback = std::function<void(const JobOutcome&)>;
 
-/// Pipelined batch compression engine.
+/// Batch compression engine.
 ///
-/// A manifest of jobs flows through four stages — load (read or prepare the
-/// test set) → encode (don't-care-aware LZW) → containerize (TDCLZW1/2) →
-/// verify (read-back + decode + care-bit coverage) — each staffed by
-/// `workers` threads over bounded MPMC queues (exp::BoundedQueue), so a
-/// slow stage applies backpressure instead of buffering the whole batch.
-/// A reorder buffer commits results strictly in manifest order: output
+/// Each manifest job runs start to finish on one thread of an
+/// exp::ThreadPool — load (read or prepare the test set) → encode
+/// (don't-care-aware LZW or per-chunk codec selection) → containerize
+/// (TDCLZW1/2/3) → verify (read-back + decode + care-bit coverage) — the
+/// same job path JobRunner runs. Jobs are independent, so a job needs no
+/// other thread, and the pool keeps `workers` jobs running at once. The
+/// calling thread commits finished jobs strictly in manifest order: output
 /// files are written and the commit callback fires in the same sequence for
 /// any worker count, and since every stage is deterministic per job, the
 /// committed bytes are too.
 ///
 /// Failures are isolated per job: a stage error (typed tdc::Error) marks
 /// that job failed and it skips its remaining stages, while the rest of the
-/// batch proceeds — unless fail-fast is on, which cancels all jobs that
-/// have not yet entered a stage. Every stage records counters
-/// (in/ok/fail/skip) and a latency histogram into the metrics registry.
+/// batch proceeds — unless fail-fast is on, which cancels every job that
+/// has not started and every running job at its next stage boundary. Every
+/// stage records counters (in/ok/fail/skip) and a latency histogram into
+/// the metrics registry.
 class Engine {
  public:
   /// `metrics` may be shared/external (benches); the engine owns a private
@@ -124,28 +114,20 @@ class Engine {
   MetricsRegistry* metrics_;
 };
 
-/// Adds one queue's contention counters into `m` as "queue.<name>.*" —
-/// shared by the batch engine (whole-run totals at the end of run()) and
-/// JobRunner::publish_queue_stats (live deltas mid-flight).
-void add_queue_stats(MetricsRegistry& m, const std::string& name,
-                     const exp::BoundedQueueStats& s);
-
 /// Persistent job-submission front end: the same load → encode →
-/// containerize → verify stages as Engine::run, staffed by a long-lived
+/// containerize → verify job path as Engine::run, staffed by a long-lived
 /// worker pool fed one JobSpec at a time instead of a whole manifest — the
 /// shape a request/response service needs. Each submitted job runs all its
-/// stages on one worker (requests are independent, so cross-job parallelism
-/// is what matters, not per-job pipelining), failures stay typed and
-/// per-job, and the finished outcome (container bytes in
-/// JobOutcome::container — runner jobs never write output files) is handed
-/// to the submitter's callback on the worker thread.
+/// stages on one worker, failures stay typed and per-job, and the finished
+/// outcome (container bytes in JobOutcome::container — runner jobs never
+/// write output files) is handed to the submitter's callback on the worker
+/// thread.
 ///
 /// Backpressure is explicit: at most `max_in_flight` jobs may be queued or
 /// running; past that submit() refuses immediately (the caller maps this to
 /// a Busy rejection) instead of buffering unboundedly. Submission flows
 /// through a bounded MPMC queue whose contention counters are exposed live
-/// via publish_queue_stats() — not just after a run, the way the batch
-/// engine reports them.
+/// via publish_queue_stats().
 class JobRunner {
  public:
   struct Options {
@@ -201,6 +183,11 @@ class JobRunner {
  private:
   struct Item;
   void worker_loop();
+  /// Counts `item` in flight and queues it; false (nothing queued, nothing
+  /// counted) when the runner is full or stopping.
+  bool admit(std::unique_ptr<Item> item);
+  /// Returns one admission: in-flight count and gauge drop, drain() wakes.
+  void release();
 
   Options options_;
   std::unique_ptr<MetricsRegistry> owned_metrics_;

@@ -1,5 +1,6 @@
 #include "engine/manifest.h"
 
+#include <charconv>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -23,16 +24,16 @@ std::string resolve(const std::string& base_dir, const std::string& path) {
   return base_dir + "/" + path;
 }
 
-bool parse_u64(const std::string& raw, std::uint64_t* out) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long parsed = std::stoull(raw, &used);
-    if (used != raw.size()) return false;
-    *out = parsed;
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
+/// Reads a manifest number: decimal digits only (no sign, space or base
+/// prefix), and within the range of the field it lands in.
+template <typename T>
+bool parse_number(const std::string& raw, T* out) {
+  const char* end = raw.data() + raw.size();
+  T value = 0;
+  const auto [ptr, ec] = std::from_chars(raw.data(), end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  *out = value;
+  return true;
 }
 
 }  // namespace
@@ -124,7 +125,9 @@ Result<Manifest> parse_manifest(std::istream& in, const std::string& base_dir) {
       const std::string value = token.substr(eq + 1);
       if (value.empty()) return manifest_error(line_no, "empty value for '" + key + "'");
 
-      std::uint64_t n = 0;
+      const auto bad_value = [&] {
+        return manifest_error(line_no, "bad " + key + " '" + value + "'");
+      };
       if (key == "name") {
         spec.name = value;
       } else if (key == "input") {
@@ -134,14 +137,11 @@ Result<Manifest> parse_manifest(std::istream& in, const std::string& base_dir) {
       } else if (key == "out") {
         spec.output_path = value;
       } else if (key == "dict") {
-        if (!parse_u64(value, &n)) return manifest_error(line_no, "bad dict '" + value + "'");
-        spec.config.dict_size = static_cast<std::uint32_t>(n);
+        if (!parse_number(value, &spec.config.dict_size)) return bad_value();
       } else if (key == "char") {
-        if (!parse_u64(value, &n)) return manifest_error(line_no, "bad char '" + value + "'");
-        spec.config.char_bits = static_cast<std::uint32_t>(n);
+        if (!parse_number(value, &spec.config.char_bits)) return bad_value();
       } else if (key == "entry") {
-        if (!parse_u64(value, &n)) return manifest_error(line_no, "bad entry '" + value + "'");
-        spec.config.entry_bits = static_cast<std::uint32_t>(n);
+        if (!parse_number(value, &spec.config.entry_bits)) return bad_value();
       } else if (key == "tiebreak") {
         Result<lzw::Tiebreak> t = parse_tiebreak(value);
         if (!t.ok()) return manifest_error(line_no, t.error().message);
@@ -151,32 +151,30 @@ Result<Manifest> parse_manifest(std::istream& in, const std::string& base_dir) {
         if (!m.ok()) return manifest_error(line_no, m.error().message);
         spec.xassign = m.value();
       } else if (key == "seed") {
-        if (!parse_u64(value, &n)) return manifest_error(line_no, "bad seed '" + value + "'");
-        spec.rng_seed = n;
+        if (!parse_number(value, &spec.rng_seed)) return bad_value();
       } else if (key == "container") {
-        if (!parse_u64(value, &n) || (n != 1 && n != 2)) {
+        std::uint32_t& version = spec.container.version;
+        if (!parse_number(value, &version) || (version != 1 && version != 2)) {
           return manifest_error(line_no, "container must be 1 or 2");
         }
-        spec.container.version = static_cast<std::uint32_t>(n);
       } else if (key == "chunk") {
-        if (!parse_u64(value, &n)) return manifest_error(line_no, "bad chunk '" + value + "'");
-        spec.container.chunk_bytes = static_cast<std::uint32_t>(n);
+        if (!parse_number(value, &spec.container.chunk_bytes)) return bad_value();
       } else if (key == "codec") {
         Result<codec::SelectOptions> mode = codec::parse_codec_mode(value);
         if (!mode.ok()) return manifest_error(line_no, mode.error().message);
         spec.codec = value;
       } else if (key == "chunk_trits") {
-        if (!parse_u64(value, &n) || n == 0 || n > codec::kMaxChunkTrits) {
+        if (!parse_number(value, &spec.chunk_trits) || spec.chunk_trits == 0 ||
+            spec.chunk_trits > codec::kMaxChunkTrits) {
           return manifest_error(line_no,
                                 "chunk_trits must be in [1, 2^30], got '" + value + "'");
         }
-        spec.chunk_trits = static_cast<std::uint32_t>(n);
       } else {
         return manifest_error(line_no, "unknown key '" + key + "'");
       }
     }
 
-    // --- per-job validation: the pipeline only sees runnable specs.
+    // --- per-job validation: the engine only sees runnable specs.
     const int sources = (!spec.input_path.empty() ? 1 : 0) +
                         (!spec.gen_circuit.empty() ? 1 : 0) +
                         (spec.inline_tests ? 1 : 0);

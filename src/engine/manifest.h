@@ -73,8 +73,10 @@ Result<lzw::XAssignMode> parse_xassign(const std::string& name);
 /// chunk_trits (per-chunk granularity for codec= jobs).
 /// Relative input paths resolve against `base_dir`; output paths are left
 /// relative (the engine's output_dir option anchors them at run time).
-/// Every job is validated here — config realizability, container options,
-/// duplicate names — so the pipeline only ever sees runnable specs.
+/// Numbers are decimal digits only and must fit their field. Every job is
+/// validated here — config realizability (including the 2^20 dictionary
+/// cap), container options, duplicate names — so the engine only ever sees
+/// runnable specs.
 /// Errors are typed ConfigMismatch with the offending line number.
 Result<Manifest> parse_manifest(std::istream& in, const std::string& base_dir = {});
 

@@ -11,7 +11,6 @@ namespace tdc::engine {
 
 using Counter = obs::Counter;
 using Histogram = obs::Histogram;
-using LocalHistogram = obs::LocalHistogram;
 using ScopedTimer = obs::ScopedTimer;
 using MetricsRegistry = obs::MetricsRegistry;
 

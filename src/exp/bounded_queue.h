@@ -1,14 +1,12 @@
 #ifndef TDC_EXP_BOUNDED_QUEUE_H
 #define TDC_EXP_BOUNDED_QUEUE_H
 
-#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "core/thread_safety.h"
 
@@ -18,14 +16,11 @@ namespace tdc::exp {
 /// stats(). Blocked counts tally waits that actually slept (a push or pop
 /// that found room/items ready costs no clock read at all); the micros
 /// fields accumulate the wall time spent asleep. notifies_sent/skipped
-/// record the wakeup discipline's work: a skip is a notify the pre-PR queue
-/// would have issued with nobody waiting (pure syscall overhead), counted
-/// so the engine bench can show the contention delta.
+/// record the wakeup discipline's work: a skip is a transfer that found
+/// nobody waiting on the other side and so issued no notify at all.
 struct BoundedQueueStats {
   std::uint64_t pushes = 0;
   std::uint64_t pops = 0;
-  std::uint64_t batch_pushes = 0;  ///< push_all calls (multi-item, one lock)
-  std::uint64_t batch_pops = 0;    ///< pop_up_to calls that moved >= 1 item
   std::uint64_t push_blocked = 0;
   std::uint64_t pop_blocked = 0;
   std::uint64_t push_blocked_micros = 0;
@@ -44,11 +39,10 @@ struct BoundedQueueStats {
   }
 };
 
-/// Bounded multi-producer / multi-consumer queue — the backpressure
-/// primitive between pipeline stages (src/engine). A full queue blocks
-/// producers instead of buffering unboundedly, so a slow downstream stage
-/// throttles the whole pipeline and in-flight memory stays proportional to
-/// `capacity`, never to the batch size.
+/// Bounded multi-producer / multi-consumer queue — the submission queue of
+/// engine::JobRunner. A full queue blocks producers instead of buffering
+/// unboundedly, so a slow consumer throttles its producers and queued
+/// memory stays proportional to `capacity`.
 ///
 /// Lifecycle: producers push() until close(); consumers pop() until it
 /// returns nullopt, which means closed *and* drained — items enqueued before
@@ -60,13 +54,6 @@ struct BoundedQueueStats {
 /// kind exists — the common uncontended hand-off costs zero futex calls.
 /// This cannot lose a wakeup: a thread can only start waiting while holding
 /// the mutex, after re-checking the predicate the notifier just made true.
-/// Pass eager_notify = true to restore the pre-PR notify-always behavior
-/// (the engine bench's contention baseline); stats are collected either way.
-///
-/// Batch transfers: push_all()/pop_up_to() move several items under a
-/// single lock acquisition and wake at most as many waiters as items moved,
-/// so a stage worker draining its input pays one lock round-trip per batch
-/// instead of per job.
 ///
 /// Concurrency contract (docs/ALGORITHMS.md §16): every mutable field is
 /// TDC_GUARDED_BY(mutex_); the clang thread-safety job proves no access
@@ -76,8 +63,8 @@ class BoundedQueue {
  public:
   using Stats = BoundedQueueStats;
 
-  explicit BoundedQueue(std::size_t capacity, bool eager_notify = false)
-      : capacity_(capacity == 0 ? 1 : capacity), eager_notify_(eager_notify) {}
+  explicit BoundedQueue(std::size_t capacity)
+      : capacity_(capacity == 0 ? 1 : capacity) {}
 
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
@@ -95,46 +82,10 @@ class BoundedQueue {
       items_.push_back(std::move(item));
       ++stats_.pushes;
       fold_max_depth();
-      wake = should_wake_consumer(1) > 0;
+      wake = must_wake(waiting_consumers_);
     }
     if (wake) not_empty_.notify_one();
     return true;
-  }
-
-  /// Pushes every item of `items` (in order) under as few lock acquisitions
-  /// as backpressure allows, blocking while the queue is full. Returns the
-  /// number of items accepted — fewer than items.size() only if the queue
-  /// was closed mid-batch (the remainder is dropped, as push() drops).
-  std::size_t push_all(std::vector<T> items) TDC_EXCLUDES(mutex_) {
-    if (items.empty()) return 0;
-    std::size_t accepted = 0;
-    core::MutexLock lock(mutex_);
-    ++stats_.batch_pushes;
-    std::size_t i = 0;
-    while (i < items.size()) {
-      if (closed_) break;
-      if (items_.size() >= capacity_) {
-        // Wake consumers for what is already queued before sleeping, or the
-        // hand-off deadlocks with both sides asleep.
-        wait_not_full(lock);
-        continue;
-      }
-      const std::size_t chunk =
-          std::min(capacity_ - items_.size(), items.size() - i);
-      for (std::size_t k = 0; k < chunk; ++k) {
-        items_.push_back(std::move(items[i + k]));
-      }
-      i += chunk;
-      accepted += chunk;
-      stats_.pushes += chunk;
-      fold_max_depth();
-      // Notify under the lock: push_all may loop back into wait_not_full,
-      // and the consumers it wakes are what make that wait finite.
-      for (std::size_t w = should_wake_consumer(chunk); w > 0; --w) {
-        not_empty_.notify_one();
-      }
-    }
-    return accepted;
   }
 
   /// Blocks while the queue is empty. nullopt once closed and drained.
@@ -148,34 +99,10 @@ class BoundedQueue {
       item = std::move(items_.front());
       items_.pop_front();
       ++stats_.pops;
-      wake = should_wake_producer(1) > 0;
+      wake = must_wake(waiting_producers_);
     }
     if (wake) not_full_.notify_one();
     return item;
-  }
-
-  /// Appends up to `max_items` (>= 1 on success) to `out` under one lock
-  /// acquisition, blocking while the queue is empty. Returns the number
-  /// moved; 0 means closed and drained.
-  std::size_t pop_up_to(std::size_t max_items, std::vector<T>& out)
-      TDC_EXCLUDES(mutex_) {
-    if (max_items == 0) return 0;
-    std::size_t moved = 0;
-    std::size_t wake = 0;
-    {
-      core::MutexLock lock(mutex_);
-      wait_not_empty(lock);
-      moved = std::min(max_items, items_.size());
-      for (std::size_t k = 0; k < moved; ++k) {
-        out.push_back(std::move(items_.front()));
-        items_.pop_front();
-      }
-      stats_.pops += moved;
-      if (moved > 0) ++stats_.batch_pops;
-      wake = should_wake_producer(moved);
-    }
-    for (; wake > 0; --wake) not_full_.notify_one();
-    return moved;
   }
 
   /// No more pushes will be accepted; consumers drain what is queued and
@@ -239,22 +166,15 @@ class BoundedQueue {
     if (items_.size() > stats_.max_depth) stats_.max_depth = items_.size();
   }
 
-  /// How many consumer notify_one calls `moved` fresh items warrant (reads
-  /// the waiter count, updates stats).
-  std::size_t should_wake_consumer(std::size_t moved) TDC_REQUIRES(mutex_) {
-    return plan_wakeups(moved, waiting_consumers_);
-  }
-  std::size_t should_wake_producer(std::size_t moved) TDC_REQUIRES(mutex_) {
-    return plan_wakeups(moved, waiting_producers_);
-  }
-  std::size_t plan_wakeups(std::size_t moved, std::size_t waiters)
-      TDC_REQUIRES(mutex_) {
-    if (moved == 0) return 0;
-    const std::size_t wake =
-        eager_notify_ ? moved : std::min(moved, waiters);
-    stats_.notifies_sent += wake;
-    stats_.notifies_skipped += moved - wake;
-    return wake;
+  /// Whether a transfer must notify one of `waiters` sleepers on the other
+  /// side (counts the decision either way).
+  bool must_wake(std::size_t waiters) TDC_REQUIRES(mutex_) {
+    if (waiters == 0) {
+      ++stats_.notifies_skipped;
+      return false;
+    }
+    ++stats_.notifies_sent;
+    return true;
   }
 
   mutable core::Mutex mutex_;
@@ -262,7 +182,6 @@ class BoundedQueue {
   core::CondVar not_empty_;
   std::deque<T> items_ TDC_GUARDED_BY(mutex_);
   const std::size_t capacity_;
-  const bool eager_notify_;
   std::size_t waiting_producers_ TDC_GUARDED_BY(mutex_) = 0;
   std::size_t waiting_consumers_ TDC_GUARDED_BY(mutex_) = 0;
   Stats stats_ TDC_GUARDED_BY(mutex_);

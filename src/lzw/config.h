@@ -58,6 +58,11 @@ struct LzwConfig {
     return dict_size <= literal_count() || max_entry_chars() < 2;
   }
 
+  /// Largest N accepted anywhere. A decoder reserves N entries up front,
+  /// so this bounds what an untrusted header or payload can make it
+  /// allocate; the paper's configurations stay far below it.
+  static constexpr std::uint32_t kMaxDictSize = 1u << 20;
+
   /// Why the configuration is not realizable, or the empty string when it
   /// is. The non-throwing core of validate(), used by the Result-returning
   /// container reader to map bad headers to a typed ConfigMismatch.
@@ -67,6 +72,10 @@ struct LzwConfig {
     }
     if (dict_size < literal_count()) {
       return "LzwConfig: dict_size must cover all 2^char_bits literals";
+    }
+    if (dict_size > kMaxDictSize) {
+      return "LzwConfig: dict_size " + std::to_string(dict_size) +
+             " exceeds the 2^20 cap";
     }
     if (entry_bits < char_bits) {
       return "LzwConfig: entry_bits must hold at least one character";

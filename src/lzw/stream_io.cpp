@@ -26,9 +26,9 @@ constexpr char kMagicV2[8] = {'T', 'D', 'C', 'L', 'Z', 'W', '2', '\0'};
 
 // Plausibility caps applied before any size-driven allocation, so a fuzzed
 // header cannot demand terabytes. Real images sit far below all of them.
+// The dictionary-size cap is LzwConfig::kMaxDictSize, part of check().
 constexpr std::uint64_t kMaxCodeCount = 1ull << 40;
 constexpr std::uint64_t kMaxOriginalBits = 1ull << 48;
-constexpr std::uint32_t kMaxDictSize = 1u << 20;
 constexpr std::uint32_t kMaxChunkCount = 1u << 20;
 constexpr std::uint32_t kMinChunkBytes = 64;
 
@@ -82,10 +82,6 @@ Status check_image_header(const CompressedImage& image, std::uint64_t payload_bi
   const LzwConfig& c = image.config;
   if (std::string why = c.check(); !why.empty()) {
     return Error{ErrorKind::ConfigMismatch, why};
-  }
-  if (c.dict_size > kMaxDictSize) {
-    return Error{ErrorKind::ConfigMismatch,
-                 "dict_size " + std::to_string(c.dict_size) + " exceeds the container cap"};
   }
   if (image.code_count > kMaxCodeCount || image.original_bits > kMaxOriginalBits) {
     return Error{ErrorKind::ConfigMismatch, "implausible code_count / original_bits"};
@@ -174,10 +170,6 @@ Result<CompressedImage> read_image_v3_body(ByteSource& src, CompressedImage imag
   const LzwConfig& c = image.config;
   if (std::string why = c.check(); !why.empty()) {
     return Error{ErrorKind::ConfigMismatch, why};
-  }
-  if (c.dict_size > kMaxDictSize) {
-    return Error{ErrorKind::ConfigMismatch,
-                 "dict_size " + std::to_string(c.dict_size) + " exceeds the container cap"};
   }
   if (image.original_bits > kMaxOriginalBits) {
     return Error{ErrorKind::ConfigMismatch, "implausible original_bits"};

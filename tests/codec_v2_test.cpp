@@ -170,6 +170,25 @@ TEST(CodecV2Test, DecompressRejectsDamagedPayloads) {
   }
 }
 
+TEST(CodecV2Test, LzwPayloadDictionaryAboveTheCapIsInvalidInput) {
+  // The payload's N is untrusted: one past LzwConfig::kMaxDictSize is
+  // refused before the decoder reserves anything.
+  const Codec* lzw = codec_for_name("lzw");
+  ASSERT_NE(lzw, nullptr);
+  const auto input = random_cube(600, 0.5, 78);
+  const Result<CompressedChunk> chunk = lzw->compress_chunk(input);
+  ASSERT_TRUE(chunk.ok());
+  std::vector<std::uint8_t> payload = chunk.value().payload;
+  const std::uint32_t n = lzw::LzwConfig::kMaxDictSize + 1;
+  for (std::size_t i = 0; i < 4; ++i) {
+    payload[i] = static_cast<std::uint8_t>(n >> (8 * i));  // leading u32 N
+  }
+  const Result<TritVector> decoded = lzw->decompress_chunk(payload, input.size());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().kind, ErrorKind::InvalidInput);
+  EXPECT_NE(decoded.error().message.find("2^20"), std::string::npos);
+}
+
 TEST(SelectTest, ParseCodecModeAcceptsTokensAndModes) {
   EXPECT_EQ(parse_codec_mode("auto").value().mode, SelectMode::Auto);
   EXPECT_EQ(parse_codec_mode("race").value().mode, SelectMode::Race);

@@ -16,6 +16,7 @@
 
 #include "bits/rng.h"
 #include "container_golden.h"
+#include "core/crc32.h"
 #include "core/error.h"
 #include "lzw/decoder.h"
 #include "lzw/stream_io.h"
@@ -215,6 +216,22 @@ TEST(ContainerCorruption, TypedErrorsForTargetedDamage) {
   bad_unchunked[unchunked.size() - 1] =
       static_cast<char>(bad_unchunked[unchunked.size() - 1] ^ 0x80);
   EXPECT_EQ(parse(bad_unchunked).error().kind, ErrorKind::PayloadCrcMismatch);
+}
+
+TEST(ContainerCorruption, DictionaryAboveTheCapIsConfigMismatch) {
+  // A header whose CRC vouches for N = 2^20 + 1: authentic bytes, but a
+  // dictionary no reader will allocate.
+  const EncodeResult encoded = golden::encode(golden::cases().front());
+  std::string bytes = serialize(encoded, {.version = 2, .chunk_bytes = 0});
+  const auto put_u32 = [&bytes](std::size_t at, std::uint32_t v) {
+    for (std::size_t i = 0; i < 4; ++i) bytes[at + i] = static_cast<char>(v >> (8 * i));
+  };
+  put_u32(12, lzw::LzwConfig::kMaxDictSize + 1);  // dict_size
+  put_u32(64, crc32(bytes.data(), 64));  // header CRC; unchunked, no table
+  const Result<CompressedImage> image = parse(bytes);
+  ASSERT_FALSE(image.ok());
+  EXPECT_EQ(image.error().kind, ErrorKind::ConfigMismatch) << image.error().describe();
+  EXPECT_NE(image.error().message.find("2^20"), std::string::npos);
 }
 
 TEST(ContainerCorruption, FuzzedHeadersNeverCrash) {

@@ -1,7 +1,9 @@
 // Concurrency stress for the batch engine, built to run under
 // ThreadSanitizer (the CI tsan job executes exactly this binary): many
-// small jobs through deliberately tiny queues at high worker counts, with
-// failures mixed in, repeated enough times to shake out rare interleavings.
+// small jobs at high worker counts, so every commit crosses the
+// slot/condition-variable hand-off from a pool thread to the committing
+// thread, with failures mixed in, repeated enough times to shake out rare
+// interleavings.
 //
 // Assertions here are intentionally coarse — counts and determinism, not
 // ratios — because the point is the absence of data races, deadlocks and
@@ -37,7 +39,7 @@ std::shared_ptr<const scan::TestSet> tiny_tests(std::uint64_t seed) {
 }
 
 /// Worker count under test: $TDC_JOBS if set (the CI job exports 8), else 8
-/// — always oversubscribed relative to the queues' capacity of 1.
+/// — oversubscribed on any small host.
 unsigned stress_workers() {
   if (const char* env = std::getenv("TDC_JOBS"); env != nullptr && *env != '\0') {
     const int n = std::atoi(env);
@@ -68,11 +70,11 @@ Manifest stress_manifest(std::size_t jobs, bool with_failures) {
   return manifest;
 }
 
+// 64 tiny jobs on an oversubscribed pool: every job commits, every round.
 TEST(EngineStressTest, SaturatedTinyQueuesLoseNoJobs) {
   const Manifest manifest = stress_manifest(64, /*with_failures=*/false);
   EngineOptions options;
   options.workers = stress_workers();
-  options.queue_capacity = 1;  // maximum contention on every hand-off
   for (int round = 0; round < 3; ++round) {
     Engine eng(options);
     const BatchResult result = eng.run(manifest);
@@ -92,7 +94,6 @@ TEST(EngineStressTest, MixedFailuresStayIsolatedUnderContention) {
 
   EngineOptions options;
   options.workers = stress_workers();
-  options.queue_capacity = 1;
   std::string first_report;
   for (int round = 0; round < 3; ++round) {
     Engine eng(options);
@@ -113,7 +114,6 @@ TEST(EngineStressTest, FailFastRacesResolveCleanly) {
   Manifest manifest = stress_manifest(48, /*with_failures=*/true);
   EngineOptions options;
   options.workers = stress_workers();
-  options.queue_capacity = 1;
   options.fail_fast = true;
   for (int round = 0; round < 3; ++round) {
     Engine eng(options);

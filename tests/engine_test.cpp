@@ -1,10 +1,9 @@
-// Tests for the batch compression engine: the bounded MPMC queue it is
-// built on, the metrics registry, the manifest format, and the pipeline
+// Tests for the batch compression engine: the bounded MPMC queue behind
+// JobRunner, the metrics registry, the manifest format, and the engine
 // itself — the jobs=1 vs jobs=N byte-identical determinism golden, per-job
 // failure isolation, fail-fast cancellation, and in-order commit.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -120,55 +119,6 @@ TEST(BoundedQueueTest, ManyProducersManyConsumersLoseNothing) {
   EXPECT_EQ(sum.load(), static_cast<long long>(total) * (total - 1) / 2);
 }
 
-TEST(BoundedQueueTest, PushAllPreservesOrderAcrossCapacityChunks) {
-  exp::BoundedQueue<int> q(3);  // batch (10) >> capacity: forces chunking
-  std::vector<int> batch;
-  for (int i = 0; i < 10; ++i) batch.push_back(i);
-  std::vector<int> seen;
-  std::thread consumer([&] {
-    while (const std::optional<int> v = q.pop()) seen.push_back(*v);
-  });
-  EXPECT_EQ(q.push_all(std::move(batch)), 10u);
-  q.close();
-  consumer.join();
-  ASSERT_EQ(seen.size(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(seen[i], i);
-  const auto st = q.stats();
-  EXPECT_EQ(st.pushes, 10u);
-  EXPECT_EQ(st.batch_pushes, 1u);  // one call, however many chunks
-}
-
-TEST(BoundedQueueTest, PushAllStopsAtCloseAndReportsAccepted) {
-  exp::BoundedQueue<int> q(2);
-  std::thread closer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    q.close();
-  });
-  // Nobody pops, so the batch fills the queue to capacity, blocks, and the
-  // remainder must be dropped when close() lands — exactly push()'s contract.
-  const std::size_t accepted = q.push_all({1, 2, 3, 4, 5});
-  closer.join();
-  EXPECT_EQ(accepted, 2u);
-  EXPECT_EQ(q.pop().value_or(-1), 1);
-  EXPECT_EQ(q.pop().value_or(-1), 2);
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(BoundedQueueTest, PopUpToDrainsInOneCallAndSignalsClose) {
-  exp::BoundedQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.push(i));
-  std::vector<int> out;
-  EXPECT_EQ(q.pop_up_to(3, out), 3u);
-  EXPECT_EQ(q.pop_up_to(10, out), 2u);  // takes what's there, not max
-  ASSERT_EQ(out.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(out[i], i);
-  q.close();
-  EXPECT_EQ(q.pop_up_to(4, out), 0u);  // closed + drained
-  const auto st = q.stats();
-  EXPECT_EQ(st.pops, 5u);
-  EXPECT_EQ(st.batch_pops, 2u);
-}
-
 TEST(BoundedQueueTest, StatsCountSkippedNotifiesAndBlockedWaits) {
   exp::BoundedQueue<int> lazy(4);
   // Uncontended hand-off: nobody is waiting, so every notify is skipped.
@@ -183,15 +133,6 @@ TEST(BoundedQueueTest, StatsCountSkippedNotifiesAndBlockedWaits) {
   EXPECT_EQ(st.pop_blocked, 0u);
   EXPECT_EQ(st.blocked_micros(), 0u);
 
-  // The same traffic on an eager_notify queue notifies unconditionally —
-  // the pre-PR behavior the engine's contention baseline measures against.
-  exp::BoundedQueue<int> eager(4, /*eager_notify=*/true);
-  ASSERT_TRUE(eager.push(1));
-  EXPECT_TRUE(eager.pop().has_value());
-  st = eager.stats();
-  EXPECT_EQ(st.notifies_sent, 2u);
-  EXPECT_EQ(st.notifies_skipped, 0u);
-
   // A consumer that really sleeps is counted, and its wakeup notify is sent.
   exp::BoundedQueue<int> blocked(4);
   std::thread consumer([&] { EXPECT_EQ(blocked.pop().value_or(-1), 7); });
@@ -201,63 +142,6 @@ TEST(BoundedQueueTest, StatsCountSkippedNotifiesAndBlockedWaits) {
   st = blocked.stats();
   EXPECT_EQ(st.pop_blocked, 1u);
   EXPECT_EQ(st.notifies_sent, 1u);  // the push that woke the sleeper
-}
-
-// Contention stress: batch producers and batch consumers hammer a tiny
-// queue; every item must come out exactly once, and the waiter-counting
-// notify discipline must not strand a sleeper (a lost wakeup hangs this
-// test, which is the regression signal).
-TEST(BoundedQueueTest, BatchOpsUnderContentionLoseNothing) {
-  constexpr int kProducers = 3;
-  constexpr int kConsumers = 3;
-  constexpr int kPerProducer = 400;
-  for (const bool eager : {false, true}) {
-    exp::BoundedQueue<int> q(2, eager);
-    std::mutex seen_mutex;
-    std::vector<int> seen;
-
-    std::vector<std::thread> threads;
-    for (int p = 0; p < kProducers; ++p) {
-      threads.emplace_back([&q, p] {
-        bits::Rng rng(1000 + p);
-        int i = 0;
-        while (i < kPerProducer) {
-          const int chunk = static_cast<int>(1 + rng.below(7));
-          std::vector<int> batch;
-          for (int k = 0; k < chunk && i < kPerProducer; ++k, ++i) {
-            batch.push_back(p * kPerProducer + i);
-          }
-          q.push_all(std::move(batch));
-        }
-      });
-    }
-    for (int c = 0; c < kConsumers; ++c) {
-      threads.emplace_back([&] {
-        std::vector<int> got;
-        while (q.pop_up_to(4, got) > 0) {
-          std::unique_lock lock(seen_mutex);
-          seen.insert(seen.end(), got.begin(), got.end());
-          got.clear();
-        }
-      });
-    }
-    for (int p = 0; p < kProducers; ++p) threads[p].join();
-    q.close();
-    for (std::size_t t = kProducers; t < threads.size(); ++t) threads[t].join();
-
-    const int total = kProducers * kPerProducer;
-    ASSERT_EQ(seen.size(), static_cast<std::size_t>(total)) << "eager=" << eager;
-    std::sort(seen.begin(), seen.end());
-    for (int i = 0; i < total; ++i) {
-      ASSERT_EQ(seen[i], i) << "eager=" << eager;  // exactly once, none lost
-    }
-    const auto st = q.stats();
-    EXPECT_EQ(st.pushes, static_cast<std::uint64_t>(total));
-    EXPECT_EQ(st.pops, static_cast<std::uint64_t>(total));
-    if (eager) {
-      EXPECT_EQ(st.notifies_skipped, 0u);
-    }
-  }
 }
 
 // Annotation-consistency hammer: stats() snapshots race full push/pop
@@ -409,6 +293,16 @@ TEST(ManifestTest, RejectsBadInput) {
   expect_error("job input=a bare\n", "unknown token");
   expect_error("job input=a name=\n", "empty value");
   expect_error("job name=x input=a\njob name=x input=b\n", "duplicate job name");
+  // Numbers are digits only and must fit their field: nothing wraps to a
+  // smaller value, and the dictionary cap is checked before anything runs.
+  expect_error("job input=a dict=4294967552\n", "bad dict");
+  expect_error("job input=a char=4294967301\n", "bad char");
+  expect_error("job input=a entry=4294967327\n", "bad entry");
+  expect_error("job input=a chunk=4294967360\n", "bad chunk");
+  expect_error("job input=a seed=-1\n", "bad seed");
+  expect_error("job input=a dict=+1024\n", "bad dict");
+  expect_error("job input=a dict=2097152\n", "exceeds the 2^20 cap");
+  expect_error("job input=a dict=4000000000\n", "exceeds the 2^20 cap");
   // The line number of the offending line is part of the message.
   expect_error("version 1\njob input=a\njob input=b container=9\n", "line 3");
 }
@@ -480,11 +374,9 @@ Manifest inline_manifest() {
   return manifest;
 }
 
-BatchResult run_with_workers(const Manifest& manifest, unsigned workers,
-                             std::size_t queue_capacity = 0) {
+BatchResult run_with_workers(const Manifest& manifest, unsigned workers) {
   EngineOptions options;
   options.workers = workers;
-  options.queue_capacity = queue_capacity;
   Engine eng(options);
   return eng.run(manifest);
 }
@@ -498,7 +390,7 @@ TEST(EngineTest, BatchIsByteIdenticalForAnyWorkerCount) {
   ASSERT_EQ(serial.ok_count(), manifest.jobs.size());
 
   for (const unsigned workers : {3u, 8u}) {
-    const BatchResult parallel = run_with_workers(manifest, workers, 2);
+    const BatchResult parallel = run_with_workers(manifest, workers);
     ASSERT_EQ(parallel.jobs.size(), serial.jobs.size());
     for (std::size_t i = 0; i < serial.jobs.size(); ++i) {
       const JobOutcome& a = serial.jobs[i];
@@ -515,27 +407,28 @@ TEST(EngineTest, BatchIsByteIdenticalForAnyWorkerCount) {
   }
 }
 
-/// contention_baseline swaps the queue/metrics discipline (eager notifies,
-/// per-item transfers, per-job registry flushes) but must never change what
-/// the batch produces — it exists so the engine bench compares like with
-/// like.
-TEST(EngineTest, ContentionBaselineModeIsByteIdentical) {
-  const Manifest manifest = inline_manifest();
-  BatchResult results[2];
-  for (const bool baseline : {false, true}) {
-    EngineOptions options;
-    options.workers = 3;
-    options.queue_capacity = 2;
-    options.contention_baseline = baseline;
-    Engine eng(options);
-    results[baseline ? 1 : 0] = eng.run(manifest);
+/// More workers than jobs: the pool starts one thread per job, and the
+/// batch commits exactly what a single worker commits.
+TEST(EngineTest, MoreWorkersThanJobsCommitsTheSameBatch) {
+  Manifest manifest = inline_manifest();
+  manifest.jobs.resize(2);
+  const BatchResult serial = run_with_workers(manifest, 1);
+  const BatchResult wide = run_with_workers(manifest, 8);
+  ASSERT_EQ(serial.ok_count(), 2u);
+  ASSERT_EQ(wide.jobs.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(wide.jobs[i].container, serial.jobs[i].container);
   }
-  ASSERT_EQ(results[0].jobs.size(), results[1].jobs.size());
-  for (std::size_t i = 0; i < results[0].jobs.size(); ++i) {
-    EXPECT_TRUE(results[1].jobs[i].status.ok());
-    EXPECT_EQ(results[0].jobs[i].container, results[1].jobs[i].container);
-  }
-  EXPECT_EQ(results[0].report(), results[1].report());
+  EXPECT_EQ(wide.report(), serial.report());
+}
+
+TEST(EngineTest, EmptyManifestReturnsNoJobs) {
+  MetricsRegistry registry;
+  Engine eng(EngineOptions{.workers = 4}, &registry);
+  const BatchResult result = eng.run(Manifest{});
+  EXPECT_TRUE(result.jobs.empty());
+  EXPECT_EQ(registry.counter("engine.runs").value(), 1u);
+  EXPECT_EQ(registry.counter("engine.jobs").value(), 0u);
 }
 
 TEST(EngineTest, WritesOutputFilesIdenticallyForAnyWorkerCount) {
@@ -675,7 +568,6 @@ TEST(EngineTest, FailFastCancelsPendingJobs) {
 
   EngineOptions options;
   options.workers = 1;
-  options.queue_capacity = 1;
   options.fail_fast = true;
   Engine eng(options);
   const BatchResult result = eng.run(manifest);
@@ -683,15 +575,13 @@ TEST(EngineTest, FailFastCancelsPendingJobs) {
   ASSERT_EQ(result.jobs.size(), manifest.jobs.size());
   EXPECT_EQ(result.failed_count(), 1u);
   EXPECT_FALSE(result.jobs[0].ok());
-  // With one worker and capacity-1 queues, most of the batch never enters
-  // the pipeline; exact counts depend on in-flight depth at failure time.
-  EXPECT_GT(result.cancelled_count(), 0u);
-  EXPECT_EQ(result.ok_count() + result.failed_count() + result.cancelled_count(),
-            result.jobs.size());
-  for (const JobOutcome& job : result.jobs) {
-    if (job.cancelled) {
-      EXPECT_FALSE(job.ok());
-    }
+  // One worker runs the jobs in manifest order, so the load failure of job
+  // 0 cancels every later job before it starts.
+  EXPECT_EQ(result.cancelled_count(), 12u);
+  EXPECT_EQ(result.ok_count(), 0u);
+  for (std::size_t i = 1; i < result.jobs.size(); ++i) {
+    EXPECT_TRUE(result.jobs[i].cancelled) << result.jobs[i].name;
+    EXPECT_FALSE(result.jobs[i].ok());
   }
 }
 
@@ -699,7 +589,6 @@ TEST(EngineTest, CommitCallbackFiresInManifestOrder) {
   const Manifest manifest = inline_manifest();
   EngineOptions options;
   options.workers = 4;
-  options.queue_capacity = 2;
   Engine eng(options);
   std::vector<std::string> committed;
   const BatchResult result =
@@ -789,7 +678,7 @@ TEST(JobRunnerTest, ProducesTheSameBytesAsABatchRun) {
     const JobOutcome outcome = run_one(runner, manifest.jobs[i]);
     ASSERT_TRUE(outcome.ok()) << outcome.status.error().describe();
     // One-at-a-time submission through the persistent pool commits the very
-    // bytes the batch pipeline committed — the service daemon's determinism
+    // bytes the batch engine committed — the service daemon's determinism
     // contract with the offline CLI.
     EXPECT_EQ(outcome.container, batch.jobs[i].container);
     EXPECT_EQ(outcome.config_summary, batch.jobs[i].config_summary);
@@ -891,6 +780,34 @@ TEST(JobRunnerTest, QueueDepthGaugeDrainsToZeroAfterStop) {
   EXPECT_EQ(runner.queue_stats().depth, 0u);
   EXPECT_GE(runner.queue_stats().max_depth, 1u);
   EXPECT_EQ(runner.in_flight(), 0u);
+}
+
+/// submit_task racing stop(): a submission that stop() refuses after it was
+/// admitted reports false, so every accepted task runs and the in-flight
+/// count returns to zero (a later drain() must not block).
+TEST(JobRunnerTest, SubmitRacingStopNeverDropsAnAcceptedTask) {
+  constexpr int kSubmitters = 3;
+  constexpr int kPerSubmitter = 200;
+  for (int round = 0; round < 200; ++round) {
+    JobRunner runner(JobRunner::Options{.workers = 2, .max_in_flight = 1024});
+    std::atomic<int> accepted{0};
+    std::atomic<int> ran{0};
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kSubmitters; ++t) {
+      submitters.emplace_back([&] {
+        for (int i = 0; i < kPerSubmitter; ++i) {
+          if (runner.submit_task([&ran] { ran.fetch_add(1); })) {
+            accepted.fetch_add(1);
+          }
+        }
+      });
+    }
+    runner.stop();
+    for (std::thread& t : submitters) t.join();
+    ASSERT_EQ(ran.load(), accepted.load()) << "round " << round;
+    ASSERT_EQ(runner.in_flight(), 0u) << "round " << round;
+    runner.drain();
+  }
 }
 
 TEST(JobRunnerTest, StopDrainsQueuedWorkAndStaysIdempotent) {

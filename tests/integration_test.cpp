@@ -4,8 +4,12 @@
 // the delivered vectors.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <filesystem>
+#include <string>
+#include <system_error>
 
 #include "atpg/atpg.h"
 #include "codec/lz77.h"
@@ -23,9 +27,14 @@ namespace {
 
 class IntegrationTest : public ::testing::Test {
  protected:
+  // ctest runs every case as its own process, possibly in parallel, so each
+  // process gets its own cache directory; removal never throws.
   static void SetUpTestSuite() {
-    dir_ = (std::filesystem::temp_directory_path() / "tdc_integration").string();
-    std::filesystem::remove_all(dir_);
+    dir_ = (std::filesystem::temp_directory_path() /
+            ("tdc_integration_" + std::to_string(::getpid())))
+               .string();
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
     ::setenv("TDC_CACHE_DIR", dir_.c_str(), 1);
     profile_ = new gen::CircuitProfile(gen::find_profile("itc_b13f"));
     prepared_ = new exp::PreparedCircuit(exp::prepare(*profile_));
@@ -34,7 +43,8 @@ class IntegrationTest : public ::testing::Test {
     delete prepared_;
     delete profile_;
     ::unsetenv("TDC_CACHE_DIR");
-    std::filesystem::remove_all(dir_);
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
   }
 
   static std::string dir_;
