@@ -17,12 +17,14 @@
 // parsing a corpus does not give it back.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bits/rng.h"
@@ -361,7 +363,9 @@ int run_path_comparison() {
                      ", \"char_bits\": " + std::to_string(kConfig.char_bits) +
                      ", \"entry_bits\": " + std::to_string(kConfig.entry_bits) +
                      ", \"simd_kernel\": \"" + bits::simd::active_kernel() +
-                     "\"},\n  \"comparisons\": [\n";
+                     "\", \"cpus\": " +
+                     std::to_string(std::max(1u, std::thread::hardware_concurrency())) +
+                     "},\n  \"comparisons\": [\n";
   std::printf("\nEncoder path comparison (chars/sec, best of 3):\n");
   std::printf("%-14s %16s %16s %9s %12s\n", "corpus", "legacy", "indexed",
               "speedup", "vs pre-PR6");

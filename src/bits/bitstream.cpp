@@ -83,9 +83,8 @@ void BitReader::overrun(unsigned width) const {
       .raise();
 }
 
-std::uint64_t BitReader::read(unsigned width) {
+std::uint64_t BitReader::read_slow(unsigned width) {
   assert(width <= 64);
-  if (width > remaining()) overrun(width);
   const std::uint8_t* data = bytes_->data();
   std::uint64_t v = 0;
   unsigned rem = width;

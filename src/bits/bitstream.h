@@ -1,8 +1,10 @@
 #ifndef TDC_BITS_BITSTREAM_H
 #define TDC_BITS_BITSTREAM_H
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "bits/wordops.h"
@@ -104,11 +106,31 @@ class BitReader {
   /// True when every bit has been consumed.
   bool exhausted() const { return pos_ >= bit_count_; }
 
-  /// Reads the next `width` bits as an MSB-first unsigned value, one byte
-  /// chunk at a time (not per bit). Precondition: width <= 64. A read past
-  /// the end raises Error{CodeStreamTruncated} in every build, so decoders
-  /// of untrusted payloads need no bound check of their own.
-  std::uint64_t read(unsigned width);
+  /// Reads the next `width` bits as an MSB-first unsigned value.
+  /// Precondition: width <= 64. A read past the end raises
+  /// Error{CodeStreamTruncated} in every build, so decoders of untrusted
+  /// payloads need no bound check of their own.
+  ///
+  /// A read of 1..56 bits with eight bytes left in the buffer is one
+  /// big-endian 64-bit load and two shifts: the byte holding the cursor
+  /// leaves at most 7 bits to skip, so the window covers the whole field.
+  /// Wider reads and the buffer's last seven bytes take read_slow().
+  std::uint64_t read(unsigned width) {
+    if (width > remaining()) overrun(width);
+    const std::size_t byte = pos_ / 8;
+    // width - 1 wraps for width == 0, which read_slow() answers with 0.
+    if (width - 1u < 56u && byte + 8 <= bytes_->size()) {
+      std::uint64_t window = 0;
+      std::memcpy(&window, bytes_->data() + byte, sizeof window);
+      if constexpr (std::endian::native == std::endian::little) {
+        window = byteswap64(window);
+      }
+      const unsigned skip = static_cast<unsigned>(pos_ % 8);
+      pos_ += width;
+      return (window << skip) >> (64u - width);
+    }
+    return read_slow(width);
+  }
 
   /// Reads one bit; past the end it raises like read().
   bool read_bit();
@@ -119,6 +141,10 @@ class BitReader {
  private:
   /// Raises Error{CodeStreamTruncated} for a `width`-bit read at pos_.
   [[noreturn]] void overrun(unsigned width) const;
+
+  /// read() one byte chunk at a time (not per bit): the buffer tail, and
+  /// widths the window cannot hold. Precondition: width <= remaining().
+  std::uint64_t read_slow(unsigned width);
 
   const std::vector<std::uint8_t>* bytes_;
   std::size_t bit_count_;

@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "core/contracts.h"
+#include "core/error.h"
 
 namespace tdc::codec {
 
@@ -70,7 +71,17 @@ std::uint64_t read_run(bits::BitReader& r, const RleConfig& config) {
     }
     case RunCode::Fdr: {
       unsigned k = 1;
-      while (r.read_bit()) ++k;
+      while (r.read_bit()) {
+        // Group 63 already reaches lengths near 2^64; a longer prefix is
+        // corrupt input, and its 2^k base would overflow the shift.
+        if (++k == 64) {
+          Error{.kind = ErrorKind::InvalidInput,
+                .message = "FDR run prefix of 63 ones: group 64 exceeds the "
+                           "64-bit run length",
+                .bit_offset = static_cast<std::int64_t>(r.position())}
+              .raise();
+        }
+      }
       const std::uint64_t base = (1ULL << k) - 2;
       return base + r.read(k);
     }

@@ -15,14 +15,16 @@ Result<DecodeResult> decode_traced(const LzwConfig& config, Source& source,
                                    std::size_t code_count, std::uint64_t original_bits) {
   obs::TraceSpan span("lzw.decode");
   DecoderTelemetry tel;
-  Result<DecodeResult> result =
-      decode_codes(config, source, code_count, original_bits, [&tel](const CodeStep& step) {
+  SampleCounts chars(tel.expansion_chars);
+  Result<DecodeResult> result = decode_codes(
+      config, source, code_count, original_bits, [&tel, &chars](const CodeStep& step) {
         ++tel.codes_consumed;
         if (step.kind == CodeKind::KwKwK) ++tel.kwkwk_codes;
         if (step.added) ++tel.entries_added;
-        tel.expansion_chars.record(step.chars);
+        chars.record(step.chars);
       });
   if (!result.ok()) return result;
+  chars.fold();
   result.value().telemetry = std::move(tel);
   span.arg("codes", result.value().telemetry.codes_consumed);
   span.arg("output_bits", static_cast<std::uint64_t>(result.value().bits.size()));

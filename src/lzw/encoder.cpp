@@ -3,7 +3,6 @@
 #include "core/contracts.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cassert>
 
@@ -37,28 +36,16 @@ bits::TritVector prefill(const bits::TritVector& input, XAssignMode mode,
 }
 
 /// Builds the per-stream emission histograms after the loop: match lengths
-/// are counted from the already-recorded code_lengths (one array increment
-/// per code, then at most 64 O(1) add_repeated folds), code widths from the
-/// small per-width count array the emit path maintained. Equivalent to
-/// recording each sample inline — the accumulate operations commute — but
-/// keeps the full histogram update off the hot emit path (micro_codec pins
-/// the telemetry overhead under 2%).
-void fold_emit_histograms(EncodeResult& result,
-                          const std::array<std::uint64_t, 33>& width_counts) {
-  std::array<std::uint64_t, 64> len_counts{};
-  for (const std::uint32_t len : result.code_lengths) {
-    if (len < len_counts.size()) {
-      ++len_counts[len];
-    } else {
-      result.telemetry.match_chars.record(len);  // exotic config, cold
-    }
-  }
-  for (std::size_t len = 0; len < len_counts.size(); ++len) {
-    result.telemetry.match_chars.record_repeated(len, len_counts[len]);
-  }
-  for (std::size_t w = 0; w < width_counts.size(); ++w) {
-    result.telemetry.code_width_bits.record_repeated(w, width_counts[w]);
-  }
+/// are counted from the already-recorded code_lengths, code widths were
+/// counted by the emit path; both fold in with one record_repeated per
+/// value. Equivalent to recording each sample inline, but keeps the full
+/// histogram update off the hot emit path (micro_codec pins the telemetry
+/// overhead under 2%).
+void fold_emit_histograms(EncodeResult& result, SampleCounts& widths) {
+  SampleCounts lengths(result.telemetry.match_chars);
+  for (const std::uint32_t len : result.code_lengths) lengths.record(len);
+  lengths.fold();
+  widths.fold();
 }
 
 }  // namespace
@@ -282,12 +269,11 @@ EncodeResult Encoder::encode_indexed(const bits::TritVector& input,
   // register increment folded into the pick arm whose pick_indexed call
   // dwarfs it (micro_codec pins the total overhead under 2%).
   std::uint64_t n_probes_scan = 0, n_x_zeroed = 0;
-  // Per-emit histogram samples are counted into this plain array (one
-  // increment each — code widths never exceed 32 bits) and folded into the
-  // code_width_bits histogram after the loop with add_repeated(); a full
+  // Per-emit code widths are counted (one array increment each) and
+  // folded into the code_width_bits histogram after the loop; a full
   // histogram add per emission is measurable in micro_codec. match_chars is
   // rebuilt from result.code_lengths the same way.
-  std::array<std::uint64_t, 33> width_counts{};
+  SampleCounts widths(result.telemetry.code_width_bits);
   std::uint32_t width_basis = dict.size();
   auto emit = [&](std::uint32_t code) {
     result.codes.push_back(code);
@@ -300,7 +286,7 @@ EncodeResult Encoder::encode_indexed(const bits::TritVector& input,
                        fixed_width)
             : fixed_width;
     result.stream.write(code, width);
-    ++width_counts[width];
+    widths.record(width);
     result.longest_match_bits =
         std::max(result.longest_match_bits, dict.length_bits(code));
   };
@@ -385,7 +371,7 @@ EncodeResult Encoder::encode_indexed(const bits::TritVector& input,
   tel.x_bits_matched = tel.x_bits_input - n_x_zeroed;
   tel.entries_added = dict.size() - initial_codes;
   tel.dict_full_events = !initially_full && dict.full() ? 1 : 0;
-  fold_emit_histograms(result, width_counts);
+  fold_emit_histograms(result, widths);
 
   result.dict_codes_used = dict.size();
   result.longest_entry_bits = dict.longest_entry_bits();
@@ -423,7 +409,7 @@ EncodeResult Encoder::encode_legacy(const bits::TritVector& input,
   // legacy probe is a scan, so not even a probe counter is needed — the
   // X-bit split is counted in the cold init/emit branches alone.
   std::uint64_t n_x_zeroed = 0;
-  std::array<std::uint64_t, 33> width_counts{};
+  SampleCounts widths(result.telemetry.code_width_bits);
   std::uint32_t width_basis = dict.size();
   auto emit = [&](std::uint32_t code) {
     result.codes.push_back(code);
@@ -438,7 +424,7 @@ EncodeResult Encoder::encode_legacy(const bits::TritVector& input,
     for (std::uint32_t b = width; b-- > 0;) {
       result.stream.write_bit(((code >> b) & 1u) != 0);
     }
-    ++width_counts[width];
+    widths.record(width);
     result.longest_match_bits =
         std::max(result.longest_match_bits, dict.length_bits(code));
   };
@@ -490,7 +476,7 @@ EncodeResult Encoder::encode_legacy(const bits::TritVector& input,
   tel.x_bits_matched = tel.x_bits_input - n_x_zeroed;
   tel.entries_added = dict.size() - initial_codes;
   tel.dict_full_events = !initially_full && dict.full() ? 1 : 0;
-  fold_emit_histograms(result, width_counts);
+  fold_emit_histograms(result, widths);
 
   result.dict_codes_used = dict.size();
   result.longest_entry_bits = dict.longest_entry_bits();

@@ -1,12 +1,45 @@
 #ifndef TDC_LZW_TELEMETRY_H
 #define TDC_LZW_TELEMETRY_H
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 #include "obs/metrics.h"
 
 namespace tdc::lzw {
+
+/// Hot-loop front end of a LocalHistogram: a sample below 64 is one
+/// increment of a plain array, a larger (exotic) one goes straight to the
+/// histogram, and fold() adds each counted value with one record_repeated.
+/// The histogram ends exactly as if every sample had been recorded (its
+/// accumulate operations commute), without a full histogram add per code
+/// on the encoder's emit path or the decode core's per-code path.
+class SampleCounts {
+ public:
+  explicit SampleCounts(obs::LocalHistogram& target) : target_(target) {}
+
+  void record(std::uint64_t value) {
+    if (value < counts_.size()) {
+      ++counts_[value];
+    } else {
+      target_.record(value);
+    }
+  }
+
+  /// Moves the counted samples into the histogram.
+  void fold() {
+    for (std::size_t v = 0; v < counts_.size(); ++v) {
+      target_.record_repeated(v, counts_[v]);
+    }
+    counts_ = {};
+  }
+
+ private:
+  obs::LocalHistogram& target_;
+  std::array<std::uint64_t, 64> counts_{};
+};
 
 /// Per-stream encoder telemetry, accumulated inline in the compression loop.
 /// Every field is a plain integer or an unsynchronized obs::LocalHistogram —

@@ -763,6 +763,47 @@ TEST(BitstreamTest, PropertyChunkedReadMatchesBitSerialReference) {
   }
 }
 
+// Property: the windowed read (one 64-bit load while eight bytes remain)
+// equals a per-bit reference at every buffer length 0-17 bytes, every
+// start offset and every width 1-64, so the window, the byte-loop tail and
+// the switch between them all agree; a read past bit_count raises
+// CodeStreamTruncated at the start offset and consumes nothing.
+TEST(BitstreamTest, PropertyWindowedReadMatchesPerBitReference) {
+  Rng rng(503);
+  for (std::size_t len = 0; len <= 17; ++len) {
+    std::vector<std::uint8_t> bytes(len);  // exact size: no slack to read
+    for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+    for (const std::size_t bit_count : {8 * len, 8 * len - std::min<std::size_t>(len, 5)}) {
+      for (std::size_t start = 0; start <= bit_count; ++start) {
+        for (unsigned width = 1; width <= 64; ++width) {
+          BitReader r(bytes, bit_count);
+          for (std::size_t i = 0; i < start; ++i) r.read_bit();
+          if (start + width <= bit_count) {
+            std::uint64_t expect = 0;
+            for (std::size_t i = start; i < start + width; ++i) {
+              expect = (expect << 1) | ((bytes[i / 8] >> (7 - i % 8)) & 1u);
+            }
+            ASSERT_EQ(r.read(width), expect)
+                << "len " << len << " bits " << bit_count << " start " << start
+                << " width " << width;
+            ASSERT_EQ(r.position(), start + width);
+          } else {
+            try {
+              r.read(width);
+              FAIL() << "read past bit_count did not raise: len " << len << " start "
+                     << start << " width " << width;
+            } catch (const TdcErrorBase& e) {
+              ASSERT_EQ(e.error().kind, ErrorKind::CodeStreamTruncated);
+              ASSERT_EQ(e.error().bit_offset, static_cast<std::int64_t>(start));
+            }
+            ASSERT_EQ(r.position(), start);
+          }
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------ SIMD kernels
 
 // Property: whatever active_kernel() dispatched to (avx2 on capable hosts,

@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "bits/rng.h"
 #include "codec/codec.h"
 #include "codec/select.h"
+#include "lzw/stream_io.h"
 
 namespace tdc::codec {
 namespace {
@@ -187,6 +190,36 @@ TEST(CodecV2Test, LzwPayloadDictionaryAboveTheCapIsInvalidInput) {
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.error().kind, ErrorKind::InvalidInput);
   EXPECT_NE(decoded.error().message.find("2^20"), std::string::npos);
+}
+
+TEST(CodecV2Test, FdrRunPrefixPastGroup63IsInvalidInput) {
+  // A CRC-valid v3 image whose RLE record uses the FDR run code (run_code 1)
+  // and opens with 71 one-bits: the group index k would reach 72, and 2^k
+  // does not fit the 64-bit run length. The decoder must answer with a
+  // typed InvalidInput, not shift past the word.
+  std::vector<std::uint8_t> payload;
+  const auto put_le = [&payload](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) payload.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  put_le(1, 4);   // run_code: FDR
+  put_le(0, 4);   // golomb_m (unused by FDR)
+  put_le(80, 8);  // stream bit count
+  for (int i = 0; i < 8; ++i) payload.push_back(0xFF);  // 64 ones
+  payload.push_back(0xFE);                               // 7 more, then a 0
+  payload.push_back(0x00);
+  lzw::ChunkRecord record;
+  record.codec_id = static_cast<std::uint8_t>(CodecId::Rle);
+  record.original_trits = 100;
+  record.payload = payload;
+  std::ostringstream out(std::ios::binary);
+  lzw::write_image_v3(out, lzw::LzwConfig{}, 100, 4096, {record});
+  std::istringstream in(std::move(out).str(), std::ios::binary);
+  const Result<lzw::CompressedImage> image = lzw::try_read_image(in);
+  ASSERT_TRUE(image.ok()) << image.error().describe();
+  const Result<TritVector> decoded = decode_image(image.value());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().kind, ErrorKind::InvalidInput) << decoded.error().describe();
+  EXPECT_NE(decoded.error().message.find("FDR"), std::string::npos);
 }
 
 TEST(SelectTest, ParseCodecModeAcceptsTokensAndModes) {

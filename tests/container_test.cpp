@@ -18,7 +18,9 @@
 #include "container_golden.h"
 #include "core/crc32.h"
 #include "core/error.h"
+#include "lzw/decode_core.h"
 #include "lzw/decoder.h"
+#include "lzw/encoder.h"
 #include "lzw/stream_io.h"
 
 namespace tdc {
@@ -50,6 +52,40 @@ std::string read_file(const std::string& path) {
 
 std::string data_path(const std::string& name) {
   return std::string(TDC_TEST_DATA_DIR) + "/" + name;
+}
+
+// ------------------------------------------------------------------- CRC32
+
+/// Bit-at-a-time CRC-32 (reflected 0xEDB88320): the definition the sliced
+/// table implementation must reproduce.
+std::uint32_t crc32_bitwise(const std::uint8_t* p, std::size_t n, std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, SlicedMatchesBitwiseAtEveryLengthAndAlignment) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(check.data(), check.size()), 0xCBF43926u);
+
+  bits::Rng rng(0xc4c32u);
+  std::vector<std::uint8_t> buf(64 + 8);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::uint8_t* p = buf.data() + offset;
+      const std::uint32_t expect = crc32_bitwise(p, len, 0);
+      ASSERT_EQ(crc32(p, len), expect) << "offset " << offset << " len " << len;
+      // Chaining through any split point gives the one-shot value.
+      for (std::size_t split = 0; split <= len; ++split) {
+        ASSERT_EQ(crc32(p + split, len - split, crc32(p, split)), expect)
+            << "offset " << offset << " len " << len << " split " << split;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------- round trips
@@ -319,6 +355,111 @@ TEST(DecodePosition, UndefinedCodeReportsItsIndex) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().kind, ErrorKind::UndefinedCode);
   EXPECT_EQ(r.error().code_index, 2);
+}
+
+/// A stream whose dictionary freezes early: N = 160 leaves 32 entries after
+/// the 128 literals, and C_MDATA = 63 lets every entry fit one table word,
+/// so most codes run through the decode core's frozen phase. Codes are
+/// 8 bits wide, so values in [160, 256) are encodable but undefined.
+EncodeResult frozen_stream() {
+  const lzw::LzwConfig config{.dict_size = 160, .char_bits = 7, .entry_bits = 63};
+  bits::Rng rng(16);
+  bits::TritVector input(4000);
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    if (!rng.chance(0.5)) input.set(i, rng.bit() ? bits::Trit::One : bits::Trit::Zero);
+  }
+  EncodeResult encoded = lzw::Encoder(config).encode(input);
+  EXPECT_EQ(encoded.telemetry.dict_full_events, 1u);
+  return encoded;
+}
+
+TEST(DecodePosition, UndefinedCodeAfterTheFreezeReportsItsIndex) {
+  const EncodeResult encoded = frozen_stream();
+  const lzw::LzwConfig& config = encoded.config;
+  const std::size_t bad = encoded.codes.size() - 10;
+  // The dictionary is already full before code `bad`.
+  const std::vector<std::uint32_t> head(encoded.codes.begin(), encoded.codes.begin() + bad);
+  EXPECT_EQ(lzw::Decoder(config).decode(head, 0).dict_codes_used, config.dict_size);
+
+  std::vector<std::uint32_t> codes = encoded.codes;
+  codes[bad] = 200;
+  bits::BitWriter stream;
+  for (const std::uint32_t code : codes) stream.write(code, config.code_bits());
+  bits::BitReader reader(stream);
+  const Result<lzw::DecodeResult> from_stream = lzw::Decoder(config).try_decode_stream(
+      reader, codes.size(), encoded.original_bits);
+  const Result<lzw::DecodeResult> from_list =
+      lzw::Decoder(config).try_decode(codes, encoded.original_bits);
+  for (const auto* r : {&from_stream, &from_list}) {
+    ASSERT_FALSE(r->ok());
+    EXPECT_EQ(r->error().kind, ErrorKind::UndefinedCode);
+    EXPECT_EQ(r->error().code_index, static_cast<std::int64_t>(bad));
+    EXPECT_NE(r->error().message.find(
+                  "code value 200 undefined (dictionary holds 160 codes"),
+              std::string::npos)
+        << r->error().message;
+  }
+  EXPECT_EQ(from_stream.error().bit_offset, static_cast<std::int64_t>(bad * 8));
+  EXPECT_EQ(from_list.error().bit_offset, -1);
+}
+
+TEST(DecodePosition, NoCodeSentinelAfterTheFreezeIsUndefined) {
+  // 0xFFFFFFFF equals kNoCode, which Dictionary::next_code() returns once
+  // the dictionary is full. In a code list it must not pass for the KwKwK
+  // code, whether the frozen table (60-bit entries) or the offset copies
+  // (65-bit entries) serve the codes after the freeze. Literals that never
+  // repeat back to back leave every (p, p) entry undefined, so the last
+  // literal before the sentinel meets the rest of the KwKwK test.
+  bits::Rng rng(0x5e47u);
+  std::vector<std::uint32_t> codes{0};
+  while (codes.size() < 300) {
+    const auto c = static_cast<std::uint32_t>(rng.below(32));
+    if (c != codes.back()) codes.push_back(c);
+  }
+  const std::vector<std::uint32_t> head = codes;
+  codes.push_back(0xFFFFFFFFu);
+  for (const lzw::LzwConfig& config :
+       {lzw::LzwConfig{.dict_size = 160, .char_bits = 5, .entry_bits = 63},
+        lzw::LzwConfig{.dict_size = 160, .char_bits = 5, .entry_bits = 65}}) {
+    SCOPED_TRACE(config.describe());
+    EXPECT_EQ(lzw::Decoder(config).decode(head, 0).dict_codes_used, config.dict_size);
+    const Result<lzw::DecodeResult> r = lzw::Decoder(config).try_decode(codes, 0);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().kind, ErrorKind::UndefinedCode);
+    EXPECT_EQ(r.error().code_index, 300);
+  }
+}
+
+TEST(DecodePosition, TruncationAfterTheFreezeReportsWhereItEnded) {
+  const EncodeResult encoded = frozen_stream();
+  const lzw::LzwConfig& config = encoded.config;
+  const std::size_t cut = encoded.codes.size() - 10;
+  const std::string message = "payload ends inside code " + std::to_string(cut) + " of " +
+                              std::to_string(encoded.codes.size()) + " (8 bits needed)";
+
+  // Packed stream: the first `cut` codes and three bits of the next.
+  bits::BitWriter short_stream =
+      bits::BitWriter::from_bytes(encoded.stream.bytes().data(), cut * 8 + 3);
+  bits::BitReader reader(short_stream);
+  const Result<lzw::DecodeResult> from_stream = lzw::Decoder(config).try_decode_stream(
+      reader, encoded.codes.size(), encoded.original_bits);
+  ASSERT_FALSE(from_stream.ok());
+  EXPECT_EQ(from_stream.error().kind, ErrorKind::CodeStreamTruncated);
+  EXPECT_EQ(from_stream.error().code_index, static_cast<std::int64_t>(cut));
+  EXPECT_EQ(from_stream.error().bit_offset, static_cast<std::int64_t>(cut * 8));
+  EXPECT_EQ(from_stream.error().message, message);
+
+  // Code list: only the first `cut` codes, all of them demanded.
+  const std::vector<std::uint32_t> head(encoded.codes.begin(), encoded.codes.begin() + cut);
+  lzw::ListCodes source{.codes = head};
+  const Result<lzw::DecodeResult> from_list =
+      lzw::decode_codes(config, source, encoded.codes.size(), encoded.original_bits,
+                        [](const lzw::CodeStep&) {});
+  ASSERT_FALSE(from_list.ok());
+  EXPECT_EQ(from_list.error().kind, ErrorKind::CodeStreamTruncated);
+  EXPECT_EQ(from_list.error().code_index, static_cast<std::int64_t>(cut));
+  EXPECT_EQ(from_list.error().bit_offset, -1);
+  EXPECT_EQ(from_list.error().message, message);
 }
 
 }  // namespace

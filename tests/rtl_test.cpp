@@ -96,12 +96,23 @@ TEST_P(RtlAgreement, CycleExactAndBitExact) {
 /// Geometries the paper-default case above never reaches, each chosen for
 /// a decode-core path: expansion copies spanning several 64-bit words at
 /// unaligned offsets, KwKwK chains, 16-bit characters, growing code widths
-/// and a dictionary that freezes mid-stream.
+/// and dictionaries that freeze mid-stream — served from the frozen word
+/// table when an entry fits 64 bits, from output offsets when it does not.
 struct CoreCase {
   std::string name;
   lzw::LzwConfig config;
   TritVector input;
+  /// When nonzero, the stream claims only this many original bits, so the
+  /// output is complete long before the last code (and the freeze).
+  std::uint64_t keep_bits = 0;
 };
+
+/// The case's encoder result, its original length cut to keep_bits.
+lzw::EncodeResult encode(const CoreCase& c) {
+  lzw::EncodeResult encoded = lzw::Encoder(c.config).encode(c.input);
+  if (c.keep_bits != 0) encoded.original_bits = c.keep_bits;
+  return encoded;
+}
 
 std::vector<CoreCase> core_cases() {
   std::vector<CoreCase> cases;
@@ -125,6 +136,22 @@ std::vector<CoreCase> core_cases() {
                    random_cube(12000, 0.85, 15)});
   cases.push_back({"dictionary_freezes", {.dict_size = 160, .char_bits = 7, .entry_bits = 63},
                    random_cube(10000, 0.5, 16)});
+  // 8 characters of 8 bits: a longest entry fills its table word exactly.
+  cases.push_back({"freezes_entry_is_one_word",
+                   {.dict_size = 512, .char_bits = 8, .entry_bits = 64},
+                   random_cube(40000, 0.9, 17)});
+  cases.push_back({"freezes_variable_width",
+                   {.dict_size = 256, .char_bits = 4, .entry_bits = 40,
+                    .variable_width = true},
+                   random_cube(12000, 0.7, 18)});
+  // 13 characters of 5 bits: 65-bit entries keep the offset copies after
+  // the freeze.
+  cases.push_back({"freezes_entry_bits_65",
+                   {.dict_size = 160, .char_bits = 5, .entry_bits = 65},
+                   random_cube(32000, 0.97, 19)});
+  cases.push_back({"original_bits_reached_before_freeze",
+                   {.dict_size = 160, .char_bits = 7, .entry_bits = 63},
+                   random_cube(10000, 0.5, 20), 70});
   return cases;
 }
 
@@ -132,11 +159,14 @@ TEST_P(RtlAgreement, DecodeCoreConfigsCycleExactAndBitExact) {
   const std::uint32_t k = GetParam();
   for (const CoreCase& c : core_cases()) {
     SCOPED_TRACE(c.name);
-    const auto encoded = lzw::Encoder(c.config).encode(c.input);
-    const HwConfig hc{.lzw = c.config, .clock_ratio = k};
+    const auto encoded = encode(c);
+    // Unequal read, load and write costs make each step's kind and its
+    // dictionary write show in the cycle count.
+    const HwConfig hc{.lzw = c.config, .clock_ratio = k, .mem_read_cycles = 3,
+                      .mem_write_cycles = 9};
     const auto event = DecompressorModel(hc).run(encoded);
     expect_same_run(DecompressorRtl(hc).run(encoded), event);
-    EXPECT_TRUE(c.input.covered_by(event.scan_bits));
+    EXPECT_TRUE(c.input.slice(0, encoded.original_bits).covered_by(event.scan_bits));
   }
 }
 
@@ -146,8 +176,9 @@ INSTANTIATE_TEST_SUITE_P(ClockRatios, RtlAgreement, ::testing::Values(1u, 2u, 4u
 TEST(RtlTest, DecodeCoreCasesReachTheirPaths) {
   for (const CoreCase& c : core_cases()) {
     SCOPED_TRACE(c.name);
-    const auto encoded = lzw::Encoder(c.config).encode(c.input);
+    const auto encoded = encode(c);
     const auto decoded = lzw::Decoder(c.config).decode(encoded.codes, encoded.original_bits);
+    EXPECT_EQ(decoded.telemetry.codes_consumed, encoded.codes.size());
     if (c.config.entry_bits > 64) {
       EXPECT_GT(encoded.longest_entry_bits, 64u);
     }
@@ -155,9 +186,25 @@ TEST(RtlTest, DecodeCoreCasesReachTheirPaths) {
       EXPECT_GT(decoded.telemetry.kwkwk_codes, 100u);
       EXPECT_GT(decoded.telemetry.expansion_chars.snapshot().max, 64u);
     }
-    if (c.name == "dictionary_freezes") {
+    const std::uint32_t entries = c.config.dict_size - c.config.first_code();
+    if (c.name == "dictionary_freezes" || c.name.starts_with("freezes_") ||
+        c.keep_bits != 0) {
+      // Most codes come after the freeze.
       EXPECT_EQ(encoded.telemetry.dict_full_events, 1u);
-      EXPECT_GT(encoded.codes.size(), 4 * (c.config.dict_size - c.config.first_code()));
+      EXPECT_EQ(decoded.dict_codes_used, c.config.dict_size);
+      EXPECT_GT(encoded.codes.size(), 4 * entries);
+    }
+    if (c.config.entry_bits == 64 && c.config.char_bits == 8) {
+      EXPECT_EQ(encoded.longest_entry_bits, 64u);
+    }
+    if (c.keep_bits != 0) {
+      // The first `entries` codes alone already expand past keep_bits.
+      std::uint64_t bits_before_freeze = 0;
+      for (std::uint32_t i = 0; i < entries; ++i) {
+        bits_before_freeze += std::uint64_t{encoded.code_lengths[i]} * c.config.char_bits;
+      }
+      EXPECT_GT(bits_before_freeze, c.keep_bits);
+      EXPECT_EQ(decoded.bits.size(), c.keep_bits);
     }
   }
 }
