@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "bits/bitstream.h"
+#include "bits/wire.h"
 #include "core/contracts.h"
 
 namespace tdc::codec {
@@ -16,39 +17,6 @@ namespace {
 constexpr std::uint32_t kMinBlockBytes = 16;
 constexpr std::uint32_t kMaxBlockBytes = 1u << 24;
 constexpr std::uint64_t kMaxPackedBytes = 1ull << 32;
-
-// ------------------------------------------------------------- wire helpers
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-struct Cursor {
-  const std::vector<std::uint8_t>& bytes;
-  std::size_t pos = 0;
-
-  bool get_u32(std::uint32_t& v) {
-    if (bytes.size() - pos < 4) return false;
-    v = 0;
-    for (int i = 3; i >= 0; --i) v = (v << 8) | bytes[pos + static_cast<std::size_t>(i)];
-    pos += 4;
-    return true;
-  }
-
-  bool get_u64(std::uint64_t& v) {
-    if (bytes.size() - pos < 8) return false;
-    v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | bytes[pos + static_cast<std::size_t>(i)];
-    pos += 8;
-    return true;
-  }
-
-  bool exhausted() const { return pos == bytes.size(); }
-};
 
 Error malformed(const std::string& what) {
   return Error{ErrorKind::InvalidInput, "BWT: malformed chunk payload: " + what};
@@ -231,29 +199,17 @@ BwtResult bwt_mtf_huffman_encode(const bits::TritVector& input,
   BwtResult result;
   result.config = config;
   result.original_bits = input.size();
-  put_u32(result.payload, config.block_bytes);
-  put_u64(result.payload, packed.size());
-  put_u32(result.payload, block_count);
-  for (const std::uint32_t p : primaries) put_u32(result.payload, p);
-  put_u32(result.payload, coded.config.block_bits);
-  put_u32(result.payload, coded.config.codebook_size);
-  put_u32(result.payload, static_cast<std::uint32_t>(coded.codebook.size()));
-  put_u32(result.payload, coded.escape_code);
-  put_u32(result.payload, coded.escape_len);
-  for (const HuffmanEntry& e : coded.codebook) {
-    put_u64(result.payload, e.pattern);
-    put_u32(result.payload, e.code);
-    put_u32(result.payload, e.code_len);
-  }
-  put_u64(result.payload, coded.stream.bit_count());
-  const auto& stream_bytes = coded.stream.bytes();
-  result.payload.insert(result.payload.end(), stream_bytes.begin(), stream_bytes.end());
+  bits::put_u32(result.payload, config.block_bytes);
+  bits::put_u64(result.payload, packed.size());
+  bits::put_u32(result.payload, block_count);
+  for (const std::uint32_t p : primaries) bits::put_u32(result.payload, p);
+  put_huffman_section(result.payload, coded);
   return result;
 }
 
 Result<bits::TritVector> bwt_mtf_huffman_decode(
     const std::vector<std::uint8_t>& payload, std::uint64_t trit_count) {
-  Cursor cur{payload};
+  bits::ByteCursor cur{payload};
   std::uint32_t block_bytes = 0;
   std::uint64_t packed_bytes = 0;
   std::uint32_t block_count = 0;
@@ -277,33 +233,12 @@ Result<bits::TritVector> bwt_mtf_huffman_decode(
   }
 
   HuffmanResult coded;
-  std::uint32_t entry_count = 0;
-  if (!cur.get_u32(coded.config.block_bits) || !cur.get_u32(coded.config.codebook_size) ||
-      !cur.get_u32(entry_count) || !cur.get_u32(coded.escape_code) ||
-      !cur.get_u32(coded.escape_len)) {
-    return malformed("truncated Huffman header");
+  if (std::string why = get_huffman_section(cur, coded); !why.empty()) {
+    return malformed(why);
   }
-  if (coded.config.block_bits != 8 || entry_count > (1u << 16) ||
-      coded.escape_len > 32) {
-    return malformed("implausible Huffman geometry");
+  if (coded.config.block_bits != 8) {
+    return malformed("the MTF stream is not coded in 8-bit blocks");
   }
-  coded.codebook.resize(entry_count);
-  for (HuffmanEntry& e : coded.codebook) {
-    if (!cur.get_u64(e.pattern) || !cur.get_u32(e.code) || !cur.get_u32(e.code_len)) {
-      return malformed("truncated codebook entry");
-    }
-    if (e.code_len < 1 || e.code_len > 32) {
-      return malformed("codebook code length out of range");
-    }
-  }
-  std::uint64_t stream_bits = 0;
-  if (!cur.get_u64(stream_bits)) return malformed("truncated stream header");
-  const std::uint64_t stream_bytes = (stream_bits + 7) / 8;
-  if (payload.size() - cur.pos != stream_bytes) {
-    return malformed("stream byte count does not match the payload");
-  }
-  coded.stream = bits::BitWriter::from_bytes(payload.data() + cur.pos,
-                                             static_cast<std::size_t>(stream_bits));
   coded.original_bits = packed_bytes * 8;
 
   bits::TritVector mtf_trits;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "bits/bitstream.h"
+#include "bits/wire.h"
 #include "codec/bwt.h"
 #include "lzw/decoder.h"
 #include "obs/trace.h"
@@ -71,60 +72,13 @@ Result<T> guarded(const Fn& fn) {
 // Every chunk payload is self-contained: the fields the decoder needs
 // (per-codec configuration, codebooks, bit counts) ride in-band, so the
 // canonical registry instance for a codec id can expand any chunk
-// regardless of the encode-time parameterization. Integers little-endian;
-// bit streams are BitWriter images (MSB-first within bytes).
+// regardless of the encode-time parameterization. The byte layout is
+// bits/wire.h's.
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-void put_stream(std::vector<std::uint8_t>& out, const bits::BitWriter& stream) {
-  put_u64(out, stream.bit_count());
-  const auto& bytes = stream.bytes();
-  out.insert(out.end(), bytes.begin(), bytes.end());
-}
-
-/// Bounds-checked reads over an untrusted chunk payload. Every getter
-/// returns false once the payload is exhausted; `error()` renders the
-/// typed InvalidInput the decode entry points report.
-struct PayloadCursor {
-  const std::vector<std::uint8_t>& bytes;
-  std::size_t pos = 0;
-
-  bool get_u32(std::uint32_t& v) {
-    if (bytes.size() - pos < 4) return false;
-    v = 0;
-    for (int i = 3; i >= 0; --i) v = (v << 8) | bytes[pos + static_cast<std::size_t>(i)];
-    pos += 4;
-    return true;
-  }
-
-  bool get_u64(std::uint64_t& v) {
-    if (bytes.size() - pos < 8) return false;
-    v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | bytes[pos + static_cast<std::size_t>(i)];
-    pos += 8;
-    return true;
-  }
-
-  /// Reads a bit-stream image: u64 bit count + ceil(count / 8) bytes.
-  bool get_stream(bits::BitWriter& stream) {
-    std::uint64_t bit_count = 0;
-    if (!get_u64(bit_count)) return false;
-    const std::uint64_t byte_count = (bit_count + 7) / 8;
-    if (bytes.size() - pos < byte_count) return false;
-    stream = bits::BitWriter::from_bytes(bytes.data() + pos,
-                                         static_cast<std::size_t>(bit_count));
-    pos += static_cast<std::size_t>(byte_count);
-    return true;
-  }
-
-  bool exhausted() const { return pos == bytes.size(); }
-};
+using bits::ByteCursor;
+using bits::put_stream;
+using bits::put_u32;
+using bits::put_u64;
 
 Error malformed(const std::string& codec, const std::string& what) {
   return Error{ErrorKind::InvalidInput, codec + ": malformed chunk payload: " + what};
@@ -139,7 +93,6 @@ class LzwCodec final : public Codec {
 
   std::string name() const override { return label_; }
   CodecId id() const override { return CodecId::Lzw; }
-  CodecCaps caps() const override { return CodecCaps{true, false, true}; }
 
   /// Model: dynamic X assignment folds don't-cares into matches, so the
   /// code stream scales with the specified information plus a per-trit
@@ -168,7 +121,7 @@ class LzwCodec final : public Codec {
 
   Result<bits::TritVector> decompress_chunk(const std::vector<std::uint8_t>& payload,
                                             std::uint64_t trit_count) const override {
-    PayloadCursor cur{payload};
+    ByteCursor cur{payload};
     lzw::LzwConfig config;
     std::uint32_t flags = 0;
     std::uint64_t code_count = 0;
@@ -205,7 +158,6 @@ class Lz77Codec final : public Codec {
 
   std::string name() const override { return label_; }
   CodecId id() const override { return CodecId::Lz77; }
-  CodecCaps caps() const override { return CodecCaps{true, false, true}; }
 
   /// Model: literals dominate high-entropy chunks (2 bits each), matches
   /// absorb the rest at roughly one token per window-worth of repetition.
@@ -230,7 +182,7 @@ class Lz77Codec final : public Codec {
 
   Result<bits::TritVector> decompress_chunk(const std::vector<std::uint8_t>& payload,
                                             std::uint64_t trit_count) const override {
-    PayloadCursor cur{payload};
+    ByteCursor cur{payload};
     Lz77Config config;
     bits::BitWriter stream;
     if (!cur.get_u32(config.window_bits) || !cur.get_u32(config.length_bits) ||
@@ -264,7 +216,7 @@ CompressedChunk pack_rle(const RleResult& encoded, const std::string& label) {
 
 Result<bits::TritVector> unpack_rle(const std::vector<std::uint8_t>& payload,
                                     std::uint64_t trit_count, const std::string& label) {
-  PayloadCursor cur{payload};
+  ByteCursor cur{payload};
   std::uint32_t run_code = 0;
   RleConfig config;
   bits::BitWriter stream;
@@ -303,7 +255,6 @@ class AlternatingRleCodec final : public Codec {
 
   std::string name() const override { return label_; }
   CodecId id() const override { return CodecId::Rle; }
-  CodecCaps caps() const override { return CodecCaps{true, false, true}; }
   std::uint64_t estimate_bits(const ChunkFeatures& f) const override {
     return estimate_rle_bits(f);
   }
@@ -330,7 +281,6 @@ class BestRleCodec final : public Codec {
 
   std::string name() const override { return label_; }
   CodecId id() const override { return CodecId::Rle; }
-  CodecCaps caps() const override { return CodecCaps{true, false, true}; }
   std::uint64_t estimate_bits(const ChunkFeatures& f) const override {
     return estimate_rle_bits(f);
   }
@@ -357,7 +307,6 @@ class HuffmanCodec final : public Codec {
 
   std::string name() const override { return label_; }
   CodecId id() const override { return CodecId::Huffman; }
-  CodecCaps caps() const override { return CodecCaps{true, false, true}; }
 
   /// Model: a coded block costs a few prefix bits, an escaped block the
   /// prefix plus its raw bits; the escape fraction tracks the entropy.
@@ -377,48 +326,20 @@ class HuffmanCodec final : public Codec {
       // Paper accounting: the codebook is configurator state, out-of-band;
       // the wire payload below carries it in-band regardless.
       out.stats = CodecStats{label_, encoded.original_bits, encoded.stream.bit_count()};
-      put_u32(out.payload, encoded.config.block_bits);
-      put_u32(out.payload, encoded.config.codebook_size);
-      put_u32(out.payload, static_cast<std::uint32_t>(encoded.codebook.size()));
-      put_u32(out.payload, encoded.escape_code);
-      put_u32(out.payload, encoded.escape_len);
-      for (const HuffmanEntry& e : encoded.codebook) {
-        put_u64(out.payload, e.pattern);
-        put_u32(out.payload, e.code);
-        put_u32(out.payload, e.code_len);
-      }
-      put_stream(out.payload, encoded.stream);
+      put_huffman_section(out.payload, encoded);
       return out;
     });
   }
 
   Result<bits::TritVector> decompress_chunk(const std::vector<std::uint8_t>& payload,
                                             std::uint64_t trit_count) const override {
-    PayloadCursor cur{payload};
+    ByteCursor cur{payload};
     HuffmanResult encoded;
-    std::uint32_t entry_count = 0;
-    if (!cur.get_u32(encoded.config.block_bits) ||
-        !cur.get_u32(encoded.config.codebook_size) || !cur.get_u32(entry_count) ||
-        !cur.get_u32(encoded.escape_code) || !cur.get_u32(encoded.escape_len)) {
-      return malformed(label_, "truncated Huffman header");
+    if (std::string why = get_huffman_section(cur, encoded); !why.empty()) {
+      return malformed(label_, why);
     }
     if (encoded.config.block_bits < 1 || encoded.config.block_bits > 64) {
       return malformed(label_, "block size out of range");
-    }
-    if (entry_count > (1u << 16) || encoded.escape_len > 32) {
-      return malformed(label_, "implausible codebook geometry");
-    }
-    encoded.codebook.resize(entry_count);
-    for (HuffmanEntry& e : encoded.codebook) {
-      if (!cur.get_u64(e.pattern) || !cur.get_u32(e.code) || !cur.get_u32(e.code_len)) {
-        return malformed(label_, "truncated codebook entry");
-      }
-      if (e.code_len < 1 || e.code_len > 32) {
-        return malformed(label_, "codebook code length out of range");
-      }
-    }
-    if (!cur.get_stream(encoded.stream) || !cur.exhausted()) {
-      return malformed(label_, "truncated Huffman stream");
     }
     encoded.original_bits = trit_count;
     return guarded<bits::TritVector>([&]() -> Result<bits::TritVector> {
@@ -439,7 +360,6 @@ class LfsrReseedCodec final : public Codec {
 
   std::string name() const override { return label_; }
   CodecId id() const override { return CodecId::LfsrReseed; }
-  CodecCaps caps() const override { return CodecCaps{true, false, true}; }
 
   /// Model: one seed per pattern, sized by the mean care count plus the
   /// auto-sizing margin — exact when every cube solves, optimistic when
@@ -493,7 +413,7 @@ class LfsrReseedCodec final : public Codec {
 
   Result<bits::TritVector> decompress_chunk(const std::vector<std::uint8_t>& payload,
                                             std::uint64_t trit_count) const override {
-    PayloadCursor cur{payload};
+    ByteCursor cur{payload};
     LfsrReseedResult encoded;
     std::uint64_t patterns = 0;
     bits::BitWriter stream;
@@ -572,8 +492,6 @@ class BwtCodec final : public Codec {
 
   std::string name() const override { return label_; }
   CodecId id() const override { return CodecId::Bwt; }
-  /// Byte-oriented: X bits are repeat-filled before packing, not exploited.
-  CodecCaps caps() const override { return CodecCaps{false, false, true}; }
 
   /// Model: BWT+MTF concentrates probability mass on low MTF ranks, so the
   /// coded size tracks the entropy with a small per-trit floor.
@@ -608,15 +526,7 @@ class BwtCodec final : public Codec {
 
 }  // namespace
 
-// ------------------------------------------------------ whole-buffer paths
-
-Result<CodecStats> Codec::compress(const bits::TritVector& input) const {
-  obs::TraceSpan span("codec.compress");
-  if (obs::TraceRecorder::global().enabled()) span.arg("codec", name());
-  Result<CompressedChunk> out = compress_chunk(input);
-  if (!out.ok()) return out.error();
-  return std::move(out).take().stats;
-}
+// ------------------------------------------------------- whole-buffer path
 
 Result<CodecStats> Codec::round_trip(const bits::TritVector& input) const {
   obs::TraceSpan span("codec.round_trip");

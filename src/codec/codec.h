@@ -61,16 +61,6 @@ Result<CodecId> parse_codec_id(const std::string& token);
 /// Comma-separated list of every registered token (diagnostics).
 std::string known_codec_names();
 
-/// What a backend can promise to the per-chunk selector.
-struct CodecCaps {
-  /// Consumes ternary input natively (X bits exploited, not just filled).
-  bool handles_x = true;
-  /// estimate_bits() is exact, not a closed-form model.
-  bool exact_estimate = false;
-  /// Chunk payloads decode independently of every other chunk.
-  bool streaming_safe = true;
-};
-
 /// Single-pass summary of a chunk, feeding every backend's cost model. The
 /// selector computes it once and asks each candidate for an estimate, so a
 /// backend must never need the chunk itself to produce one.
@@ -104,9 +94,9 @@ struct CompressedChunk {
 
 /// The unified compression-backend interface, chunk-aware (v2): every
 /// scheme in the comparison — don't-care-aware LZW, LZ77, the run-length
-/// family, selective Huffman, LFSR reseeding, BWT+MTF+Huffman — declares
-/// its capabilities, prices a chunk via `estimate_bits`, and converts
-/// chunks to and from self-contained wire payloads. Benches and tools
+/// family, selective Huffman, LFSR reseeding, BWT+MTF+Huffman — names its
+/// wire id, prices a chunk via `estimate_bits`, and converts chunks to and
+/// from self-contained wire payloads. Benches and tools
 /// iterate a registry instead of hand-calling per-codec free functions;
 /// the engine's encode stage picks a backend per chunk.
 class Codec {
@@ -119,11 +109,9 @@ class Codec {
   /// Wire identity recorded in the container's chunk records.
   virtual CodecId id() const = 0;
 
-  virtual CodecCaps caps() const = 0;
-
   /// Cheap deterministic prediction of this backend's compressed_bits for a
   /// chunk with the given features — the auto-selector's cost model. A
-  /// model, not a promise, unless caps().exact_estimate.
+  /// model, not a promise.
   virtual std::uint64_t estimate_bits(const ChunkFeatures& features) const = 0;
 
   /// Compresses one chunk into a self-contained payload. Configuration
@@ -136,14 +124,11 @@ class Codec {
   virtual Result<bits::TritVector> decompress_chunk(
       const std::vector<std::uint8_t>& payload, std::uint64_t trit_count) const = 0;
 
-  /// --- whole-buffer conveniences (one chunk spanning the input) ---------
-
-  /// Compresses `input` and reports size accounting.
-  Result<CodecStats> compress(const bits::TritVector& input) const;
+  /// --- whole-buffer convenience (one chunk spanning the input) ----------
 
   /// Compress + decompress through the wire payload + verify: the expansion
   /// must be fully specified and cover every care bit of the ternary input.
-  /// Returns the same stats as compress() when the round trip holds, a
+  /// Returns the chunk's size accounting when the round trip holds, a
   /// ConfigMismatch Error when the backend's own expansion violates the
   /// input — the invariant the whole repository is built around.
   Result<CodecStats> round_trip(const bits::TritVector& input) const;

@@ -205,4 +205,43 @@ bits::TritVector huffman_decode(const HuffmanResult& encoded) {
   return out;
 }
 
+void put_huffman_section(std::vector<std::uint8_t>& out, const HuffmanResult& coded) {
+  bits::put_u32(out, coded.config.block_bits);
+  bits::put_u32(out, coded.config.codebook_size);
+  bits::put_u32(out, static_cast<std::uint32_t>(coded.codebook.size()));
+  bits::put_u32(out, coded.escape_code);
+  bits::put_u32(out, coded.escape_len);
+  for (const HuffmanEntry& e : coded.codebook) {
+    bits::put_u64(out, e.pattern);
+    bits::put_u32(out, e.code);
+    bits::put_u32(out, e.code_len);
+  }
+  bits::put_stream(out, coded.stream);
+}
+
+std::string get_huffman_section(bits::ByteCursor& cur, HuffmanResult& coded) {
+  std::uint32_t entry_count = 0;
+  if (!cur.get_u32(coded.config.block_bits) ||
+      !cur.get_u32(coded.config.codebook_size) || !cur.get_u32(entry_count) ||
+      !cur.get_u32(coded.escape_code) || !cur.get_u32(coded.escape_len)) {
+    return "truncated Huffman header";
+  }
+  if (entry_count > (1u << 16) || coded.escape_len > 32) {
+    return "implausible codebook geometry";
+  }
+  coded.codebook.resize(entry_count);
+  for (HuffmanEntry& e : coded.codebook) {
+    if (!cur.get_u64(e.pattern) || !cur.get_u32(e.code) || !cur.get_u32(e.code_len)) {
+      return "truncated codebook entry";
+    }
+    if (e.code_len < 1 || e.code_len > 32) {
+      return "codebook code length out of range";
+    }
+  }
+  if (!cur.get_stream(coded.stream) || !cur.exhausted()) {
+    return "truncated Huffman stream";
+  }
+  return {};
+}
+
 }  // namespace tdc::codec

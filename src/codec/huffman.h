@@ -2,10 +2,12 @@
 #define TDC_CODEC_HUFFMAN_H
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "bits/bitstream.h"
 #include "bits/tritvector.h"
+#include "bits/wire.h"
 
 namespace tdc::codec {
 
@@ -48,6 +50,18 @@ HuffmanResult huffman_encode(const bits::TritVector& input,
 
 /// Decompresses using the result's codebook.
 bits::TritVector huffman_decode(const HuffmanResult& encoded);
+
+/// Appends the selective-Huffman payload section that HuffmanCodec and the
+/// BWT backend both carry: geometry (u32 block_bits, codebook_size, entry
+/// count, escape_code, escape_len), the entries (u64 pattern, u32 code,
+/// u32 code_len each), then the stream image.
+void put_huffman_section(std::vector<std::uint8_t>& out, const HuffmanResult& coded);
+
+/// Parses a put_huffman_section section that ends the payload into `coded`.
+/// Returns "" or what is malformed. At most 2^16 entries, an escape length
+/// up to 32 and code lengths 1..32 are checked before the codebook is
+/// sized; the block_bits range is the caller's to check.
+std::string get_huffman_section(bits::ByteCursor& cur, HuffmanResult& coded);
 
 }  // namespace tdc::codec
 

@@ -286,8 +286,8 @@ void run_stage(const StageMetrics& sm, const char* span_name, Job& job,
 }
 
 /// The whole job path, load → encode → containerize → verify, on the
-/// calling thread: an Engine::run pool task and JobRunner::worker_loop
-/// both run a job through here.
+/// calling thread: Engine::run's and JobRunner::run's pool tasks both run a
+/// job through here.
 void run_job(JobContext& ctx, Job& job, bool verify, std::atomic<bool>* cancel) {
   run_stage(ctx.load, "engine.load", job, cancel,
             [&ctx](Job& j) { return stage_load(ctx.gen, j); });
@@ -468,41 +468,7 @@ BatchResult Engine::run(const Manifest& manifest, const CommitCallback& on_commi
 
 // ------------------------------------------------------------------ JobRunner
 
-namespace {
-
-/// Adds the submission queue's contention counters into `m` as
-/// "queue.<name>.*".
-void add_queue_stats(MetricsRegistry& m, const std::string& name,
-                     const exp::BoundedQueueStats& s) {
-  const std::string prefix = "queue." + name + ".";
-  m.counter(prefix + "pushes").add(s.pushes);
-  m.counter(prefix + "pops").add(s.pops);
-  m.counter(prefix + "push_blocked").add(s.push_blocked);
-  m.counter(prefix + "pop_blocked").add(s.pop_blocked);
-  m.counter(prefix + "push_blocked_micros").add(s.push_blocked_micros);
-  m.counter(prefix + "pop_blocked_micros").add(s.pop_blocked_micros);
-  m.counter(prefix + "notifies_sent").add(s.notifies_sent);
-  m.counter(prefix + "notifies_skipped").add(s.notifies_skipped);
-  // Occupancy is a level, not an event stream: the gauge is set to the
-  // depth this snapshot saw (0 once drained) while the queue's own
-  // lifetime max folds into the gauge's high-watermark.
-  obs::Gauge& depth = m.gauge(prefix + "depth");
-  depth.set(static_cast<std::int64_t>(s.depth));
-  depth.record_peak(static_cast<std::int64_t>(s.max_depth));
-}
-
-}  // namespace
-
-/// One queued submission: either a full compression job (spec + done
-/// callback) or a raw closure from the service's decode-side endpoints.
-struct JobRunner::Item {
-  JobSpec spec;
-  DoneCallback done;
-  std::function<void()> task;  ///< when set, spec/done are unused
-};
-
-/// The job path's context plus the runner's own instruments — everything
-/// the worker loop touches besides the queue.
+/// The job path's context plus the runner's own instruments.
 struct JobRunner::RunnerState {
   explicit RunnerState(MetricsRegistry& m)
       : ctx(m), jobs(&m.counter("runner.jobs")), tasks(&m.counter("runner.tasks")),
@@ -516,92 +482,88 @@ struct JobRunner::RunnerState {
   Counter* ok;
   Counter* failed;
   Counter* busy_rejects;
-  obs::Gauge* in_flight;  ///< live queued+running level; peak = worst burst
+  obs::Gauge* in_flight;  ///< admitted calls; moved under mutex_, so peak <= cap
 };
 
 JobRunner::JobRunner(Options options, MetricsRegistry* metrics)
-    : options_(options) {
+    : options_(options), pool_(options.workers) {
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<MetricsRegistry>();
     metrics_ = owned_metrics_.get();
   } else {
     metrics_ = metrics;
   }
-  if (options_.workers == 0) options_.workers = exp::ThreadPool::default_jobs();
   if (options_.max_in_flight == 0) {
-    options_.max_in_flight = 2 * static_cast<std::size_t>(options_.workers);
+    options_.max_in_flight = 2 * static_cast<std::size_t>(pool_.thread_count());
   }
   state_ = std::make_unique<RunnerState>(*metrics_);
-  // Queue capacity = the in-flight cap: with admissions counted before the
-  // push, a submit never blocks on queue space.
-  queue_ = std::make_unique<exp::BoundedQueue<std::unique_ptr<Item>>>(
-      options_.max_in_flight);
-  workers_.reserve(options_.workers);
-  for (unsigned t = 0; t < options_.workers; ++t) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
 }
 
 JobRunner::~JobRunner() { stop(); }
 
-void JobRunner::worker_loop() {
-  while (auto item = queue_->pop()) {
-    std::unique_ptr<Item> work = std::move(*item);
-    if (work->task) {
-      state_->tasks->add();
-      obs::TraceSpan span("runner.task");
-      work->task();
-    } else {
-      state_->jobs->add();
-      Job job;
-      job.spec = &work->spec;
-      init_outcome(job);
-      run_job(state_->ctx, job, options_.verify, nullptr);
-      (job.failed ? state_->failed : state_->ok)->add();
-      job.outcome.container = std::move(job.container);
-      if (work->done) work->done(std::move(job.outcome));
-    }
-    release();
-  }
-}
-
-bool JobRunner::submit(JobSpec spec, DoneCallback done) {
-  auto item = std::make_unique<Item>();
-  item->spec = std::move(spec);
-  item->done = std::move(done);
-  return admit(std::move(item));
-}
-
-bool JobRunner::submit_task(std::function<void()> task) {
-  auto item = std::make_unique<Item>();
-  item->task = std::move(task);
-  return admit(std::move(item));
-}
-
-bool JobRunner::admit(std::unique_ptr<Item> item) {
+template <typename R>
+std::optional<R> JobRunner::call(const std::function<R()>& body) {
   {
     core::MutexLock lock(mutex_);
     if (stopping_ || in_flight_ >= options_.max_in_flight) {
       state_->busy_rejects->add();
-      return false;
+      return std::nullopt;
     }
     ++in_flight_;
+    state_->in_flight->add(1);
   }
-  state_->in_flight->add(1);
-  if (queue_->push(std::move(item))) return true;
-  // A stop() between the admission and the push closed the queue: the item
-  // was never queued, so its admission is rolled back.
+  // stop() shuts the pool down only after every admitted call has
+  // returned, so an admitted call always reaches a live pool.
+  std::future<R> result;
+  try {
+    // The task owns a share of the promise, so its set_value never touches
+    // memory this caller frees once get() returns.
+    auto done = std::make_shared<std::promise<R>>();
+    result = done->get_future();
+    // noexcept, as in Engine::run: a body that threw would leave this
+    // caller waiting forever, so it ends the process instead.
+    pool_.submit([done, &body]() noexcept { done->set_value(body()); });
+  } catch (...) {
+    release();
+    throw;
+  }
+  std::optional<R> value(result.get());
   release();
-  return false;
+  return value;
+}
+
+std::optional<JobOutcome> JobRunner::run(JobSpec spec) {
+  return call<JobOutcome>([this, &spec] {
+    state_->jobs->add();
+    Job job;
+    job.spec = &spec;
+    init_outcome(job);
+    run_job(state_->ctx, job, options_.verify, nullptr);
+    (job.failed ? state_->failed : state_->ok)->add();
+    job.outcome.container = std::move(job.container);
+    return std::move(job.outcome);
+  });
+}
+
+bool JobRunner::run_task(const std::function<void()>& task) {
+  return call<bool>([this, &task] {
+           state_->tasks->add();
+           obs::TraceSpan span("runner.task");
+           task();
+           return true;
+         })
+      .has_value();
 }
 
 void JobRunner::release() {
+  bool idle = false;
   {
     core::MutexLock lock(mutex_);
     --in_flight_;
+    state_->in_flight->add(-1);
+    idle = in_flight_ == 0;
   }
-  state_->in_flight->add(-1);
-  idle_.notify_all();
+  if (idle) idle_.notify_all();
 }
 
 std::size_t JobRunner::in_flight() const {
@@ -609,46 +571,13 @@ std::size_t JobRunner::in_flight() const {
   return in_flight_;
 }
 
-void JobRunner::drain() {
-  core::MutexLock lock(mutex_);
-  while (in_flight_ != 0) idle_.wait(lock);
-}
-
-void JobRunner::publish_queue_stats() {
-  core::MutexLock lock(publish_mutex_);
-  const exp::BoundedQueueStats now = queue_->stats();
-  exp::BoundedQueueStats delta;
-  delta.pushes = now.pushes - published_.pushes;
-  delta.pops = now.pops - published_.pops;
-  delta.push_blocked = now.push_blocked - published_.push_blocked;
-  delta.pop_blocked = now.pop_blocked - published_.pop_blocked;
-  delta.push_blocked_micros =
-      now.push_blocked_micros - published_.push_blocked_micros;
-  delta.pop_blocked_micros =
-      now.pop_blocked_micros - published_.pop_blocked_micros;
-  delta.notifies_sent = now.notifies_sent - published_.notifies_sent;
-  delta.notifies_skipped = now.notifies_skipped - published_.notifies_skipped;
-  // Occupancy levels pass through untouched — subtracting a previous depth
-  // from a current one would be meaningless.
-  delta.depth = now.depth;
-  delta.max_depth = now.max_depth;
-  add_queue_stats(*metrics_, "service", delta);
-  published_ = now;
-}
-
-exp::BoundedQueueStats JobRunner::queue_stats() const { return queue_->stats(); }
-
 void JobRunner::stop() {
   {
     core::MutexLock lock(mutex_);
-    if (stopping_ && workers_.empty()) return;
     stopping_ = true;
+    while (in_flight_ != 0) idle_.wait(lock);
   }
-  // close() lets the workers drain everything already queued, then exit —
-  // in-flight jobs complete, new submissions are refused above.
-  queue_->close();
-  for (std::thread& t : workers_) t.join();
-  workers_.clear();
+  pool_.shutdown();
 }
 
 }  // namespace tdc::engine

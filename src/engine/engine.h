@@ -4,15 +4,15 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/error.h"
 #include "core/thread_safety.h"
 #include "engine/manifest.h"
 #include "engine/metrics.h"
-#include "exp/bounded_queue.h"
+#include "exp/thread_pool.h"
 
 namespace tdc::engine {
 
@@ -114,99 +114,80 @@ class Engine {
   MetricsRegistry* metrics_;
 };
 
-/// Persistent job-submission front end: the same load → encode →
-/// containerize → verify job path as Engine::run, staffed by a long-lived
-/// worker pool fed one JobSpec at a time instead of a whole manifest — the
-/// shape a request/response service needs. Each submitted job runs all its
-/// stages on one worker, failures stay typed and per-job, and the finished
-/// outcome (container bytes in JobOutcome::container — runner jobs never
-/// write output files) is handed to the submitter's callback on the worker
-/// thread.
+/// Persistent job front end: the same load → encode → containerize →
+/// verify job path as Engine::run, run one call at a time on an owned
+/// exp::ThreadPool — the shape a request/response service needs. Each call
+/// blocks its caller until a pool thread has run it. A job runs all its
+/// stages on that thread, failures stay typed and per job, and the outcome
+/// carries the container bytes in JobOutcome::container (runner jobs never
+/// write output files).
 ///
-/// Backpressure is explicit: at most `max_in_flight` jobs may be queued or
-/// running; past that submit() refuses immediately (the caller maps this to
-/// a Busy rejection) instead of buffering unboundedly. Submission flows
-/// through a bounded MPMC queue whose contention counters are exposed live
-/// via publish_queue_stats().
+/// Backpressure is explicit: at most `max_in_flight` calls may be admitted
+/// (waiting for a pool thread or running) at once; past that a call is
+/// refused at once (the caller maps this to a Busy rejection) instead of
+/// queueing unboundedly. The "runner.in_flight" gauge is that occupancy, so
+/// its peak never exceeds the cap.
 class JobRunner {
  public:
   struct Options {
-    /// Worker threads; 0 = exp::ThreadPool::default_jobs().
+    /// Pool threads; 0 = exp::ThreadPool::default_jobs().
     unsigned workers = 0;
-    /// Cap on queued + running jobs before submit() refuses; 0 = 2 * workers.
+    /// Cap on admitted calls before a call is refused; 0 = 2 * workers.
     std::size_t max_in_flight = 0;
     /// Run the verify stage (container read-back + decode + coverage).
     bool verify = true;
   };
 
-  /// Invoked on a worker thread once the job finishes (ok or failed). Must
-  /// not throw; keep it cheap — the worker is busy until it returns.
-  using DoneCallback = std::function<void(JobOutcome)>;
-
   JobRunner() : JobRunner(Options(), nullptr) {}
   explicit JobRunner(Options options, MetricsRegistry* metrics = nullptr);
-  ~JobRunner();  ///< stop()s: drains queued jobs, joins the pool.
+  ~JobRunner();  ///< stop()s
 
   JobRunner(const JobRunner&) = delete;
   JobRunner& operator=(const JobRunner&) = delete;
 
   MetricsRegistry& metrics() { return *metrics_; }
 
-  /// Submits one compression job. Returns false without queueing anything
-  /// when the runner is stopping or max_in_flight jobs are already queued or
-  /// running (counted in "runner.busy_rejects").
-  bool submit(JobSpec spec, DoneCallback done);
+  /// Runs one compression job on the pool and returns its outcome, ok or
+  /// failed. nullopt, with nothing run, when the runner is stopping or
+  /// max_in_flight calls are already admitted (counted in
+  /// "runner.busy_rejects").
+  std::optional<JobOutcome> run(JobSpec spec);
 
-  /// Runs an arbitrary closure on the same pool, under the same in-flight
-  /// cap — how the service daemon multiplexes its decode-side requests
-  /// (decompress/verify/inspect) onto the engine workers. Must not throw.
-  bool submit_task(std::function<void()> task);
+  /// Runs `task` on the pool under the same cap and returns true once it has
+  /// run; false when refused as run() is — how the service daemon puts its
+  /// decode-side requests (decompress/verify/inspect) on the engine pool.
+  /// Must not throw.
+  bool run_task(const std::function<void()>& task);
 
-  /// Jobs currently queued or running (monitoring only).
+  /// Calls admitted and not yet returned (monitoring only).
   std::size_t in_flight() const;
 
-  /// Blocks until every queued/running job has completed.
-  void drain();
-
-  /// Publishes the submission queue's contention counters into the metrics
-  /// registry as "queue.service.*" deltas — callable at any time, so a
-  /// stats endpoint reports live numbers mid-flight.
-  void publish_queue_stats();
-
-  /// Snapshot of the submission queue's counters (tests, monitoring).
-  exp::BoundedQueueStats queue_stats() const;
-
-  /// Refuses new submissions, drains everything queued, joins the workers.
-  /// Idempotent.
+  /// Refuses new calls, waits until every admitted call has returned, then
+  /// shuts the pool down. Idempotent.
   void stop();
 
  private:
-  struct Item;
-  void worker_loop();
-  /// Counts `item` in flight and queues it; false (nothing queued, nothing
-  /// counted) when the runner is full or stopping.
-  bool admit(std::unique_ptr<Item> item);
-  /// Returns one admission: in-flight count and gauge drop, drain() wakes.
+  /// Admits one call, runs `body` on the pool and returns its result once a
+  /// pool thread has run it; nullopt when the cap or stop() refuses it.
+  template <typename R>
+  std::optional<R> call(const std::function<R()>& body);
+  /// Returns one admission; stop() wakes when the last one is back.
   void release();
 
   Options options_;
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_;
 
-  std::unique_ptr<exp::BoundedQueue<std::unique_ptr<Item>>> queue_;
-  std::vector<std::thread> workers_;
-
   mutable core::Mutex mutex_;
   core::CondVar idle_;
   std::size_t in_flight_ TDC_GUARDED_BY(mutex_) = 0;
   bool stopping_ TDC_GUARDED_BY(mutex_) = false;
 
-  core::Mutex publish_mutex_;
-  exp::BoundedQueueStats published_ TDC_GUARDED_BY(publish_mutex_);
-
   // Pre-resolved instruments; private impl type defined in engine.cpp.
   struct RunnerState;
   std::unique_ptr<RunnerState> state_;
+
+  exp::ThreadPool pool_;
 };
 
 }  // namespace tdc::engine

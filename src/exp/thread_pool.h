@@ -13,11 +13,13 @@
 
 namespace tdc::exp {
 
-/// Fixed-size worker pool for the experiment flow: plain std::thread plus a
-/// mutex/condvar queue, no external dependencies. Independent (circuit,
-/// config) sweep points fan out across the workers; result ordering is the
-/// caller's job (see parallel_map, which collects by submission index so
-/// output is deterministic for any worker count).
+/// Fixed-size worker pool: plain std::thread plus a mutex/condvar queue, no
+/// external dependencies. It is the project's one pool: the batch engine
+/// runs a task per manifest job on it, engine::JobRunner runs each tdcd
+/// request on it, and the experiment flow fans independent (circuit,
+/// config) sweep points out across it. Result ordering is the caller's job
+/// (see parallel_map, which collects by submission index so output is
+/// deterministic for any worker count).
 ///
 /// Concurrency contract (docs/ALGORITHMS.md §16): queue_, first_error_,
 /// in_flight_ and stopping_ are TDC_GUARDED_BY(mutex_); workers_ is only

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "bits/wire.h"
 #include "core/contracts.h"
 #include "core/crc32.h"
 
@@ -36,25 +37,10 @@ constexpr std::uint32_t kMinChunkBytes = 64;
 
 constexpr std::uint32_t kMaxRecordPayload = 1u << 30;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
+using bits::get_u32;
+using bits::get_u64;
+using bits::put_u32;
+using bits::put_u64;
 
 /// Bounded, offset-tracking reads from the input stream.
 struct ByteSource {

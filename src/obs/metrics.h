@@ -29,8 +29,8 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Instantaneous level with a high-watermark: queue occupancy, in-flight
-/// jobs, live connections, RSS. set()/add() fold the peak as a side effect,
+/// Instantaneous level with a high-watermark: in-flight calls, live
+/// connections, RSS. set()/add() fold the peak as a side effect,
 /// so "how bad did it get" survives the level dropping back to zero. Signed,
 /// because add(-1) on connection close is the natural call shape; relaxed
 /// atomics — like Counter, gauges are statistics, not synchronization.
@@ -45,9 +45,6 @@ class Gauge {
         value_.fetch_add(delta, std::memory_order_relaxed) + delta;
     fold_peak(now);
   }
-  /// Raises the high-watermark without touching the level — how an external
-  /// peak (e.g. a queue's own max-depth counter) folds into the gauge.
-  void record_peak(std::int64_t v) { fold_peak(v); }
 
   std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
   std::int64_t peak() const { return peak_.load(std::memory_order_relaxed); }

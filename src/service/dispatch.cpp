@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "codec/select.h"
-#include "core/thread_safety.h"
 #include "engine/manifest.h"
 #include "lzw/stream_io.h"
 #include "obs/json.h"
@@ -47,25 +46,6 @@ Result<Frame> guarded_frame(const std::function<Result<Frame>()>& fn) {
     return typed_error(ErrorKind::IoError, e.what());
   }
 }
-
-/// Connection thread ↔ pool worker rendezvous for one request.
-struct Waiter {
-  core::Mutex mutex;
-  core::CondVar cv;
-  bool done TDC_GUARDED_BY(mutex) = false;
-
-  void signal() {
-    {
-      core::MutexLock lock(mutex);
-      done = true;
-    }
-    cv.notify_one();
-  }
-  void wait() {
-    core::MutexLock lock(mutex);
-    while (!done) cv.wait(lock);
-  }
-};
 
 Result<std::uint32_t> u32_param(const Frame& frame, const std::string& key,
                                 std::uint32_t fallback) {
@@ -182,7 +162,6 @@ Frame Dispatcher::handle(const Frame& request) {
 }
 
 void Dispatcher::refresh_sampled_instruments() {
-  runner_.publish_queue_stats();
   registry_.gauge("process.rss_bytes")
       .set(static_cast<std::int64_t>(obs::process_rss_bytes()));
 }
@@ -227,7 +206,7 @@ Frame Dispatcher::dispatch(const Frame& request) {
   if (request.op == "compress") return do_compress(request);
 
   if (request.op == "decompress") {
-    return run_on_pool(request, [payload = request.payload]() -> Result<Frame> {
+    return run_on_pool(request, [&payload = request.payload]() -> Result<Frame> {
       std::istringstream in(payload, std::ios::binary);
       Result<lzw::CompressedImage> image = lzw::try_read_image(in);
       if (!image.ok()) return image.error();
@@ -249,7 +228,7 @@ Frame Dispatcher::dispatch(const Frame& request) {
   }
 
   if (request.op == "verify") {
-    return run_on_pool(request, [payload = request.payload]() -> Result<Frame> {
+    return run_on_pool(request, [&payload = request.payload]() -> Result<Frame> {
       std::istringstream in(payload, std::ios::binary);
       Result<lzw::CompressedImage> image = lzw::try_read_image(in);
       if (!image.ok()) return image.error();
@@ -271,7 +250,7 @@ Frame Dispatcher::dispatch(const Frame& request) {
   }
 
   if (request.op == "inspect") {
-    return run_on_pool(request, [payload = request.payload]() -> Result<Frame> {
+    return run_on_pool(request, [&payload = request.payload]() -> Result<Frame> {
       std::istringstream in(payload, std::ios::binary);
       if (Result<lzw::CompressedImage> image = lzw::try_read_image(in);
           image.ok()) {
@@ -361,16 +340,8 @@ Frame Dispatcher::do_compress(const Frame& request) {
     if (!parsed.ok()) return make_error_frame(request.id, parsed.error());
   }
 
-  auto waiter = std::make_shared<Waiter>();
-  auto outcome = std::make_shared<engine::JobOutcome>();
-  const bool accepted =
-      runner_.submit(std::move(spec), [waiter, outcome](engine::JobOutcome o) {
-        *outcome = std::move(o);
-        waiter->signal();
-      });
-  if (!accepted) return make_error_frame(request.id, busy_error());
-  waiter->wait();
-
+  std::optional<engine::JobOutcome> outcome = runner_.run(std::move(spec));
+  if (!outcome) return make_error_frame(request.id, busy_error());
   if (!outcome->status.ok()) {
     return make_error_frame(request.id, outcome->status.error());
   }
@@ -388,28 +359,21 @@ Frame Dispatcher::do_compress(const Frame& request) {
 }
 
 Frame Dispatcher::run_on_pool(const Frame& request,
-                              std::function<Result<Frame>()> work) {
-  auto waiter = std::make_shared<Waiter>();
-  auto result = std::make_shared<std::optional<Result<Frame>>>();
-  const bool accepted = runner_.submit_task(
-      [waiter, result, work = std::move(work), op = request.op,
-       trace = request.param("trace")]() {
-        // The worker-side half of the request's trace: same id as the
-        // connection thread's serve.request span, so the hand-off is one
-        // query in Perfetto.
-        obs::TraceSpan span("serve.task");
-        span.arg("op", op);
-        if (!trace.empty()) span.arg("trace", trace);
-        result->emplace(guarded_frame(work));
-        waiter->signal();
-      });
-  if (!accepted) return make_error_frame(request.id, busy_error());
-  waiter->wait();
-
-  if (!result->value().ok()) {
-    return make_error_frame(request.id, result->value().error());
-  }
-  return std::move(*result).value().take();
+                              const std::function<Result<Frame>()>& work) {
+  std::optional<Result<Frame>> result;
+  const std::string trace = request.param("trace");
+  const bool ran = runner_.run_task([&] {
+    // The worker-side half of the request's trace: same id as the
+    // connection thread's serve.request span, so the hand-off is one query
+    // in Perfetto.
+    obs::TraceSpan span("serve.task");
+    span.arg("op", request.op);
+    if (!trace.empty()) span.arg("trace", trace);
+    result.emplace(guarded_frame(work));
+  });
+  if (!ran) return make_error_frame(request.id, busy_error());
+  if (!result->ok()) return make_error_frame(request.id, result->error());
+  return std::move(*result).take();
 }
 
 }  // namespace tdc::service

@@ -50,11 +50,10 @@ class SlowLog {
 };
 
 /// Maps one request frame to one response frame. All CPU-bound work
-/// (compress jobs via JobRunner::submit, decode-side ops via submit_task)
-/// runs on the shared engine pool under its in-flight cap — the dispatcher
-/// blocks the calling connection thread until the pool finishes, so engine
-/// workers never touch a socket and a slow peer can only stall its own
-/// connection. Failures come back as "error" frames carrying the typed
+/// (compress jobs via JobRunner::run, decode-side ops via run_task) runs on
+/// the shared engine pool under its in-flight cap — each call blocks the
+/// connection thread until the pool has run it, so engine workers never
+/// touch a socket and a slow peer can only stall its own connection. Failures come back as "error" frames carrying the typed
 /// ErrorKind; nothing a client sends can make handle() throw.
 ///
 /// Operations:
@@ -72,8 +71,8 @@ class SlowLog {
 ///   stats       payload out: live obs registry JSON — counters (including
 ///               the per-codec codec.selected.* family the offline stats
 ///               subcommand reports), gauges, histograms — plus the
-///               "slowlog" array (queue stats published first, so
-///               queue.service.* is current mid-flight).
+///               "slowlog" array; runner.in_flight is the live pool
+///               occupancy.
 ///   metrics     payload out: the same registry in the OpenMetrics text
 ///               exposition format (obs::openmetrics_render) — the scrape
 ///               endpoint for Prometheus-shaped collectors.
@@ -104,9 +103,10 @@ class Dispatcher {
   Frame do_compress(const Frame& request);
   /// Runs `work` on the runner pool and waits for its frame; Busy error
   /// frame when the in-flight cap refuses the task.
-  Frame run_on_pool(const Frame& request, std::function<Result<Frame>()> work);
-  /// Stamps process.rss_bytes and the live queue stats — both reporting
-  /// endpoints (stats, metrics) refresh through this before rendering.
+  Frame run_on_pool(const Frame& request,
+                    const std::function<Result<Frame>()>& work);
+  /// Stamps process.rss_bytes — both reporting endpoints (stats, metrics)
+  /// refresh through this before rendering.
   void refresh_sampled_instruments();
 
   engine::JobRunner& runner_;

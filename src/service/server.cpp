@@ -195,7 +195,6 @@ void Server::sampler_loop() {
   const auto interval =
       std::chrono::milliseconds(std::max(options_.metrics_interval_ms, 1));
   const auto sample = [this, &out] {
-    runner_->publish_queue_stats();
     metrics_.gauge("process.rss_bytes")
         .set(static_cast<std::int64_t>(obs::process_rss_bytes()));
     const std::uint64_t ts_ms = static_cast<std::uint64_t>(
@@ -245,10 +244,9 @@ int Server::wait() {
   }
   remaining.clear();
 
-  runner_->drain();
   runner_->stop();
-  // Stop the sampler after the drain so its final NDJSON line records the
-  // settled end state (queue depth back to zero, connections closed).
+  // Stop the sampler after the runner so its final NDJSON line records the
+  // settled end state (nothing in flight, connections closed).
   if (sampler_.joinable()) {
     {
       core::MutexLock lock(sampler_mutex_);

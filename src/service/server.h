@@ -88,7 +88,7 @@ struct ServerOptions {
 /// so SIGINT/SIGTERM handlers may call it directly. wait() then stops
 /// accepting, lets every in-flight request finish (connection sockets are
 /// shutdown(SHUT_RD), so blocked reads see a clean EOF while responses
-/// still flow out), joins all threads, drains the pool and removes the
+/// still flow out), joins all threads, stops the runner and removes the
 /// socket file.
 class Server {
  public:

@@ -245,12 +245,12 @@ cmp "$WORK/offline.tests" "$WORK/served.tests"
 "$CLI" client "$SOCK" verify "$WORK/served.tdclzw" | grep -q "OK"
 "$CLI" client "$SOCK" inspect "$WORK/served.tdclzw" | grep -q "TDCLZW2"
 
-# stats serves the live registry: request counters, queue contention, the
-# occupancy gauges and the top-K slowlog.
+# stats serves the live registry: request counters, the runner's jobs and
+# in-flight occupancy, the other gauges and the top-K slowlog.
 "$CLI" client "$SOCK" stats --out "$WORK/daemon.json"
 grep -q '"serve.compress.requests": 2' "$WORK/daemon.json"
-grep -q '"queue.service.pushes"' "$WORK/daemon.json"
-grep -q '"queue.service.depth"' "$WORK/daemon.json"
+grep -q '"runner.jobs"' "$WORK/daemon.json"
+grep -q '"runner.in_flight"' "$WORK/daemon.json"
 grep -q '"process.rss_bytes"' "$WORK/daemon.json"
 grep -q '"slowlog"' "$WORK/daemon.json"
 grep -q '"op": "compress"' "$WORK/daemon.json"
@@ -258,7 +258,7 @@ grep -q '"op": "compress"' "$WORK/daemon.json"
 # The same registry in OpenMetrics text, via both spellings of the scrape.
 "$CLI" client "$SOCK" stats --openmetrics --out "$WORK/metrics.txt"
 grep -q '^tdc_serve_compress_requests_total 2$' "$WORK/metrics.txt"
-grep -q '^# TYPE tdc_queue_service_depth gauge$' "$WORK/metrics.txt"
+grep -q '^# TYPE tdc_runner_in_flight gauge$' "$WORK/metrics.txt"
 grep -q '^# EOF$' "$WORK/metrics.txt"
 "$CLI" stats "$SOCK" --openmetrics | grep -q '^tdc_serve_ping_requests_total '
 # Follow mode: two samples land plus a live request-rate comment line.
@@ -284,9 +284,11 @@ grep -q '"event": "conn.accept"' "$WORK/serve.log"
 grep -q '"event": "server.stop"' "$WORK/serve.log"
 
 # The sampler left NDJSON snapshots behind: every line one JSON object, the
-# final (post-drain) line with the queue at depth zero.
+# final (post-stop) line with nothing left in flight after work did flow
+# through the pool.
 test -s "$WORK/metrics.ndjson"
 grep -q '"ts_ms": ' "$WORK/metrics.ndjson"
-tail -n 1 "$WORK/metrics.ndjson" | grep -q '"queue.service.depth": {"value": 0'
+tail -n 1 "$WORK/metrics.ndjson" \
+  | grep -q '"runner.in_flight": {"value": 0, "peak": [1-9]'
 
 echo "cli_test OK"

@@ -128,16 +128,6 @@ TEST(CodecV2Test, TokenAndIdMappingsAreStable) {
   EXPECT_EQ(codec_for_id(250), nullptr);
 }
 
-TEST(CodecV2Test, CapsReflectBackendSemantics) {
-  const Codec* lzw = codec_for_name("lzw");
-  const Codec* bwt = codec_for_name("bwt");
-  ASSERT_NE(lzw, nullptr);
-  ASSERT_NE(bwt, nullptr);
-  EXPECT_TRUE(lzw->caps().handles_x);
-  EXPECT_FALSE(bwt->caps().handles_x);  // repeat-fills, does not exploit X
-  EXPECT_TRUE(bwt->caps().streaming_safe);
-}
-
 TEST(CodecV2Test, DecompressRejectsDamagedPayloads) {
   // Every single-byte corruption of every backend's payload must surface as
   // a typed Error (or decode to different bits) — never UB or a crash.
@@ -220,6 +210,27 @@ TEST(CodecV2Test, FdrRunPrefixPastGroup63IsInvalidInput) {
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.error().kind, ErrorKind::InvalidInput) << decoded.error().describe();
   EXPECT_NE(decoded.error().message.find("FDR"), std::string::npos);
+}
+
+TEST(CodecV2Test, StreamBitCountPastThePayloadIsInvalidInput) {
+  // A stream image declares its bit count; one within 7 of 2^64 must not
+  // round its byte count up past the u64 range to zero, which would let
+  // the decoder read a stream of ~2^64 bits out of no bytes.
+  std::vector<std::uint8_t> payload;
+  const auto put_le = [&payload](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) payload.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  for (const std::uint64_t bit_count : {~std::uint64_t{0}, ~std::uint64_t{0} - 6,
+                                        std::uint64_t{1}}) {
+    payload.clear();
+    put_le(8, 4);  // LZ77 window_bits
+    put_le(4, 4);  // LZ77 length_bits
+    put_le(bit_count, 8);  // and no stream bytes at all
+    const Result<TritVector> decoded =
+        codec_for_name("lz77")->decompress_chunk(payload, 100);
+    ASSERT_FALSE(decoded.ok()) << bit_count;
+    EXPECT_EQ(decoded.error().kind, ErrorKind::InvalidInput) << bit_count;
+  }
 }
 
 TEST(SelectTest, ParseCodecModeAcceptsTokensAndModes) {

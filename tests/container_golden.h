@@ -1,16 +1,20 @@
 // Shared definition of the golden container corpus: the deterministic input
-// stream and the (tiebreak x code width) matrix that both the generator
-// (golden_gen.cpp) and the regression test (container_test.cpp) iterate.
-// Changing anything here intentionally invalidates tests/data/ — regenerate
-// with golden_gen and commit the new files alongside the format change.
+// stream, the (tiebreak x code width) matrix of LZW images, and the one
+// multi-codec image, which both the generator (golden_gen.cpp) and the
+// regression test (container_test.cpp) build. Changing anything here
+// intentionally invalidates tests/data/ — regenerate with golden_gen and
+// commit the new files alongside the format change.
 #ifndef TDC_TESTS_CONTAINER_GOLDEN_H
 #define TDC_TESTS_CONTAINER_GOLDEN_H
 
+#include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "bits/rng.h"
 #include "bits/tritvector.h"
+#include "codec/codec.h"
 #include "lzw/encoder.h"
 #include "lzw/stream_io.h"
 
@@ -70,6 +74,47 @@ inline lzw::EncodeResult encode(const Case& c) {
 inline std::string file_name(const Case& c, std::uint32_t version) {
   return "golden_" + c.name + ".v" + std::to_string(version) + ".tdclzw";
 }
+
+/// The version-3 golden: input() cut into kV3ChunkTrits-trit chunks, one
+/// per codec wire id, each compressed through Codec::compress_chunk. It pins
+/// every per-codec payload layout, which no round trip can: a change made on
+/// both the encode and the decode side still round-trips.
+inline constexpr std::uint32_t kV3ChunkTrits = 150;
+
+/// One backend per wire id, in id order (lzw = 1 ... bwt = 6).
+inline std::vector<std::unique_ptr<codec::Codec>> v3_codecs() {
+  std::vector<std::unique_ptr<codec::Codec>> out;
+  out.push_back(codec::make_lzw_codec(config(false)));
+  out.push_back(codec::make_lz77_codec());
+  out.push_back(codec::make_best_rle_codec());
+  out.push_back(codec::make_huffman_codec(codec::HuffmanConfig{8, 32}));
+  out.push_back(codec::make_lfsr_reseed_codec(50));
+  out.push_back(codec::make_bwt_codec());
+  return out;
+}
+
+inline std::vector<lzw::ChunkRecord> v3_records() {
+  const bits::TritVector source = input();
+  std::vector<lzw::ChunkRecord> records;
+  std::size_t pos = 0;
+  for (const auto& codec : v3_codecs()) {
+    const bits::TritVector chunk = source.slice(pos, kV3ChunkTrits);
+    pos += kV3ChunkTrits;
+    lzw::ChunkRecord record;
+    record.codec_id = static_cast<std::uint8_t>(codec->id());
+    record.original_trits = chunk.size();
+    record.payload = codec->compress_chunk(chunk).value_or_throw().payload;
+    records.push_back(std::move(record));
+  }
+  return records;
+}
+
+inline void write_v3(std::ostream& out) {
+  lzw::write_image_v3(out, config(false), input().size(), kV3ChunkTrits,
+                      v3_records());
+}
+
+inline std::string v3_file_name() { return "golden_codecs.v3.tdclzw"; }
 
 }  // namespace tdc::golden
 

@@ -1,8 +1,9 @@
 // The hardened container contract, exercised end to end:
 //
 //  * round trips for every tiebreak x code width x container version,
-//  * byte-stable golden files (tests/data/) for both on-disk formats —
-//    TDCLZW1 written by older code must decode bit-identically forever,
+//  * byte-stable golden files (tests/data/) for every on-disk format —
+//    TDCLZW1 written by older code must decode bit-identically forever, and
+//    one version-3 image pins every codec's payload layout,
 //  * a full corruption matrix: every single-bit flip of a TDCLZW2 image is
 //    detected as a typed error, every truncation point of either version is
 //    detected, fuzzed headers never crash or allocate absurdly,
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "bits/rng.h"
+#include "codec/select.h"
 #include "container_golden.h"
 #include "core/crc32.h"
 #include "core/error.h"
@@ -169,6 +171,34 @@ TEST(ContainerGolden, BothVersionsDecodeBitIdentically) {
     EXPECT_EQ(d1.value().bits.size(), input.size());
     EXPECT_TRUE(input.covered_by(d1.value().bits));
   }
+}
+
+TEST(ContainerGolden, V3ImageDecodesToTheSourceTrits) {
+  Result<CompressedImage> image =
+      parse(read_file(data_path(golden::v3_file_name())));
+  ASSERT_TRUE(image.ok()) << image.error().describe();
+  EXPECT_EQ(image.value().container.version, 3u);
+  // One record per codec wire id, in id order.
+  ASSERT_EQ(image.value().chunks.size(), 6u);
+  for (std::size_t i = 0; i < image.value().chunks.size(); ++i) {
+    EXPECT_EQ(image.value().chunks[i].codec_id, i + 1);
+  }
+
+  const bits::TritVector source = golden::input();
+  const Result<bits::TritVector> decoded = codec::decode_image(image.value());
+  ASSERT_TRUE(decoded.ok()) << decoded.error().describe();
+  EXPECT_EQ(decoded.value().size(), source.size());
+  EXPECT_TRUE(decoded.value().fully_specified());
+  EXPECT_TRUE(source.covered_by(decoded.value()));
+}
+
+TEST(ContainerGolden, V3ImageReencodesByteForByte) {
+  // The same chunks through the same codecs must give the archived bytes:
+  // a payload layout that moved on both the encode and the decode side
+  // still round-trips, but fails here.
+  std::ostringstream out(std::ios::binary);
+  golden::write_v3(out);
+  EXPECT_EQ(out.str(), read_file(data_path(golden::v3_file_name())));
 }
 
 // ------------------------------------------------------- corruption matrix

@@ -1,7 +1,8 @@
-// Tests for the batch compression engine: the bounded MPMC queue behind
-// JobRunner, the metrics registry, the manifest format, and the engine
-// itself — the jobs=1 vs jobs=N byte-identical determinism golden, per-job
-// failure isolation, fail-fast cancellation, and in-order commit.
+// Tests for the batch compression engine: the metrics registry, the
+// manifest format, the engine itself — the jobs=1 vs jobs=N byte-identical
+// determinism golden, per-job failure isolation, fail-fast cancellation,
+// and in-order commit — and JobRunner's blocking calls, in-flight cap and
+// stop().
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -22,174 +24,11 @@
 #include "engine/engine.h"
 #include "engine/manifest.h"
 #include "engine/metrics.h"
-#include "exp/bounded_queue.h"
 #include "scan/testset.h"
 #include "scan/testset_io.h"
 
 namespace tdc::engine {
 namespace {
-
-// ---------------------------------------------------------------- queue
-
-TEST(BoundedQueueTest, DeliversInFifoOrder) {
-  exp::BoundedQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.push(i));
-  for (int i = 0; i < 5; ++i) {
-    const std::optional<int> v = q.pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-}
-
-TEST(BoundedQueueTest, ZeroCapacityClampsToOne) {
-  exp::BoundedQueue<int> q(0);
-  EXPECT_EQ(q.capacity(), 1u);
-}
-
-TEST(BoundedQueueTest, FullQueueBlocksProducerUntilPop) {
-  exp::BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.push(1));
-  std::atomic<bool> second_pushed{false};
-  std::thread producer([&] {
-    q.push(2);
-    second_pushed.store(true);
-  });
-  // The producer must be stuck on the full queue (backpressure).
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(second_pushed.load());
-  EXPECT_EQ(q.pop().value_or(-1), 1);
-  producer.join();
-  EXPECT_TRUE(second_pushed.load());
-  EXPECT_EQ(q.pop().value_or(-1), 2);
-}
-
-TEST(BoundedQueueTest, CloseDrainsQueuedItemsThenSignalsEnd) {
-  exp::BoundedQueue<int> q(4);
-  ASSERT_TRUE(q.push(1));
-  ASSERT_TRUE(q.push(2));
-  q.close();
-  EXPECT_FALSE(q.push(3));  // rejected after close
-  EXPECT_EQ(q.pop().value_or(-1), 1);
-  EXPECT_EQ(q.pop().value_or(-1), 2);
-  EXPECT_FALSE(q.pop().has_value());
-  EXPECT_FALSE(q.pop().has_value());  // stays closed
-}
-
-TEST(BoundedQueueTest, CloseUnblocksWaitingConsumer) {
-  exp::BoundedQueue<int> q(4);
-  std::atomic<bool> saw_end{false};
-  std::thread consumer([&] {
-    if (!q.pop().has_value()) saw_end.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.close();
-  consumer.join();
-  EXPECT_TRUE(saw_end.load());
-}
-
-TEST(BoundedQueueTest, ManyProducersManyConsumersLoseNothing) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr int kPerProducer = 250;
-  exp::BoundedQueue<int> q(3);  // small on purpose: constant backpressure
-  std::atomic<long long> sum{0};
-  std::atomic<int> popped{0};
-
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) q.push(p * kPerProducer + i);
-    });
-  }
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&] {
-      while (const std::optional<int> v = q.pop()) {
-        sum.fetch_add(*v);
-        popped.fetch_add(1);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  q.close();
-  for (auto& t : consumers) t.join();
-
-  const int total = kProducers * kPerProducer;
-  EXPECT_EQ(popped.load(), total);
-  EXPECT_EQ(sum.load(), static_cast<long long>(total) * (total - 1) / 2);
-}
-
-TEST(BoundedQueueTest, StatsCountSkippedNotifiesAndBlockedWaits) {
-  exp::BoundedQueue<int> lazy(4);
-  // Uncontended hand-off: nobody is waiting, so every notify is skipped.
-  ASSERT_TRUE(lazy.push(1));
-  ASSERT_TRUE(lazy.push(2));
-  EXPECT_TRUE(lazy.pop().has_value());
-  EXPECT_TRUE(lazy.pop().has_value());
-  auto st = lazy.stats();
-  EXPECT_EQ(st.notifies_sent, 0u);
-  EXPECT_EQ(st.notifies_skipped, 4u);  // 2 pushes + 2 pops
-  EXPECT_EQ(st.push_blocked, 0u);
-  EXPECT_EQ(st.pop_blocked, 0u);
-  EXPECT_EQ(st.blocked_micros(), 0u);
-
-  // A consumer that really sleeps is counted, and its wakeup notify is sent.
-  exp::BoundedQueue<int> blocked(4);
-  std::thread consumer([&] { EXPECT_EQ(blocked.pop().value_or(-1), 7); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  ASSERT_TRUE(blocked.push(7));
-  consumer.join();
-  st = blocked.stats();
-  EXPECT_EQ(st.pop_blocked, 1u);
-  EXPECT_EQ(st.notifies_sent, 1u);  // the push that woke the sleeper
-}
-
-// Annotation-consistency hammer: stats() snapshots race full push/pop
-// traffic and a close(). The snapshot copies under the same core::Mutex
-// the TDC_GUARDED_BY annotations name, so under TSan this test proves the
-// declared locking contract matches the real one; without TSan it still
-// pins snapshot monotonicity and final conservation.
-TEST(BoundedQueueTest, StatsSnapshotsRaceWithTraffic) {
-  constexpr int kProducers = 2;
-  constexpr int kPerProducer = 300;
-  exp::BoundedQueue<int> q(2);
-  std::atomic<bool> done{false};
-  std::atomic<int> popped{0};
-
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) q.push(p * kPerProducer + i);
-    });
-  }
-  threads.emplace_back([&] {
-    while (q.pop().has_value()) popped.fetch_add(1);
-  });
-  std::thread reader([&] {
-    std::uint64_t last_pushes = 0;
-    std::uint64_t last_pops = 0;
-    while (!done.load()) {
-      const auto st = q.stats();
-      EXPECT_GE(st.pushes, last_pushes);  // monotone under the lock
-      EXPECT_GE(st.pops, last_pops);
-      EXPECT_GE(st.pushes, st.pops);  // never popped more than pushed
-      last_pushes = st.pushes;
-      last_pops = st.pops;
-      std::this_thread::yield();
-    }
-  });
-  for (int p = 0; p < kProducers; ++p) threads[p].join();
-  q.close();
-  threads.back().join();
-  done.store(true);
-  reader.join();
-
-  const int total = kProducers * kPerProducer;
-  EXPECT_EQ(popped.load(), total);
-  const auto st = q.stats();
-  EXPECT_EQ(st.pushes, static_cast<std::uint64_t>(total));
-  EXPECT_EQ(st.pops, static_cast<std::uint64_t>(total));
-}
 
 // -------------------------------------------------------------- metrics
 
@@ -648,22 +487,37 @@ TEST(EngineTest, VerifyStageCanBeDisabled) {
 
 // -------------------------------------------------------------- JobRunner
 
-/// Submits one spec and waits for its outcome — the synchronous shape every
-/// JobRunner test needs.
+/// Runs one job, expecting the runner to admit it.
 JobOutcome run_one(JobRunner& runner, JobSpec spec) {
-  std::mutex m;
-  std::condition_variable cv;
-  bool done = false;
-  JobOutcome outcome;
-  EXPECT_TRUE(runner.submit(std::move(spec), [&](JobOutcome o) {
-    std::lock_guard lock(m);
-    outcome = std::move(o);
-    done = true;
-    cv.notify_one();
-  }));
-  std::unique_lock lock(m);
-  cv.wait(lock, [&] { return done; });
-  return outcome;
+  std::optional<JobOutcome> outcome = runner.run(std::move(spec));
+  EXPECT_TRUE(outcome.has_value());
+  return outcome ? std::move(*outcome) : JobOutcome{};
+}
+
+/// Closed until open(): a closure that waits on it keeps its call admitted
+/// while the test probes the runner.
+class Gate {
+ public:
+  void wait() {
+    std::unique_lock lock(m_);
+    cv_.wait(lock, [&] { return open_; });
+  }
+  void open() {
+    {
+      std::lock_guard lock(m_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex m_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+void wait_for_in_flight(const JobRunner& runner, std::size_t n) {
+  while (runner.in_flight() != n) std::this_thread::yield();
 }
 
 TEST(JobRunnerTest, ProducesTheSameBytesAsABatchRun) {
@@ -677,7 +531,7 @@ TEST(JobRunnerTest, ProducesTheSameBytesAsABatchRun) {
   for (std::size_t i = 0; i < manifest.jobs.size(); ++i) {
     const JobOutcome outcome = run_one(runner, manifest.jobs[i]);
     ASSERT_TRUE(outcome.ok()) << outcome.status.error().describe();
-    // One-at-a-time submission through the persistent pool commits the very
+    // One call at a time through the persistent pool commits the very
     // bytes the batch engine committed — the service daemon's determinism
     // contract with the offline CLI.
     EXPECT_EQ(outcome.container, batch.jobs[i].container);
@@ -704,87 +558,67 @@ TEST(JobRunnerTest, KeepsFailuresTypedAndIsolated) {
 
 TEST(JobRunnerTest, RefusesSubmissionsPastTheInFlightCap) {
   JobRunner runner(JobRunner::Options{.workers = 1, .max_in_flight = 1});
-  std::mutex m;
-  std::condition_variable cv;
-  bool release = false;
-  // Occupy the single in-flight slot with a task that blocks until told.
-  ASSERT_TRUE(runner.submit_task([&] {
-    std::unique_lock lock(m);
-    cv.wait(lock, [&] { return release; });
-  }));
+  Gate gate;
+  // Occupy the single in-flight slot with a call that blocks until told.
+  std::thread holder([&] { EXPECT_TRUE(runner.run_task([&] { gate.wait(); })); });
+  wait_for_in_flight(runner, 1);
   EXPECT_EQ(runner.in_flight(), 1u);
 
   JobSpec spec;
   spec.name = "refused";
   spec.inline_tests = synthetic_tests(2);
-  EXPECT_FALSE(runner.submit(std::move(spec), [](JobOutcome) {}));
-  EXPECT_FALSE(runner.submit_task([] {}));
+  EXPECT_FALSE(runner.run(std::move(spec)).has_value());
+  EXPECT_FALSE(runner.run_task([] {}));
   EXPECT_EQ(runner.metrics().counter("runner.busy_rejects").value(), 2u);
 
-  {
-    std::lock_guard lock(m);
-    release = true;
-  }
-  cv.notify_all();
-  runner.drain();
+  gate.open();
+  holder.join();
   EXPECT_EQ(runner.in_flight(), 0u);
-  // Capacity is available again after the drain.
+  // Capacity is available again once the call has returned.
   JobSpec retry;
   retry.name = "retry";
   retry.inline_tests = synthetic_tests(3);
   EXPECT_TRUE(run_one(runner, std::move(retry)).ok());
 }
 
-TEST(JobRunnerTest, PublishesLiveQueueStatsAsDeltas) {
+TEST(JobRunnerTest, InFlightGaugeSettlesAtZeroWithPeakAtTheCap) {
+  constexpr std::size_t kCap = 3;
   MetricsRegistry registry;
-  JobRunner runner(JobRunner::Options{.workers = 2}, &registry);
-  for (int i = 0; i < 3; ++i) {
-    JobSpec spec;
-    spec.name = "job" + std::to_string(i);
-    spec.inline_tests = synthetic_tests(10 + static_cast<std::uint64_t>(i));
-    ASSERT_TRUE(run_one(runner, std::move(spec)).ok());
+  JobRunner runner(JobRunner::Options{.workers = 2, .max_in_flight = kCap},
+                   &registry);
+  Gate gate;
+  // Two calls hold both pool threads, the third waits for one: all three
+  // are admitted, so the cap is full.
+  std::vector<std::thread> callers;
+  for (std::size_t i = 0; i < kCap; ++i) {
+    callers.emplace_back(
+        [&] { EXPECT_TRUE(runner.run_task([&] { gate.wait(); })); });
   }
-  runner.publish_queue_stats();
-  const std::uint64_t pushes =
-      registry.counter("queue.service.pushes").value();
-  EXPECT_EQ(pushes, 3u);
-  // A second publish with no new traffic adds a zero delta — the counters
-  // are live monotonic views, not per-call re-exports.
-  runner.publish_queue_stats();
-  EXPECT_EQ(registry.counter("queue.service.pushes").value(), pushes);
-  // New traffic shows up incrementally.
+  wait_for_in_flight(runner, kCap);
+  for (int i = 0; i < 4; ++i) EXPECT_FALSE(runner.run_task([] {}));
   JobSpec spec;
-  spec.name = "late";
-  spec.inline_tests = synthetic_tests(99);
-  ASSERT_TRUE(run_one(runner, std::move(spec)).ok());
-  runner.publish_queue_stats();
-  EXPECT_EQ(registry.counter("queue.service.pushes").value(), pushes + 1);
-}
+  spec.name = "refused";
+  spec.inline_tests = synthetic_tests(4);
+  EXPECT_FALSE(runner.run(std::move(spec)).has_value());
+  EXPECT_EQ(registry.counter("runner.busy_rejects").value(), 5u);
+  EXPECT_EQ(registry.gauge("runner.in_flight").value(),
+            static_cast<std::int64_t>(kCap));
 
-TEST(JobRunnerTest, QueueDepthGaugeDrainsToZeroAfterStop) {
-  MetricsRegistry registry;
-  JobRunner runner(JobRunner::Options{.workers = 1}, &registry);
-  for (int i = 0; i < 3; ++i) {
-    JobSpec spec;
-    spec.name = "depth" + std::to_string(i);
-    spec.inline_tests = synthetic_tests(20 + static_cast<std::uint64_t>(i));
-    ASSERT_TRUE(run_one(runner, std::move(spec)).ok());
-  }
-  runner.drain();
-  runner.stop();
-  runner.publish_queue_stats();
-  // Everything submitted was consumed: the occupancy gauge reads zero after
-  // the drain, while its high-watermark proves traffic actually queued.
-  EXPECT_EQ(registry.gauge("queue.service.depth").value(), 0);
-  EXPECT_GE(registry.gauge("queue.service.depth").peak(), 1);
-  EXPECT_EQ(runner.queue_stats().depth, 0u);
-  EXPECT_GE(runner.queue_stats().max_depth, 1u);
+  gate.open();
+  for (std::thread& t : callers) t.join();
+  // Every admitted call has returned: the level is back at zero, and the
+  // peak records the burst that filled the cap — never more, since
+  // refused calls are never counted in flight.
+  EXPECT_EQ(registry.gauge("runner.in_flight").value(), 0);
+  EXPECT_EQ(registry.gauge("runner.in_flight").peak(),
+            static_cast<std::int64_t>(kCap));
+  EXPECT_EQ(registry.counter("runner.tasks").value(), kCap);
   EXPECT_EQ(runner.in_flight(), 0u);
 }
 
-/// submit_task racing stop(): a submission that stop() refuses after it was
-/// admitted reports false, so every accepted task runs and the in-flight
-/// count returns to zero (a later drain() must not block).
+/// run_task racing stop(): every call stop() admitted has run when it
+/// returns true, every other call is refused, and the in-flight count
+/// returns to zero (a second stop() must not block).
 TEST(JobRunnerTest, SubmitRacingStopNeverDropsAnAcceptedTask) {
   constexpr int kSubmitters = 3;
   constexpr int kPerSubmitter = 200;
@@ -796,7 +630,7 @@ TEST(JobRunnerTest, SubmitRacingStopNeverDropsAnAcceptedTask) {
     for (int t = 0; t < kSubmitters; ++t) {
       submitters.emplace_back([&] {
         for (int i = 0; i < kPerSubmitter; ++i) {
-          if (runner.submit_task([&ran] { ran.fetch_add(1); })) {
+          if (runner.run_task([&ran] { ran.fetch_add(1); })) {
             accepted.fetch_add(1);
           }
         }
@@ -806,20 +640,49 @@ TEST(JobRunnerTest, SubmitRacingStopNeverDropsAnAcceptedTask) {
     for (std::thread& t : submitters) t.join();
     ASSERT_EQ(ran.load(), accepted.load()) << "round " << round;
     ASSERT_EQ(runner.in_flight(), 0u) << "round " << round;
-    runner.drain();
+    runner.stop();
   }
 }
 
 TEST(JobRunnerTest, StopDrainsQueuedWorkAndStaysIdempotent) {
-  JobRunner runner(JobRunner::Options{.workers = 2});
+  constexpr int kCallers = 4;
+  // Two pool threads, four blocked callers: two calls run, two wait.
+  JobRunner runner(JobRunner::Options{.workers = 2, .max_in_flight = 8});
+  Gate gate;
   std::atomic<int> ran{0};
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(runner.submit_task([&] { ++ran; }));
+  std::vector<std::thread> callers;
+  for (int i = 0; i < kCallers; ++i) {
+    callers.emplace_back([&] {
+      EXPECT_TRUE(runner.run_task([&] {
+        gate.wait();
+        ran.fetch_add(1);
+      }));
+    });
   }
-  runner.stop();
+  wait_for_in_flight(runner, kCallers);
+
+  // stop() from another thread must wait for every admitted call.
+  std::atomic<int> ran_when_stopped{-1};
+  std::thread stopper([&] {
+    runner.stop();
+    ran_when_stopped.store(ran.load());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(ran_when_stopped.load(), -1);  // still waiting on the callers
+
+  gate.open();
+  for (std::thread& t : callers) t.join();
+  stopper.join();
+  EXPECT_EQ(ran_when_stopped.load(), kCallers);  // none dropped
+  EXPECT_EQ(ran.load(), kCallers);
+
   runner.stop();  // idempotent
-  EXPECT_EQ(ran.load(), 4);  // queued tasks ran to completion, none dropped
-  EXPECT_FALSE(runner.submit_task([] {}));  // stopped runners refuse work
+  EXPECT_FALSE(runner.run_task([] {}));  // stopped runners refuse work
+  JobSpec spec;
+  spec.name = "late";
+  spec.inline_tests = synthetic_tests(5);
+  EXPECT_FALSE(runner.run(std::move(spec)).has_value());
+  EXPECT_EQ(runner.in_flight(), 0u);
 }
 
 }  // namespace

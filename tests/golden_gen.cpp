@@ -1,9 +1,11 @@
 // Regenerates the golden container corpus in tests/data/ — every tiebreak
-// and code-width mode, serialized as both TDCLZW1 and TDCLZW2. Run after an
-// intentional format change and commit the output:
+// and code-width mode, serialized as both TDCLZW1 and TDCLZW2, plus one
+// version-3 image with a record per codec. Run after an intentional format
+// change and commit the output:
 //
 //   build/tests/golden_gen tests/data
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "container_golden.h"
@@ -24,5 +26,9 @@ int main(int argc, char** argv) {
                 encoded.codes.size(),
                 static_cast<unsigned long long>(encoded.stream.bit_count()));
   }
+  const std::string v3 = dir + "/" + tdc::golden::v3_file_name();
+  std::ofstream out(v3, std::ios::binary);
+  tdc::golden::write_v3(out);  // throws if the file cannot be written
+  std::printf("%s: one record per codec\n", v3.c_str());
   return 0;
 }

@@ -424,9 +424,9 @@ TEST_F(ServiceTest, StatsServeLiveRegistryIncludingQueueCounters) {
   Result<Frame> stats = client.call("stats");
   ASSERT_TRUE(stats.ok()) << stats.error().describe();
   const std::string& json = stats.value().payload;
-  // Live queue counters (the JobRunner published a delta on this request,
-  // mid-daemon-lifetime — not an end-of-batch export).
-  EXPECT_NE(json.find("\"queue.service.pushes\""), std::string::npos);
+  // Live runner instruments, mid-daemon-lifetime — not an end-of-batch
+  // export.
+  EXPECT_NE(json.find("\"runner.in_flight\""), std::string::npos);
   EXPECT_NE(json.find("\"runner.jobs\""), std::string::npos);
   // Per-endpoint scopes.
   EXPECT_NE(json.find("\"serve.compress.requests\""), std::string::npos);
@@ -640,7 +640,7 @@ TEST_F(ServiceTest, MetricsOpRendersOpenMetrics) {
   EXPECT_NE(text.find("# TYPE tdc_serve_connections_live gauge\n"),
             std::string::npos);
   EXPECT_NE(text.find("tdc_serve_connections_live_peak "), std::string::npos);
-  EXPECT_NE(text.find("# TYPE tdc_queue_service_depth gauge\n"),
+  EXPECT_NE(text.find("# TYPE tdc_runner_in_flight gauge\n"),
             std::string::npos);
   EXPECT_NE(text.find("tdc_process_rss_bytes "), std::string::npos);
   EXPECT_NE(text.find("# TYPE tdc_serve_compress_micros summary\n"),
@@ -655,7 +655,7 @@ TEST_F(ServiceTest, StatsSchemaIsPinnedIncludingCodecSelection) {
   // Golden schema check over a fixed request sequence (single worker, so
   // the counters below are exact): the daemon's stats response carries the
   // same codec.selected.* family the offline stats subcommand reports,
-  // plus the serve/queue/runner instrument names dashboards key on.
+  // plus the serve/runner instrument names dashboards key on.
   ServerOptions options;
   options.workers = 1;
   StartServer(std::move(options));
@@ -669,8 +669,7 @@ TEST_F(ServiceTest, StatsSchemaIsPinnedIncludingCodecSelection) {
   for (const char* key :
        {"\"counters\"", "\"gauges\"", "\"histograms\"", "\"slowlog\"",
         "\"codec.selected.", "\"codec.select.micros\"", "\"runner.jobs\"",
-        "\"runner.ok\"", "\"runner.in_flight\"", "\"queue.service.pushes\"",
-        "\"queue.service.depth\"", "\"process.rss_bytes\"",
+        "\"runner.ok\"", "\"runner.in_flight\"", "\"process.rss_bytes\"",
         "\"serve.ping.requests\"", "\"serve.compress.requests\"",
         "\"serve.compress.micros\"", "\"serve.connections.live\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " missing in\n"
@@ -754,7 +753,7 @@ TEST_F(ServiceTest, TraceIdPropagatesAcrossTheWireIntoDrainedSpans) {
   const std::string big = tests_text(53, 400000);
   {
     // An inspect rides the run_on_pool path (serve.task span), while the
-    // compress below rides JobRunner::submit (engine.<stage> spans) — the
+    // compress below rides JobRunner::run (engine.<stage> spans) — the
     // same id must thread through both.
     ClientOptions copts;
     copts.socket_path = socket_path_;
