@@ -10,9 +10,14 @@
 // Every `auto` row is backed by a full decode_records round trip with a
 // care-bit coverage check, and the bench exits nonzero if any auto row
 // comes out larger than pure LZW — the acceptance gate, runnable in CI.
+// It also exits nonzero if the tuned RLE (codec::best_alternating_rle),
+// which sizes its grid from one run pass, differs from the seven-encode
+// reference (tests/reference_encoders.h) on any 4096-trit chunk of any
+// corpus — the chunks race@4k and auto@4096 rank it on.
 //
 // Per-corpus points fan out across a thread pool (--jobs N / $TDC_JOBS);
 // rows are collected in suite order, so output is identical for any N.
+#include <algorithm>
 #include <cstdio>
 #include <cstdint>
 #include <string>
@@ -24,6 +29,7 @@
 #include "exp/flow.h"
 #include "exp/table.h"
 #include "exp/thread_pool.h"
+#include "reference_encoders.h"
 
 namespace {
 
@@ -87,7 +93,23 @@ struct Row {
   std::vector<std::string> cells;
   std::string json;
   bool auto_ok = false;  ///< auto_bits <= lzw_bits and round trip covered
+  bool rle_ok = true;    ///< tuned RLE equals the reference on every chunk
+  std::size_t chunks = 0;
 };
+
+/// True when the tuned RLE of `chunk` equals the seven-encode reference:
+/// the same configuration, runs and stream.
+bool tuned_rle_matches_reference(const TritVector& chunk) {
+  const tdc::codec::RleResult got = tdc::codec::best_alternating_rle(chunk);
+  const tdc::codec::RleResult want = tdc::reference::reference_best_rle(
+      chunk, [](const TritVector& in, const tdc::codec::RleConfig& config) {
+        return tdc::codec::alternating_rle_encode(in, config);
+      });
+  return got.config.run_code == want.config.run_code &&
+         got.config.golomb_m == want.config.golomb_m && got.runs == want.runs &&
+         got.stream.bit_count() == want.stream.bit_count() &&
+         got.stream.bytes() == want.stream.bytes();
+}
 
 tdc::codec::EncodedChunks encode(const Corpus& corpus, const std::string& mode,
                                  std::uint32_t chunk_trits) {
@@ -135,6 +157,11 @@ Row measure(const Corpus& corpus) {
 
   Row row;
   row.auto_ok = covered && auto_sel.stats_bits <= lzw.stats_bits;
+  constexpr std::size_t kChunk = 4096;
+  for (std::size_t pos = 0; pos < corpus.stream.size(); pos += kChunk, ++row.chunks) {
+    const std::size_t len = std::min(kChunk, corpus.stream.size() - pos);
+    row.rle_ok = row.rle_ok && tuned_rle_matches_reference(corpus.stream.slice(pos, len));
+  }
   row.cells = {corpus.name,
                tdc::exp::num(corpus.stream.size()),
                tdc::exp::pct(ratio(lzw)),
@@ -184,6 +211,15 @@ int main(int argc, char** argv) {
   std::printf("auto-never-loses gate: %s (every auto row <= its LZW row and "
               "round-trips with care-bit coverage)\n",
               all_ok ? "PASS" : "FAIL");
+  bool rle_ok = true;
+  std::size_t chunks = 0;
+  for (const auto& row : rows) {
+    rle_ok = rle_ok && row.rle_ok;
+    chunks += row.chunks;
+  }
+  std::printf("tuned-RLE sizing: %s (one-pass grid == seven encodes on %zu 4096-trit "
+              "chunks)\n",
+              rle_ok ? "PASS" : "FAIL", chunks);
 
   std::string json = "{\n  \"bench\": \"codec_selection\",\n  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -194,5 +230,5 @@ int main(int argc, char** argv) {
   json += all_ok ? "true" : "false";
   json += "\n}\n";
   if (!exp::write_bench_json("codec_selection", json)) return 1;
-  return all_ok ? 0 : 1;
+  return all_ok && rle_ok ? 0 : 1;
 }

@@ -3,18 +3,21 @@
 // the table*_ binaries reproduce the paper's results.
 //
 // After the registered benchmarks run, a dedicated path harness times the
-// encoder's LegacyScan (child-by-child list walk + per-character
-// word()/care_word() re-slice) against the Indexed strategy (slab match
-// kernel + streaming CharCursor), then the Indexed encoder under each of
-// the five tie-break policies, the two decode paths — lzw::Decoder over the
-// packed stream and the Fig. 5 cycle model — and the .tests text codec
-// (TritVector::from_string / to_string) on a dense and a 90%-X corpus. It
-// prints chars/sec for every path and writes the numbers to
-// BENCH_micro_codec.json (override the path with $TDC_BENCH_JSON) so
-// throughput trajectories can be tracked across commits. It exits nonzero
-// when a policy's Indexed output differs from LegacyScan's, when a decode
-// path's output misses a care bit of the input, or when formatting and
-// parsing a corpus does not give it back.
+// reference encoder (tests/reference_encoders.h: child-by-child list walk +
+// per-character word()/care_word() re-slice) against lzw::Encoder
+// (policy-ordered slabs, slab match kernel, one-pass CharCursor), then the
+// encoder under each of the five tie-break policies, the two decode paths —
+// lzw::Decoder over the packed stream and the Fig. 5 cycle model — and the
+// .tests text codec (TritVector::from_string / to_string) on a dense and a
+// 90%-X corpus. Per-class rows then time every policy on corpora dominated
+// by all-X, partly specified and fully specified characters, with the share
+// of characters encoded after the dictionary fills. It prints chars/sec
+// for every path and writes the numbers to BENCH_micro_codec.json
+// (override the path with $TDC_BENCH_JSON) so throughput trajectories can
+// be tracked across commits. It exits nonzero when a policy's output
+// differs from the reference's, when a decode path's output misses a care
+// bit of the input, or when formatting and parsing a corpus does not give
+// it back.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -41,6 +44,7 @@
 #include "hw/decompressor_rtl.h"
 #include "lzw/decoder.h"
 #include "lzw/encoder.h"
+#include "reference_encoders.h"
 #include "sim/logicsim.h"
 
 namespace {
@@ -60,6 +64,41 @@ bits::TritVector random_cube(std::size_t n, double x_density, std::uint64_t seed
 
 const lzw::LzwConfig kConfig{.dict_size = 1024, .char_bits = 7, .entry_bits = 63};
 
+/// Character classes of the per-class rows: every bit X, some bits X and
+/// some specified, every bit specified.
+enum class CharClass { AllX, Partial, Full };
+
+/// A corpus of `n` trits, in kConfig.char_bits-wide characters, of which
+/// `share` are of class `dominant` and the rest split evenly between the
+/// two other classes. Specified bits are fair coin flips.
+bits::TritVector class_cube(std::size_t n, CharClass dominant, double share,
+                            std::uint64_t seed) {
+  constexpr CharClass kClasses[] = {CharClass::AllX, CharClass::Partial, CharClass::Full};
+  bits::Rng rng(seed);
+  bits::TritVector v(n);
+  const std::size_t cc = kConfig.char_bits;
+  for (std::size_t pos = 0; pos < n; pos += cc) {
+    CharClass c = dominant;
+    if (!rng.chance(share)) {
+      c = kClasses[rng.below(3)];
+      while (c == dominant) c = kClasses[rng.below(3)];
+    }
+    if (c == CharClass::AllX) continue;
+    const std::size_t len = std::min(cc, n - pos);
+    // A partial character needs at least one X and one specified bit.
+    std::uint64_t care = bits::low_mask(static_cast<unsigned>(len));
+    if (c == CharClass::Partial && len > 1) {
+      do {
+        care = rng.next_u64() & bits::low_mask(static_cast<unsigned>(len));
+      } while (care == 0 || care == bits::low_mask(static_cast<unsigned>(len)));
+    }
+    for (std::size_t b = 0; b < len; ++b) {
+      if ((care >> b) & 1u) v.set(pos + b, rng.bit() ? bits::Trit::One : bits::Trit::Zero);
+    }
+  }
+  return v;
+}
+
 void BM_LzwEncodeDynamic(benchmark::State& state) {
   const auto input = random_cube(static_cast<std::size_t>(state.range(0)), 0.9, 1);
   const lzw::Encoder enc(kConfig);
@@ -70,12 +109,13 @@ void BM_LzwEncodeDynamic(benchmark::State& state) {
 }
 BENCHMARK(BM_LzwEncodeDynamic)->Arg(1 << 12)->Arg(1 << 15)->Arg(1 << 18);
 
+// The reference encoder (tests/reference_encoders.h) under First; the name
+// is kept from when it was the library's LegacyScan strategy.
 void BM_LzwEncodeLegacyScan(benchmark::State& state) {
   const auto input = random_cube(static_cast<std::size_t>(state.range(0)), 0.9, 1);
-  const lzw::Encoder enc(kConfig, lzw::Tiebreak::First,
-                         lzw::MatchStrategy::LegacyScan);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(enc.encode(input));
+    benchmark::DoNotOptimize(
+        reference::reference_lzw_encode(kConfig, lzw::Tiebreak::First, input));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0) / 8);
 }
@@ -255,12 +295,27 @@ double chars_per_sec(double chars, const Fn& run) {
   return best;
 }
 
-/// Encode chars/sec for one (corpus, strategy, policy) point.
+/// lzw::Encoder chars/sec for one (corpus, policy) point.
 double encode_chars_per_sec(const bits::TritVector& input, double chars,
-                            lzw::MatchStrategy strategy,
                             lzw::Tiebreak tiebreak = lzw::Tiebreak::First) {
-  const lzw::Encoder enc(kConfig, tiebreak, strategy);
+  const lzw::Encoder enc(kConfig, tiebreak);
   return chars_per_sec(chars, [&] { benchmark::DoNotOptimize(enc.encode(input)); });
+}
+
+/// The reference encoder's chars/sec under First.
+double reference_chars_per_sec(const bits::TritVector& input, double chars) {
+  return chars_per_sec(chars, [&] {
+    benchmark::DoNotOptimize(
+        reference::reference_lzw_encode(kConfig, lzw::Tiebreak::First, input));
+  });
+}
+
+/// True when the encoder's code stream under `tiebreak` equals the
+/// reference's.
+bool matches_reference(const bits::TritVector& input, lzw::Tiebreak tiebreak) {
+  const auto fast = lzw::Encoder(kConfig, tiebreak).encode(input);
+  const auto ref = reference::reference_lzw_encode(kConfig, tiebreak, input);
+  return fast.codes == ref.codes && fast.stream.bytes() == ref.stream.bytes();
 }
 
 constexpr lzw::Tiebreak kPolicies[] = {lzw::Tiebreak::First, lzw::Tiebreak::LowestChar,
@@ -292,8 +347,23 @@ struct Corpus {
   double baseline_tiebreak[std::size(kPolicies)];
 };
 
+/// The JSON baseline and gain fields of a row (null off the default corpus
+/// size).
+std::string gain_json(bool pinned, double rate, double baseline) {
+  char gain[128];
+  if (pinned) {
+    std::snprintf(gain, sizeof gain,
+                  "\"baseline_chars_per_sec\": %.0f, \"gain_vs_baseline\": %.3f",
+                  baseline, rate / baseline);
+  } else {
+    std::snprintf(gain, sizeof gain,
+                  "\"baseline_chars_per_sec\": null, \"gain_vs_baseline\": null");
+  }
+  return gain;
+}
+
 /// One tie-break, decode or text row: a path's chars/sec on a corpus, its
-/// correctness flag (tie-break: Indexed output equals LegacyScan's; decode:
+/// correctness flag (tie-break: output equals the reference's; decode:
 /// covers every care bit of the input; text: formatting then parsing
 /// returns the corpus), and the gain over the pinned baseline (null off the
 /// default corpus size). `path_key` names the JSON key holding `path`.
@@ -311,21 +381,12 @@ std::string bench_row(const Corpus& c, const char* path_key, const char* path,
                   rate, flagged, "n/a");
   }
   table += line;
-  char gain[128];
-  if (pinned) {
-    std::snprintf(gain, sizeof gain,
-                  "\"baseline_chars_per_sec\": %.0f, \"gain_vs_baseline\": %.3f",
-                  baseline, rate / baseline);
-  } else {
-    std::snprintf(gain, sizeof gain,
-                  "\"baseline_chars_per_sec\": null, \"gain_vs_baseline\": null");
-  }
   char row[384];
   std::snprintf(row, sizeof row,
                 "    {\"corpus\": \"%s\", \"%s\": \"%s\", \"x_density\": %.2f, "
                 "\"input_bits\": %zu, \"chars_per_sec\": %.0f, \"%s\": %s, %s}",
                 c.name, path_key, path, c.x_density, bits, rate, flag_key,
-                flag ? "true" : "false", gain);
+                flag ? "true" : "false", gain_json(pinned, rate, baseline).c_str());
   return row;
 }
 
@@ -338,8 +399,35 @@ std::string json_rows(const std::vector<std::string>& rows) {
   return out;
 }
 
-/// Times LegacyScan vs Indexed per corpus, prints the comparison, writes
-/// the JSON trajectory file. Returns 0 on success.
+/// A per-class row corpus: every policy is timed on a class_cube() whose
+/// characters are mostly of class `dominant`.
+struct ClassCorpus {
+  const char* name;
+  CharClass dominant;
+  // lzw::Encoder chars/sec per policy (kPolicies order) before
+  // policy-ordered slabs, the carried Lookahead chain and the one-pass
+  // cursor: the median of three best-of-3 runs of this harness on a 4-vCPU
+  // Xeon VM, pinned like the baselines above.
+  double baseline_policy[std::size(kPolicies)];
+};
+
+/// Share of `input`'s characters that `tiebreak` encodes after the
+/// dictionary fills (0 when it never fills).
+double post_fill_share(const bits::TritVector& input, lzw::Tiebreak tiebreak) {
+  const std::uint64_t chars = (input.size() + kConfig.char_bits - 1) / kConfig.char_bits;
+  std::uint32_t size = kConfig.literal_count();
+  std::uint64_t after = 0;
+  lzw::Encoder(kConfig, tiebreak)
+      .encode(input, lzw::XAssignMode::Dynamic, 1, [&](const lzw::EncoderStep& step) {
+        if (step.char_index >= chars) return;  // the final flush
+        if (size >= kConfig.dict_size) ++after;
+        if (step.new_entry != lzw::kNoCode) ++size;
+      });
+  return chars == 0 ? 0.0 : static_cast<double>(after) / static_cast<double>(chars);
+}
+
+/// Times the reference vs lzw::Encoder per corpus, prints the comparison,
+/// writes the JSON trajectory file. Returns 0 on success.
 int run_path_comparison() {
   constexpr std::size_t kDefaultBits = 1 << 15;
   // $TDC_BENCH_BITS shrinks the corpus for smoke profiles (CI perf job);
@@ -366,9 +454,9 @@ int run_path_comparison() {
                      "\", \"cpus\": " +
                      std::to_string(std::max(1u, std::thread::hardware_concurrency())) +
                      "},\n  \"comparisons\": [\n";
-  std::printf("\nEncoder path comparison (chars/sec, best of 3):\n");
-  std::printf("%-14s %16s %16s %9s %12s\n", "corpus", "legacy", "indexed",
-              "speedup", "vs pre-PR6");
+  std::printf("\nEncoder vs reference (chars/sec, best of 3):\n");
+  std::printf("%-14s %16s %16s %9s %12s\n", "corpus", "reference", "encoder",
+              "speedup", "vs baseline");
   bool first = true;
   std::vector<std::string> tiebreak_rows;
   std::string tiebreak_table;
@@ -383,10 +471,8 @@ int run_path_comparison() {
     const auto input = random_cube(kBits, c.x_density, 7);
     const double chars =
         static_cast<double>((input.size() + kConfig.char_bits - 1) / kConfig.char_bits);
-    const double legacy =
-        encode_chars_per_sec(input, chars, lzw::MatchStrategy::LegacyScan);
-    const double indexed =
-        encode_chars_per_sec(input, chars, lzw::MatchStrategy::Indexed);
+    const double legacy = reference_chars_per_sec(input, chars);
+    const double indexed = encode_chars_per_sec(input, chars);
     const double speedup = legacy > 0 ? indexed / legacy : 0.0;
     const double gain = pinned ? indexed / c.baseline_indexed : 0.0;
     if (pinned) {
@@ -417,16 +503,12 @@ int run_path_comparison() {
     json += entry;
     first = false;
 
-    // Indexed encode under every tie-break policy, each checked against the
-    // LegacyScan reference walk.
+    // The encoder under every tie-break policy, each checked against the
+    // reference walk.
     for (std::size_t p = 0; p < std::size(kPolicies); ++p) {
       const lzw::Tiebreak tb = kPolicies[p];
-      const auto fast = lzw::Encoder(kConfig, tb, lzw::MatchStrategy::Indexed).encode(input);
-      const auto reference =
-          lzw::Encoder(kConfig, tb, lzw::MatchStrategy::LegacyScan).encode(input);
-      const bool identical = fast.codes == reference.codes &&
-                             fast.stream.bytes() == reference.stream.bytes();
-      const double rate = encode_chars_per_sec(input, chars, lzw::MatchStrategy::Indexed, tb);
+      const bool identical = matches_reference(input, tb);
+      const double rate = encode_chars_per_sec(input, chars, tb);
       tiebreak_ok = tiebreak_ok && identical;
       tiebreak_rows.push_back(bench_row(c, "policy", engine::tiebreak_name(tb), kBits,
                                         rate, "identical_to_legacy", identical, pinned,
@@ -473,13 +555,59 @@ int run_path_comparison() {
     text_rows.push_back(bench_row(c, "path", "format", kBits, format_rate, "round_trips",
                                   round_trips, pinned, c.baseline_format, text_table));
   }
+  // Per-class rows: every policy on a corpus 80% of whose characters are
+  // all-X, partly specified or fully specified, with the share of
+  // characters encoded after the dictionary fills.
+  const ClassCorpus class_corpora[] = {
+      {"allx_0.8", CharClass::AllX,
+       {54133555.0, 28957588.0, 50101946.0, 28868338.0, 24809747.0}},
+      {"partial_0.8", CharClass::Partial,
+       {35064625.0, 26966219.0, 33816639.0, 29723523.0, 25188417.0}},
+      {"full_0.8", CharClass::Full,
+       {38108289.0, 35129776.0, 36259907.0, 33825177.0, 33426871.0}}};
+  std::vector<std::string> class_rows;
+  std::string class_table;
+  bool class_ok = true;
+  for (const ClassCorpus& c : class_corpora) {
+    const auto input = class_cube(kBits, c.dominant, 0.8, 11);
+    const double chars =
+        static_cast<double>((input.size() + kConfig.char_bits - 1) / kConfig.char_bits);
+    for (std::size_t p = 0; p < std::size(kPolicies); ++p) {
+      const lzw::Tiebreak tb = kPolicies[p];
+      const bool identical = matches_reference(input, tb);
+      const double rate = encode_chars_per_sec(input, chars, tb);
+      const double share = post_fill_share(input, tb);
+      const double baseline = c.baseline_policy[p];
+      class_ok = class_ok && identical;
+      char line[160];
+      std::snprintf(line, sizeof line, "%-14s %-12s %16.0f %9s %9.3f %10.2fx\n", c.name,
+                    engine::tiebreak_name(tb), rate, identical ? "yes" : "NO", share,
+                    pinned ? rate / baseline : 0.0);
+      class_table += line;
+      char row[512];
+      std::snprintf(row, sizeof row,
+                    "    {\"corpus\": \"%s\", \"policy\": \"%s\", \"x_density\": %.2f, "
+                    "\"input_bits\": %zu, \"chars_per_sec\": %.0f, "
+                    "\"identical_to_legacy\": %s, \"post_fill_share\": %.3f, %s}",
+                    c.name, engine::tiebreak_name(tb), input.x_density(), kBits, rate,
+                    identical ? "true" : "false", share,
+                    gain_json(pinned, rate, baseline).c_str());
+      class_rows.push_back(row);
+    }
+  }
+
   json += "\n  ],\n  \"tiebreak\": [\n" + json_rows(tiebreak_rows) +
           "  ],\n  \"decode\": [\n" + json_rows(decode_rows) + "  ],\n  \"text\": [\n" +
-          json_rows(text_rows) + "  ]\n}\n";
-  std::printf("\nIndexed encode per tie-break policy (chars/sec, best of 3):\n");
-  std::printf("%-14s %-12s %16s %9s %11s\n", "corpus", "policy", "chars/sec", "= legacy",
+          json_rows(text_rows) + "  ],\n  \"char_class\": [\n" + json_rows(class_rows) +
+          "  ]\n}\n";
+  std::printf("\nEncode per tie-break policy (chars/sec, best of 3):\n");
+  std::printf("%-14s %-12s %16s %9s %11s\n", "corpus", "policy", "chars/sec", "= ref",
               "vs parent");
   std::printf("%s", tiebreak_table.c_str());
+  std::printf("\nEncode per policy by dominant character class (chars/sec, best of 3):\n");
+  std::printf("%-14s %-12s %16s %9s %9s %11s\n", "corpus", "policy", "chars/sec", "= ref",
+              "post-fill", "vs parent");
+  std::printf("%s", class_table.c_str());
   std::printf("\nDecode paths (chars/sec, best of 3):\n");
   std::printf("%-14s %-12s %16s %9s %11s\n", "corpus", "path", "chars/sec", "covers",
               "vs parent");
@@ -499,8 +627,8 @@ int run_path_comparison() {
   }
   out << json;
   std::printf("wrote %s\n", out_path.c_str());
-  if (!tiebreak_ok) {
-    std::fprintf(stderr, "micro_codec: an Indexed tie-break pick differs from LegacyScan\n");
+  if (!tiebreak_ok || !class_ok) {
+    std::fprintf(stderr, "micro_codec: a tie-break pick differs from the reference encoder\n");
     return 1;
   }
   if (!decode_ok) {

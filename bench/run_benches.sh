@@ -2,17 +2,19 @@
 # Runs the perf-trajectory benches and leaves their schema-stable JSON files
 # at the repository root (or $TDC_BENCH_OUT_DIR):
 #
-#   BENCH_micro_codec.json        — encoder path comparison (legacy vs
-#                                   indexed chars/sec, gain vs the pinned
-#                                   pre-PR-6 baseline), indexed encode per
+#   BENCH_micro_codec.json        — encoder path comparison (reference
+#                                   vs lzw::Encoder chars/sec, gain vs the
+#                                   pinned pre-index baseline), encode per
 #                                   tie-break policy (chars/sec, identical-
-#                                   to-LegacyScan flag, gain vs the pinned
+#                                   to-reference flag, gain vs the pinned
 #                                   pre-slab baseline), decoder and cycle-
 #                                   model decode rows (chars/sec, care-bit
 #                                   coverage flag, gain vs the pinned
 #                                   pre-decode-core baseline), .tests text
-#                                   rows + google-benchmark micro numbers
-#                                   on stdout
+#                                   rows, per-character-class encode rows
+#                                   (chars/sec, post-fill share, gain vs
+#                                   the pinned pre-slab-order baseline) +
+#                                   google-benchmark micro numbers on stdout
 #   BENCH_engine_throughput.json  — batch-engine scaling at 1/2/4/8 worker
 #                                   threads (wall time, jobs/sec, MB/sec,
 #                                   speedup vs 1 thread) plus the last

@@ -140,10 +140,13 @@ class TritVector {
   std::vector<std::uint64_t> value_;
 };
 
-/// Streaming character cursor over a TritVector: walks the packed bit-plane
-/// words once and yields the MSB-first (value, care) pair of each
-/// `char_bits`-wide character directly from the storage words, instead of
-/// re-slicing with word()/care_word() (a per-bit loop) for every position.
+/// Streaming character cursor over a TritVector: yields the MSB-first
+/// (value, care) pair of each `char_bits`-wide character in one pass over
+/// the packed bit planes. The planes store position i at bit i of a word
+/// while characters read MSB-first, so the cursor bit-reverses each plane
+/// word once, when it reaches that word, and cuts characters off the top of
+/// the reversed window; it holds one word per plane, whatever the input's
+/// size.
 ///
 /// Semantics match word()/care_word() exactly: X bits read as value 0 and
 /// care 0, and positions at or past size() read as X, so a trailing partial
@@ -168,11 +171,9 @@ class CharCursor {
   /// True once every character has been consumed.
   bool done() const { return index_ >= char_count_; }
 
-  /// Random access to any character (used by lookahead probes); does not
-  /// move the cursor.
+  /// Random access to any character; does not move the cursor. Each call
+  /// reverses two plane fields, so sequential reads belong to next().
   Char at(std::uint64_t char_index) const {
-    // The planes store position i at bit i of a word, while characters
-    // are read MSB-first: each field is reversed (SWAR, constant cost).
     const std::size_t pos = static_cast<std::size_t>(char_index) * bits_;
     const TritVector& v = *v_;
     return Char{
@@ -184,13 +185,54 @@ class CharCursor {
   }
 
   /// Yields the current character and advances. Precondition: !done().
-  Char next() { return at(index_++); }
+  Char next() {
+    ++index_;
+    if (avail_ >= bits_) {
+      // The whole character is in the window: cut it off the top.
+      const Char c{.value = top_bits(value_, bits_), .care = top_bits(care_, bits_)};
+      value_ = shift_left(value_, bits_);
+      care_ = shift_left(care_, bits_);
+      avail_ -= bits_;
+      return c;
+    }
+    // The character straddles into the next plane word: the window's
+    // avail_ bits, then the top `need` bits of that word, reversed once.
+    const unsigned need = bits_ - avail_;
+    const std::uint64_t value = load(v_->value_);
+    const std::uint64_t care = load(v_->care_);
+    ++word_;
+    Char c{.value = top_bits(value, need), .care = top_bits(care, need)};
+    if (avail_ != 0) {  // then need < 64
+      c.value |= top_bits(value_, avail_) << need;
+      c.care |= top_bits(care_, avail_) << need;
+    }
+    value_ = shift_left(value, need);
+    care_ = shift_left(care, need);
+    avail_ = 64 - need;
+    return c;
+  }
 
  private:
+  /// The top `n` bits of `w` as an integer; n in [1, 64].
+  static std::uint64_t top_bits(std::uint64_t w, unsigned n) { return w >> (64 - n); }
+  /// w << n for n in [1, 64] (a shift by 64 empties the word).
+  static std::uint64_t shift_left(std::uint64_t w, unsigned n) { return n >= 64 ? 0 : w << n; }
+  /// Plane word word_ bit-reversed, so its first position is the MSB; 0
+  /// past the storage (positions past size() read as X).
+  std::uint64_t load(const std::vector<std::uint64_t>& plane) const {
+    return word_ < plane.size() ? reverse_bits64(plane[word_]) : 0;
+  }
+
   const TritVector* v_;
   std::uint32_t bits_;
   std::uint64_t char_count_;
   std::uint64_t index_ = 0;
+  // The reversed window: the next avail_ unread positions sit in the top
+  // bits of value_/care_; word_ is the next plane word to load.
+  std::uint64_t value_ = 0;
+  std::uint64_t care_ = 0;
+  unsigned avail_ = 0;
+  std::size_t word_ = 0;
 };
 
 }  // namespace tdc::bits

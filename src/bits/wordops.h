@@ -49,8 +49,9 @@ constexpr std::uint64_t reverse_bits64(std::uint64_t x) {
 
 /// Reverses the low `len` bits of `raw`; bits at or above `len` are
 /// discarded (they reverse into the positions the shift drops). len in
-/// [1, 64]. This is the LSB-first-plane <-> MSB-first-character pivot the
-/// cursor performs twice per character.
+/// [1, 64]. This is the LSB-first-plane <-> MSB-first-character pivot for
+/// a single field (word()/care_word(), CharCursor::at, the decode core's
+/// literals); CharCursor::next reverses whole plane words instead.
 constexpr std::uint64_t reverse_low_bits(std::uint64_t raw, unsigned len) {
   return reverse_bits64(raw) >> (64u - len);
 }

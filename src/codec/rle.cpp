@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cassert>
+#include <utility>
 
 #include "core/contracts.h"
 #include "core/error.h"
@@ -33,6 +34,99 @@ std::uint64_t read_remainder(bits::BitReader& r, std::uint64_t m) {
   return v;
 }
 
+/// FDR group of a run length: group k >= 1 covers lengths
+/// [2^k - 2, 2^(k+1) - 3], so k = floor(log2(len + 2)).
+unsigned fdr_group(std::uint64_t len) {
+  return static_cast<unsigned>(std::bit_width(len + 2)) - 1;
+}
+
+/// Bits write_run() spends on run length `len`: Golomb, the unary quotient
+/// and its terminator plus the truncated-binary remainder; FDR, a k-bit
+/// prefix and a k-bit tail for group k.
+std::uint64_t run_bits(std::uint64_t len, const RleConfig& config) {
+  if (config.run_code == RunCode::Fdr) return 2 * std::uint64_t{fdr_group(len)};
+  const std::uint64_t m = config.golomb_m;
+  const auto b = static_cast<unsigned>(std::bit_width(m - 1));
+  const std::uint64_t cutoff = (1ULL << b) - m;
+  return len / m + 1 + (len % m < cutoff ? b - 1 : b);
+}
+
+/// The 0-runs of golomb_rle_encode: X bits 0-filled, each run ended by a 1,
+/// and a trailing run without its 1 when the input ends in zeros.
+std::vector<std::uint64_t> zero_runs(const bits::TritVector& input) {
+  const bits::TritVector filled = input.filled(bits::Trit::Zero);
+  std::vector<std::uint64_t> runs;
+  std::uint64_t run = 0;
+  for (std::size_t i = 0; i < filled.size(); ++i) {
+    if (filled.get(i) == bits::Trit::Zero) {
+      ++run;
+    } else {
+      runs.push_back(run);
+      run = 0;
+    }
+  }
+  if (run > 0) runs.push_back(run);  // trailing zeros with no terminating 1
+  return runs;
+}
+
+/// The runs of alternating_rle_encode over the repeat-filled input: 0-runs
+/// and 1-runs alternate, starting with a (possibly empty) 0-run.
+std::vector<std::uint64_t> alternating_runs(const bits::TritVector& input) {
+  const bits::TritVector filled = input.filled_repeat_last();
+  std::vector<std::uint64_t> runs;
+  bits::Trit expect = bits::Trit::Zero;
+  std::size_t i = 0;
+  while (i < filled.size()) {
+    std::uint64_t run = 0;
+    while (i < filled.size() && filled.get(i) == expect) {
+      ++run;
+      ++i;
+    }
+    runs.push_back(run);
+    expect = expect == bits::Trit::Zero ? bits::Trit::One : bits::Trit::Zero;
+  }
+  return runs;
+}
+
+/// Codes `runs` under `config` into a fresh result.
+RleResult write_runs(std::vector<std::uint64_t> runs, const RleConfig& config,
+                     std::uint64_t original_bits, const char* name) {
+  RleResult result;
+  result.config = config;
+  result.original_bits = original_bits;
+  result.name = name;
+  for (const std::uint64_t len : runs) write_run(result.stream, len, config);
+  result.runs = std::move(runs);
+  return result;
+}
+
+const char* golomb_name(const RleConfig& config) {
+  return config.run_code == RunCode::Fdr ? "FDR" : "Golomb-RLE";
+}
+
+/// The tuning grid's cheapest configuration for `runs`: Golomb m = 4, 8,
+/// ..., 128, then FDR, each costed from the run lengths alone, the first
+/// strictly smaller total winning.
+RleConfig cheapest_config(const std::vector<std::uint64_t>& runs) {
+  RleConfig best;
+  std::uint64_t best_bits = 0;
+  bool have = false;
+  const auto consider = [&](const RleConfig& config) {
+    std::uint64_t total = 0;
+    for (const std::uint64_t len : runs) total += run_bits(len, config);
+    if (!have || total < best_bits) {
+      best = config;
+      best_bits = total;
+      have = true;
+    }
+  };
+  for (const std::uint32_t m : {4u, 8u, 16u, 32u, 64u, 128u}) {
+    consider(RleConfig{RunCode::Golomb, m});
+  }
+  consider(RleConfig{RunCode::Fdr, 0});
+  return best;
+}
+
 }  // namespace
 
 void write_run(bits::BitWriter& w, std::uint64_t len, const RleConfig& config) {
@@ -49,8 +143,7 @@ void write_run(bits::BitWriter& w, std::uint64_t len, const RleConfig& config) {
     case RunCode::Fdr: {
       // Group k (k >= 1) covers lengths [2^k - 2, 2^(k+1) - 3]; the code is
       // a (k-1)-ones-then-zero prefix followed by a k-bit tail.
-      unsigned k = 1;
-      while (len > (2ULL << k) - 3) ++k;
+      const unsigned k = fdr_group(len);
       const std::uint64_t base = (1ULL << k) - 2;
       for (unsigned i = 1; i < k; ++i) w.write_bit(true);
       w.write_bit(false);
@@ -90,27 +183,7 @@ std::uint64_t read_run(bits::BitReader& r, const RleConfig& config) {
 }
 
 RleResult golomb_rle_encode(const bits::TritVector& input, const RleConfig& config) {
-  const bits::TritVector filled = input.filled(bits::Trit::Zero);
-  RleResult result;
-  result.config = config;
-  result.original_bits = input.size();
-  result.name = config.run_code == RunCode::Fdr ? "FDR" : "Golomb-RLE";
-
-  std::uint64_t run = 0;
-  for (std::size_t i = 0; i < filled.size(); ++i) {
-    if (filled.get(i) == bits::Trit::Zero) {
-      ++run;
-    } else {
-      result.runs.push_back(run);
-      write_run(result.stream, run, config);
-      run = 0;
-    }
-  }
-  if (run > 0) {  // trailing zeros with no terminating 1
-    result.runs.push_back(run);
-    write_run(result.stream, run, config);
-  }
-  return result;
+  return write_runs(zero_runs(input), config, input.size(), golomb_name(config));
 }
 
 bits::TritVector golomb_rle_decode(const bits::BitWriter& stream,
@@ -130,26 +203,7 @@ bits::TritVector golomb_rle_decode(const bits::BitWriter& stream,
 
 RleResult alternating_rle_encode(const bits::TritVector& input,
                                  const RleConfig& config) {
-  const bits::TritVector filled = input.filled_repeat_last();
-  RleResult result;
-  result.config = config;
-  result.original_bits = input.size();
-  result.name = "Alt-RLE";
-
-  // Runs alternate 0,1,0,1,...; the leading 0-run may be empty.
-  bits::Trit expect = bits::Trit::Zero;
-  std::size_t i = 0;
-  while (i < filled.size()) {
-    std::uint64_t run = 0;
-    while (i < filled.size() && filled.get(i) == expect) {
-      ++run;
-      ++i;
-    }
-    result.runs.push_back(run);
-    write_run(result.stream, run, config);
-    expect = expect == bits::Trit::Zero ? bits::Trit::One : bits::Trit::Zero;
-  }
-  return result;
+  return write_runs(alternating_runs(input), config, input.size(), "Alt-RLE");
 }
 
 bits::TritVector alternating_rle_decode(const bits::BitWriter& stream,
@@ -209,38 +263,16 @@ bits::TritVector golomb_tdiff_decode(const bits::BitWriter& stream,
   return out;
 }
 
-namespace {
-
-template <typename EncodeFn>
-RleResult best_over_grid(const bits::TritVector& input, EncodeFn encode) {
-  RleResult best;
-  bool have = false;
-  for (const std::uint32_t m : {4u, 8u, 16u, 32u, 64u, 128u}) {
-    RleResult r = encode(input, RleConfig{RunCode::Golomb, m});
-    if (!have || r.stream.bit_count() < best.stream.bit_count()) {
-      best = std::move(r);
-      have = true;
-    }
-  }
-  RleResult fdr = encode(input, RleConfig{RunCode::Fdr, 0});
-  if (!have || fdr.stream.bit_count() < best.stream.bit_count()) {
-    best = std::move(fdr);
-  }
-  return best;
-}
-
-}  // namespace
-
 RleResult best_alternating_rle(const bits::TritVector& input) {
-  return best_over_grid(input, [](const bits::TritVector& in, const RleConfig& c) {
-    return alternating_rle_encode(in, c);
-  });
+  std::vector<std::uint64_t> runs = alternating_runs(input);
+  const RleConfig config = cheapest_config(runs);
+  return write_runs(std::move(runs), config, input.size(), "Alt-RLE");
 }
 
 RleResult best_golomb_rle(const bits::TritVector& input) {
-  return best_over_grid(input, [](const bits::TritVector& in, const RleConfig& c) {
-    return golomb_rle_encode(in, c);
-  });
+  std::vector<std::uint64_t> runs = zero_runs(input);
+  const RleConfig config = cheapest_config(runs);
+  return write_runs(std::move(runs), config, input.size(), golomb_name(config));
 }
 
 }  // namespace tdc::codec

@@ -65,8 +65,11 @@ bits::TritVector alternating_rle_decode(const bits::BitWriter& stream,
                                         std::uint64_t original_bits,
                                         const RleConfig& config = {});
 
-/// Runs the encoder over a small grid of Golomb divisors and returns the
-/// best result — the per-circuit parameter tuning the baseline papers apply.
+/// Tunes the run code per input — the per-circuit parameter tuning the
+/// baseline papers apply — and returns the encoding with the smallest
+/// stream. The runs are extracted once; each grid point (Golomb m = 4, 8,
+/// ..., 128, then FDR) is costed from the run lengths alone, a tie goes to
+/// the earlier point, and only the winner's stream is written.
 RleResult best_alternating_rle(const bits::TritVector& input);
 RleResult best_golomb_rle(const bits::TritVector& input);
 

@@ -41,6 +41,7 @@ std::vector<std::uint32_t> Dictionary::expand(std::uint32_t code) const {
   return out;
 }
 
+template <SlabOrder Order>
 std::uint32_t Dictionary::add(std::uint32_t parent, std::uint32_t ch) {
   assert(defined(parent));
   assert(ch < config_.literal_count());
@@ -52,10 +53,9 @@ std::uint32_t Dictionary::add(std::uint32_t parent, std::uint32_t ch) {
   meta_.push_back(Meta{.parent = parent, .root_ch = pm.root_ch,
                        .length = new_length, .ch = ch});
   slab_.push_back(Slab{});
-  // Append to the parent's slab so children() and the match scans keep
-  // insertion order (the First tie-break's contract). A slab is full when
-  // it is empty or its count reaches its capacity, max(4, bit_ceil(count));
-  // it then moves to the arenas' end with capacity max(4, 2 * count).
+  // A slab is full when it is empty or its count reaches its capacity,
+  // max(4, bit_ceil(count)); it then moves to the arenas' end with capacity
+  // max(4, 2 * count).
   Slab& s = slab_[parent];
   if (s.count == 0 || (s.count >= 4 && std::has_single_bit(s.count))) {
     const auto offset = static_cast<std::uint32_t>(chars_.size());
@@ -66,13 +66,62 @@ std::uint32_t Dictionary::add(std::uint32_t parent, std::uint32_t ch) {
     std::copy_n(codes_.begin() + s.offset, s.count, codes_.begin() + offset);
     s.offset = offset;
   }
-  chars_[s.offset + s.count] = static_cast<std::uint16_t>(ch);
-  codes_[s.offset + s.count] = code;
+  // The new code is the highest, and it has no children yet: Insertion
+  // and ChildCount both place it last. Char shifts the greater characters
+  // one lane right.
+  std::uint32_t lane = s.count;
+  if constexpr (Order == SlabOrder::Char) {
+    const auto first = chars_.begin() + s.offset;
+    lane = static_cast<std::uint32_t>(
+        std::upper_bound(first, first + s.count, ch) - first);
+    std::copy_backward(first + lane, first + s.count, first + s.count + 1);
+    const auto codes = codes_.begin() + s.offset;
+    std::copy_backward(codes + lane, codes + s.count, codes + s.count + 1);
+  }
+  chars_[s.offset + lane] = static_cast<std::uint16_t>(ch);
+  codes_[s.offset + lane] = code;
   ++s.count;
+  if constexpr (Order == SlabOrder::ChildCount) {
+    if (pm.parent != kNoCode) lift(parent);
+  }
   longest_bits_ = std::max<std::uint64_t>(
       longest_bits_,
       static_cast<std::uint64_t>(new_length) * config_.char_bits);
   return code;
+}
+
+template std::uint32_t Dictionary::add<SlabOrder::Insertion>(std::uint32_t, std::uint32_t);
+template std::uint32_t Dictionary::add<SlabOrder::Char>(std::uint32_t, std::uint32_t);
+template std::uint32_t Dictionary::add<SlabOrder::ChildCount>(std::uint32_t, std::uint32_t);
+
+void Dictionary::lift(std::uint32_t code) {
+  // The slab was sorted by (child count descending, code ascending) before
+  // `code` gained a child, so the siblings it now outranks sit in one run
+  // just left of it: those with its old count, and those with its new
+  // count but a higher code. Its lane is the exact match on its character.
+  const Slab s = slab_[meta_[code].parent];
+  const std::uint64_t ch = meta_[code].ch;
+  std::uint32_t lane = 0;
+  for (std::uint32_t base = 0;; base += 4) {
+    if (const std::uint64_t h = match_hits(s, base, ch, 0xffffu)) {
+      lane = base + first_lane(h);
+      break;
+    }
+  }
+  const std::uint32_t n = slab_[code].count;
+  std::uint32_t* codes = codes_.data() + s.offset;
+  std::uint16_t* chars = chars_.data() + s.offset;
+  std::uint32_t to = lane;
+  for (; to > 0; --to) {
+    const std::uint32_t sibling = codes[to - 1];
+    const std::uint32_t m = slab_[sibling].count;
+    if (m > n || (m == n && sibling < code)) break;
+  }
+  if (to == lane) return;
+  std::copy_backward(codes + to, codes + lane, codes + lane + 1);
+  std::copy_backward(chars + to, chars + lane, chars + lane + 1);
+  codes[to] = code;
+  chars[to] = static_cast<std::uint16_t>(ch);
 }
 
 }  // namespace tdc::lzw

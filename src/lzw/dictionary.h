@@ -16,6 +16,17 @@ namespace tdc::lzw {
 /// Sentinel meaning "no code".
 inline constexpr std::uint32_t kNoCode = 0xffffffffu;
 
+/// The order a code's children keep inside its slab. Codes grow in
+/// insertion order, so under Insertion a slab is also in increasing code
+/// order. The encoder picks the order that puts its tie-break's winner at
+/// the first compatible lane; the decoder only looks children up exactly,
+/// so it keeps Insertion.
+enum class SlabOrder {
+  Insertion,   ///< append: First, MostRecent, Lookahead and the decoder
+  Char,        ///< ascending character: LowestChar
+  ChildCount,  ///< more children first, then lower code: MostChildren
+};
+
 /// The LZW dictionary, shared in structure between compressor and
 /// decompressor so the two stay in lockstep (the paper's central
 /// requirement: "the same algorithm is used for both compression and
@@ -32,16 +43,17 @@ inline constexpr std::uint32_t kNoCode = 0xffffffffu;
 /// and the first character of every expansion is memoized at add time,
 /// making first_char() O(1) (the decoder consults it per code).
 ///
-/// Each code's children sit in one contiguous slab, in insertion order
-/// (which is also increasing code order): their characters in a uint16_t
-/// arena (C_C <= 16) and their codes in a parallel uint32_t arena. A slab's
-/// capacity follows from its count — a power of two, at least 4 — and add()
-/// appends in place or, when the slab is full, moves it to the arenas' end
-/// at twice the size. Matching a ternary character against a slab is one
-/// SWAR kernel over four 16-bit lanes per 64-bit word (match_hits): the
-/// encoder answers every tie-break from those compatibility masks, and an
-/// exact lookup (child()) is the same kernel with a full care mask, so no
-/// separate (code, character) index exists.
+/// Each code's children sit in one contiguous slab, in the SlabOrder its
+/// adds keep (insertion order, which is also increasing code order, by
+/// default): their characters in a uint16_t arena (C_C <= 16) and their
+/// codes in a parallel uint32_t arena. A slab's capacity follows from its
+/// count — a power of two, at least 4 — and add() writes the new child into
+/// the slab, first moving a full slab to the arenas' end at twice the
+/// size. Matching a ternary character against a slab is one SWAR
+/// kernel over four 16-bit lanes per 64-bit word (match_hits): the encoder
+/// answers every tie-break from the first (or, for MostRecent, the last)
+/// compatible lane, and an exact lookup (child()) is the same kernel with a
+/// full care mask, so no separate (code, character) index exists.
 class Dictionary {
  public:
   explicit Dictionary(const LzwConfig& config);
@@ -98,8 +110,8 @@ class Dictionary {
   /// agrees with `value` on every `care` bit. Precondition: value, care
   /// < 2^16.
 
-  /// First (oldest) compatible child of `code`, or kNoCode; stops at the
-  /// first nonzero word.
+  /// First compatible child of `code` in slab order (the oldest under
+  /// Insertion), or kNoCode; stops at the first nonzero word.
   std::uint32_t first_match(std::uint32_t code, std::uint64_t value,
                             std::uint64_t care) const {
     const Slab s = slab_[code];
@@ -111,8 +123,9 @@ class Dictionary {
     return kNoCode;
   }
 
-  /// Last (newest, highest-code) compatible child of `code`, or kNoCode;
-  /// scans from the slab's end and stops at the first nonzero word.
+  /// Last compatible child of `code` in slab order (the newest, highest
+  /// code under Insertion), or kNoCode; scans from the slab's end and stops
+  /// at the first nonzero word.
   std::uint32_t last_match(std::uint32_t code, std::uint64_t value, std::uint64_t care) const {
     const Slab s = slab_[code];
     for (std::uint32_t end = s.count; end > 0;) {
@@ -127,7 +140,7 @@ class Dictionary {
   }
 
   /// Calls `visit(child, ch)` for every compatible child of `code` and its
-  /// character, in insertion order, until `visit` returns false.
+  /// character, in slab order, until `visit` returns false.
   template <class Visit>
   void for_each_match(std::uint32_t code, std::uint64_t value, std::uint64_t care,
                       Visit&& visit) const {
@@ -141,8 +154,8 @@ class Dictionary {
   }
 
   /// Forward iterator over a code's children as (character, child code)
-  /// pairs, in insertion order. Yields by value; the pairs are read from the
-  /// two parallel slab arenas.
+  /// pairs, in slab order. Yields by value; the pairs are read from the two
+  /// parallel slab arenas.
   class ChildIterator {
    public:
     using value_type = std::pair<std::uint32_t, std::uint32_t>;
@@ -163,8 +176,8 @@ class Dictionary {
     const std::uint32_t* code_;
   };
 
-  /// Insertion-ordered view of `code`'s children; size() is O(1). Valid
-  /// until the next add().
+  /// View of `code`'s children in slab order; size() is O(1). Valid until
+  /// the next add().
   class ChildRange {
    public:
     ChildRange(const Dictionary* dict, std::uint32_t code)
@@ -182,7 +195,8 @@ class Dictionary {
     std::uint32_t count_;
   };
 
-  /// All (character, child code) pairs under `code`, in insertion order.
+  /// All (character, child code) pairs under `code`, in slab order
+  /// (insertion order unless the adds kept another SlabOrder).
   ChildRange children(std::uint32_t code) const { return ChildRange(this, code); }
 
   /// Number of children of `code` — O(1).
@@ -198,8 +212,13 @@ class Dictionary {
 
   /// Defines the next code as (parent, ch) if the dictionary is not full and
   /// the entry fits the C_MDATA bound. Returns the new code or kNoCode when
-  /// nothing was added. Precondition: defined(parent), no existing
-  /// (parent, ch) child, ch < 2^C_C.
+  /// nothing was added. The new child takes its lane in the parent's slab
+  /// under `Order`: appended (Insertion), at its sorted lane (Char), or
+  /// appended while the parent moves left in its own parent's slab past the
+  /// siblings it now outranks (ChildCount). Insertion does no work beyond
+  /// the append. Preconditions: defined(parent), no existing (parent, ch)
+  /// child, ch < 2^C_C, and every add to this dictionary uses one Order.
+  template <SlabOrder Order = SlabOrder::Insertion>
   std::uint32_t add(std::uint32_t parent, std::uint32_t ch);
 
   /// Longest expansion (in bits) over all currently defined codes.
@@ -250,6 +269,10 @@ class Dictionary {
   static std::uint32_t first_lane(std::uint64_t hits) {
     return static_cast<std::uint32_t>(std::countr_zero(hits)) >> 4;
   }
+
+  /// Moves `code`, whose child count just grew by one, left in its
+  /// parent's ChildCount-ordered slab past the siblings it now outranks.
+  void lift(std::uint32_t code);
 
   LzwConfig config_;
   std::vector<Meta> meta_;

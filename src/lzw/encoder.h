@@ -28,27 +28,12 @@ enum class XAssignMode {
   RandomFill,  ///< X -> coin flip, then plain LZW
 };
 
-/// How the encoder locates the matching dictionary child per character.
-///
-/// `Indexed` (the default) walks the input through a streaming CharCursor
-/// and matches each character against the current code's child slab with
-/// the dictionary's SWAR kernel, four children per 64-bit word: a fully
-/// specified character takes the exact lookup (`Dictionary::child`, the
-/// kernel with a full care mask), and a character with X bits answers its
-/// Tiebreak from the compatibility hits (`pick_indexed`). `LegacyScan` is
-/// the original per-character word()/care_word() re-slice plus a
-/// child-by-child walk of the list (`pick_child`), kept as the independent
-/// reference implementation: both strategies produce bit-identical streams
-/// (enforced by the lzw_paths property test) and the micro_codec bench
-/// reports the throughput of each.
-enum class MatchStrategy {
-  Indexed,     ///< slab match kernel + streaming cursor (fast path)
-  LegacyScan,  ///< child-by-child list walk (reference path)
-};
-
 /// Tie-break policy when several dictionary children are compatible with a
 /// ternary input character. The paper leaves this open; the ablation bench
-/// compares the options.
+/// compares the options. The encoder's dictionary keeps each child slab in
+/// its rule's preference order, so LowestChar and MostChildren take the
+/// first compatible lane like First, MostRecent the last one, and
+/// Lookahead stops at the first child reaching the top score.
 enum class Tiebreak {
   First,         ///< first child in insertion order (oldest entry)
   LowestChar,    ///< numerically smallest compatible character
@@ -123,18 +108,20 @@ using StepObserver = std::function<void(const EncoderStep&)>;
 /// The LZW compressor with dynamic don't-care assignment.
 ///
 /// Operates on a ternary bit stream (the serialized scan-test set), consuming
-/// C_C bits per character. A trailing partial character is padded with X;
-/// the decompressor's surplus output bits are simply not shifted into the
-/// scan chain.
+/// C_C bits per character from a one-pass CharCursor. A trailing partial
+/// character is padded with X; the decompressor's surplus output bits are
+/// simply not shifted into the scan chain.
+///
+/// A fully specified character takes the exact lookup (Dictionary::child);
+/// a character with X bits takes the tie-break's pick, one early-exit scan
+/// of the current code's child slab. The loop is compiled once per
+/// Tiebreak, and the rule fixes the SlabOrder of the encoder's dictionary.
 class Encoder {
  public:
-  explicit Encoder(const LzwConfig& config, Tiebreak tiebreak = Tiebreak::First,
-                   MatchStrategy strategy = MatchStrategy::Indexed)
-      : config_(config), tiebreak_(tiebreak), strategy_(strategy) {
+  explicit Encoder(const LzwConfig& config, Tiebreak tiebreak = Tiebreak::First)
+      : config_(config), tiebreak_(tiebreak) {
     config_.validate();
   }
-
-  MatchStrategy strategy() const { return strategy_; }
 
   /// Compresses `input`. `rng_seed` only matters for XAssignMode::RandomFill.
   /// `observer`, when set, receives one EncoderStep per consumed character
@@ -145,38 +132,8 @@ class Encoder {
                       const StepObserver& observer = {}) const;
 
  private:
-  /// The optimized loop: streaming CharCursor fetch, slab match kernel for
-  /// every probe, pre-sized result containers.
-  EncodeResult encode_indexed(const bits::TritVector& input,
-                              const StepObserver& observer) const;
-
-  /// Faithful replica of the pre-index encoder (per-character re-slice,
-  /// unconditional list scan, per-bit emission); the reference baseline.
-  EncodeResult encode_legacy(const bits::TritVector& input,
-                             const StepObserver& observer) const;
-
-  /// Reference pick for LegacyScan: walks every child, one compatibility
-  /// test each, and applies the tie-break policy; kNoCode if none.
-  /// `cursor`/`char_index` feed the Lookahead policy's probe.
-  std::uint32_t pick_child(const Dictionary& dict, std::uint32_t buffer,
-                           std::uint64_t value, std::uint64_t care,
-                           const bits::CharCursor& cursor,
-                           std::uint64_t char_index,
-                           std::uint64_t input_chars) const;
-
-  /// The Indexed pick: the same policy answered from the slab kernel's
-  /// compatibility hits. `next` is character char_index + 1 (the loop's
-  /// pipelined cursor read), used only by Lookahead.
-  std::uint32_t pick_indexed(const Dictionary& dict, std::uint32_t buffer,
-                             std::uint64_t value, std::uint64_t care,
-                             const bits::CharCursor::Char& next,
-                             const bits::CharCursor& cursor,
-                             std::uint64_t char_index,
-                             std::uint64_t input_chars) const;
-
   LzwConfig config_;
   Tiebreak tiebreak_;
-  MatchStrategy strategy_;
 };
 
 }  // namespace tdc::lzw

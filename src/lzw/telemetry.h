@@ -50,14 +50,13 @@ class SampleCounts {
 /// cares, how deep matches ran, and which dictionary path answered each
 /// character.
 struct EncoderTelemetry {
-  /// Dictionary child lookups answered by the exact lookup (fully specified
-  /// character on the Indexed strategy: the slab match kernel with a full
-  /// care mask).
+  /// Dictionary child lookups answered by the exact lookup (a fully
+  /// specified character: the slab match kernel with a full care mask).
   std::uint64_t probes_fast = 0;
 
-  /// Dictionary child lookups that ran a tie-break pick over the
-  /// insertion-ordered children (character carried X bits, or the
-  /// LegacyScan strategy).
+  /// Dictionary child lookups that ran the tie-break's pick (the character
+  /// carried X bits): one early-exit scan of the policy-ordered child slab,
+  /// or none when Lookahead's carried chain decides it.
   std::uint64_t probes_scan = 0;
 
   /// Characters that extended the running match (a compatible child existed).

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bits/rng.h"
@@ -8,6 +10,7 @@
 #include "codec/codec.h"
 #include "codec/lz77.h"
 #include "codec/rle.h"
+#include "reference_encoders.h"
 
 namespace tdc::codec {
 namespace {
@@ -294,6 +297,87 @@ INSTANTIATE_TEST_SUITE_P(DensitySweep, RleProperty,
                                            RleParam{0.9, 0.1, 8000},
                                            RleParam{0.95, 0.9, 8000},
                                            RleParam{1.0, 0.5, 2000}));
+
+// ---------------------------------------------------------------- tuned RLE
+
+// Field-for-field equality of two RLE results.
+void expect_same_rle(const RleResult& a, const RleResult& b, const std::string& what) {
+  EXPECT_EQ(a.config.run_code, b.config.run_code) << what;
+  EXPECT_EQ(a.config.golomb_m, b.config.golomb_m) << what;
+  EXPECT_EQ(a.runs, b.runs) << what;
+  EXPECT_EQ(a.stream.bit_count(), b.stream.bit_count()) << what;
+  EXPECT_EQ(a.stream.bytes(), b.stream.bytes()) << what;
+  EXPECT_EQ(a.original_bits, b.original_bits) << what;
+  EXPECT_STREQ(a.name, b.name) << what;
+}
+
+RleResult alternating(const TritVector& in, const RleConfig& c) {
+  return alternating_rle_encode(in, c);
+}
+RleResult golomb(const TritVector& in, const RleConfig& c) { return golomb_rle_encode(in, c); }
+
+// Both tuned coders, sized from one run pass, equal the seven-encode
+// reference on empty, all-X, fully specified and mixed vectors whose
+// lengths straddle 64-trit words.
+TEST(TunedRleTest, OnePassMatchesSevenEncodeReference) {
+  std::vector<std::pair<std::string, TritVector>> inputs;
+  inputs.emplace_back("empty", TritVector());
+  inputs.emplace_back("all_x", TritVector(1000));
+  inputs.emplace_back("all_one", TritVector(300, Trit::One));
+  std::uint64_t seed = 1;
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 129u, 4096u, 5000u}) {
+    for (const double x : {0.0, 0.5, 0.9, 0.99}) {
+      inputs.emplace_back("n=" + std::to_string(n) + " x=" + std::to_string(x),
+                          random_cube(n, x, seed++));
+    }
+  }
+  for (const auto& [what, input] : inputs) {
+    expect_same_rle(best_alternating_rle(input),
+                    reference::reference_best_rle(input, alternating), "alternating " + what);
+    expect_same_rle(best_golomb_rle(input), reference::reference_best_rle(input, golomb),
+                    "golomb " + what);
+  }
+}
+
+// Every fully specified vector of up to 12 trits. Short runs make several
+// grid points cost the same minimum; the tie must go to the earliest point,
+// as the seven-encode reference's strict < does, and the sweep must meet
+// such ties.
+TEST(TunedRleTest, GridTiesGoToTheEarliestPoint) {
+  int ties = 0;
+  for (std::uint32_t n = 0; n <= 12; ++n) {
+    for (std::uint32_t id = 0; id < (1u << n); ++id) {
+      TritVector input(n);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        input.set(i, ((id >> i) & 1u) != 0 ? Trit::One : Trit::Zero);
+      }
+      const RleResult want = reference::reference_best_rle(input, alternating);
+      const RleResult got = best_alternating_rle(input);
+      ASSERT_EQ(got.config.run_code, want.config.run_code) << input.to_string();
+      ASSERT_EQ(got.config.golomb_m, want.config.golomb_m) << input.to_string();
+      ASSERT_EQ(got.stream.bytes(), want.stream.bytes()) << input.to_string();
+      const RleResult gw = reference::reference_best_rle(input, golomb);
+      const RleResult gg = best_golomb_rle(input);
+      ASSERT_EQ(gg.config.run_code, gw.config.run_code) << input.to_string();
+      ASSERT_EQ(gg.config.golomb_m, gw.config.golomb_m) << input.to_string();
+      ASSERT_EQ(gg.stream.bytes(), gw.stream.bytes()) << input.to_string();
+      int at_min = 0;
+      for (const std::uint32_t m : {4u, 8u, 16u, 32u, 64u, 128u}) {
+        at_min += alternating(input, RleConfig{RunCode::Golomb, m}).stream.bit_count() ==
+                  want.stream.bit_count();
+      }
+      at_min += alternating(input, RleConfig{RunCode::Fdr, 0}).stream.bit_count() ==
+                want.stream.bit_count();
+      ties += at_min > 1;
+    }
+  }
+  EXPECT_GT(ties, 100);
+  // Runs of 8: Golomb m = 4, 8 and 16 all spend 5 bits a run; m = 4 wins.
+  const auto eights = TritVector::from_string("000000001111111100000000");
+  EXPECT_EQ(best_alternating_rle(eights).config.golomb_m, 4u);
+  EXPECT_EQ(alternating(eights, RleConfig{RunCode::Golomb, 16}).stream.bit_count(),
+            best_alternating_rle(eights).stream.bit_count());
+}
 
 TEST(BaselineShapeTest, HighXFavorsEveryCodec) {
   // Sanity for the Table 1 shape: with 90 % X everything compresses well,

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bits/rng.h"
@@ -11,6 +13,7 @@
 #include "lzw/dictionary.h"
 #include "lzw/encoder.h"
 #include "lzw/verify.h"
+#include "reference_encoders.h"
 
 namespace tdc::lzw {
 namespace {
@@ -284,6 +287,108 @@ TEST(DictionaryTest, MatchKernelEdgeCases) {
   EXPECT_EQ(d.child(1, 0x4000), kNoCode);
 }
 
+// (character, child) pairs of every code, each list sorted: the
+// (parent, char) -> code map with the slab order taken out.
+using ChildPairs = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+std::vector<ChildPairs> child_map(const Dictionary& d) {
+  std::vector<ChildPairs> map(d.size());
+  for (std::uint32_t code = 0; code < d.size(); ++code) {
+    map[code] = listed_children(d, code);
+    std::sort(map[code].begin(), map[code].end());
+  }
+  return map;
+}
+
+// True when every slab of `d` is in `order`: ascending character (Char), or
+// more children first, then lower code (ChildCount).
+bool slabs_in_order(const Dictionary& d, SlabOrder order) {
+  for (std::uint32_t code = 0; code < d.size(); ++code) {
+    const auto kids = listed_children(d, code);
+    for (std::size_t k = 1; k < kids.size(); ++k) {
+      const auto [ach, a] = kids[k - 1];
+      const auto [bch, b] = kids[k];
+      const bool ordered =
+          order == SlabOrder::Char
+              ? ach < bch
+              : d.child_count(a) > d.child_count(b) ||
+                    (d.child_count(a) == d.child_count(b) && a < b);
+      if (!ordered) return false;
+    }
+  }
+  return true;
+}
+
+// Random tries fed to an insertion-ordered dictionary and to a Char- and a
+// ChildCount-ordered one: after every add the ordered slabs keep their
+// order, and all three hold the same (parent, char) -> code map, so child()
+// and every match scan's hit set agree whatever the order.
+TEST(DictionaryTest, OrderedSlabsKeepOrderAndTheInsertionMap) {
+  for (const std::uint32_t cc : {2u, 7u}) {
+    const LzwConfig c{
+        .dict_size = cc == 2 ? 96u : 512u, .char_bits = cc, .entry_bits = 32 * cc};
+    Dictionary plain(c);
+    Dictionary by_char(c);
+    Dictionary by_count(c);
+    Rng rng(500 + cc);
+    while (!plain.full()) {
+      // Bias parents toward recent codes so deep chains and wide slabs form.
+      const std::uint32_t recent = std::min(plain.size(), 8u);
+      const auto parent = static_cast<std::uint32_t>(
+          rng.chance(0.5) ? rng.below(plain.size()) : plain.size() - 1 - rng.below(recent));
+      const auto ch = static_cast<std::uint32_t>(rng.below(c.literal_count()));
+      if (plain.child(parent, ch) != kNoCode || !plain.extendable(parent)) continue;
+      const std::uint32_t code = plain.add(parent, ch);
+      ASSERT_EQ(by_char.add<SlabOrder::Char>(parent, ch), code);
+      ASSERT_EQ(by_count.add<SlabOrder::ChildCount>(parent, ch), code);
+      ASSERT_TRUE(slabs_in_order(by_char, SlabOrder::Char)) << "after code " << code;
+      ASSERT_TRUE(slabs_in_order(by_count, SlabOrder::ChildCount)) << "after code " << code;
+    }
+    const auto want = child_map(plain);
+    EXPECT_EQ(child_map(by_char), want);
+    EXPECT_EQ(child_map(by_count), want);
+    for (std::uint32_t code = 0; code < plain.size(); ++code) {
+      for (std::uint32_t ch = 0; ch < c.literal_count(); ++ch) {
+        ASSERT_EQ(by_char.child(code, ch), plain.child(code, ch));
+        ASSERT_EQ(by_count.child(code, ch), plain.child(code, ch));
+      }
+    }
+  }
+}
+
+// ChildCount order by hand: children 4, 5, 6 of literal 0 start in code
+// order (no children each); a grandchild lifts its parent left past every
+// sibling with fewer children and past equal-count siblings with a higher
+// code, but not past an equal-count sibling with a lower code.
+TEST(DictionaryTest, ChildCountOrderLiftsPastEqualCounts) {
+  const LzwConfig c{.dict_size = 64, .char_bits = 2, .entry_bits = 16};
+  Dictionary d(c);
+  for (const std::uint32_t ch : {0u, 1u, 2u}) d.add<SlabOrder::ChildCount>(0, ch);
+  const auto order = [&] {
+    std::vector<std::uint32_t> codes;
+    for (const auto& [ch, code] : d.children(0)) codes.push_back(code);
+    return codes;
+  };
+  EXPECT_EQ(order(), (std::vector<std::uint32_t>{4, 5, 6}));
+  d.add<SlabOrder::ChildCount>(6, 0);  // 6: one child, past 4 and 5
+  EXPECT_EQ(order(), (std::vector<std::uint32_t>{6, 4, 5}));
+  d.add<SlabOrder::ChildCount>(5, 0);  // 5: one child, past 4 and the equal 6
+  EXPECT_EQ(order(), (std::vector<std::uint32_t>{5, 6, 4}));
+  d.add<SlabOrder::ChildCount>(4, 3);  // 4: one child, past the equal 5 and 6
+  EXPECT_EQ(order(), (std::vector<std::uint32_t>{4, 5, 6}));
+  d.add<SlabOrder::ChildCount>(6, 1);  // 6: two children, first
+  EXPECT_EQ(order(), (std::vector<std::uint32_t>{6, 4, 5}));
+  d.add<SlabOrder::ChildCount>(5, 2);  // 5: two children, equal to 6 but lower
+  EXPECT_EQ(order(), (std::vector<std::uint32_t>{5, 6, 4}));
+  EXPECT_EQ(d.first_match(0, 0, 0), 5u);  // MostChildren's all-X pick
+  // Char order by hand: each child lands at its sorted lane.
+  Dictionary e(c);
+  for (const std::uint32_t ch : {2u, 0u, 3u, 1u}) e.add<SlabOrder::Char>(1, ch);
+  const ChildPairs want{{0, 5}, {1, 7}, {2, 4}, {3, 6}};
+  EXPECT_EQ(listed_children(e, 1), want);
+  EXPECT_EQ(e.first_match(1, 1, 1), 7u);  // LowestChar's pick for 'X1'
+}
+
 TEST(DictionaryTest, FreezesAtCapacity) {
   Dictionary d(tiny_config());  // N=8, 2 literals -> 6 entries available
   std::uint32_t parent = 0;
@@ -512,10 +617,9 @@ TEST(TiebreakTest, LowestCharPicksSmallestCompatibleCharacter) {
   const auto first = Encoder(c, Tiebreak::First).encode(input);
   EXPECT_EQ(first.codes, (std::vector<std::uint32_t>{0, 2, 0, 1, 4}));
 
-  // The legacy scan agrees (the fix is strategy-independent).
-  const auto legacy =
-      Encoder(c, Tiebreak::LowestChar, MatchStrategy::LegacyScan).encode(input);
-  EXPECT_EQ(legacy.codes, lowest.codes);
+  // The reference walk agrees (the fix is independent of the slab order).
+  const auto reference = reference::reference_lzw_encode(c, Tiebreak::LowestChar, input);
+  EXPECT_EQ(reference.codes, lowest.codes);
 }
 
 // ---------------------------------------------------------------- Round-trip property sweep
@@ -618,14 +722,14 @@ TEST(TelemetryTest, PrefillModesReportPrefilledBits) {
 
 TEST(TelemetryTest, ProbeSplitFollowsStrategyAndCareBits) {
   const LzwConfig c{.dict_size = 1024, .char_bits = 7, .entry_bits = 63};
-  // Fully specified input: the Indexed strategy answers every probe through
-  // the exact lookup, the Legacy strategy never does.
+  // Fully specified input: the encoder answers every probe through the
+  // exact lookup, the reference walk never does.
   const auto dense = random_cube(7000, 0.0, 31);
-  const auto indexed = Encoder(c, Tiebreak::First, MatchStrategy::Indexed).encode(dense);
+  const auto indexed = Encoder(c, Tiebreak::First).encode(dense);
   EXPECT_GT(indexed.telemetry.probes_fast, 0u);
   EXPECT_EQ(indexed.telemetry.probes_scan, 0u);
 
-  const auto legacy = Encoder(c, Tiebreak::First, MatchStrategy::LegacyScan).encode(dense);
+  const auto legacy = reference::reference_lzw_encode(c, Tiebreak::First, dense);
   EXPECT_EQ(legacy.telemetry.probes_fast, 0u);
   EXPECT_EQ(legacy.telemetry.probes_scan, indexed.telemetry.probes_fast);
 
