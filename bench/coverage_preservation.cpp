@@ -35,8 +35,9 @@ int main() {
     const lzw::LzwConfig config = exp::paper_lzw_config(profile);
     const bits::TritVector stream = pc.tests.serialize();
     const auto encoded = lzw::Encoder(config).encode(stream);
+    bits::BitReader reader(encoded.stream);
     const auto decoded =
-        lzw::Decoder(config).decode(encoded.codes, encoded.original_bits);
+        lzw::Decoder(config).decode_stream(reader, encoded.code_count, encoded.original_bits);
     const bool compatible = stream.covered_by(decoded.bits);
     const auto patterns = pc.tests.deserialize(decoded.bits);
     const double cov_lzw = atpg::fault_coverage(nl, faults, patterns);

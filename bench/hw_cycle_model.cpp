@@ -35,7 +35,9 @@ int main() {
 
     // Functional check: the hardware model's scan stream must match the
     // software reference decoder bit for bit.
-    const auto sw = lzw::Decoder(config).decode(encoded.codes, encoded.original_bits);
+    bits::BitReader reader(encoded.stream);
+    const auto sw =
+        lzw::Decoder(config).decode_stream(reader, encoded.code_count, encoded.original_bits);
     if (!(run.scan_bits == sw.bits)) {
       std::printf("FAIL: hardware scan-out differs from software decoder at %ux\n", k);
       return 1;

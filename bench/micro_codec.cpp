@@ -136,7 +136,9 @@ void BM_LzwDecode(benchmark::State& state) {
   const auto encoded = lzw::Encoder(kConfig).encode(input);
   const lzw::Decoder dec(kConfig);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dec.decode(encoded.codes, encoded.original_bits));
+    bits::BitReader reader(encoded.stream);
+    benchmark::DoNotOptimize(
+        dec.decode_stream(reader, encoded.code_count, encoded.original_bits));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0) / 8);
 }
@@ -310,12 +312,13 @@ double reference_chars_per_sec(const bits::TritVector& input, double chars) {
   });
 }
 
-/// True when the encoder's code stream under `tiebreak` equals the
-/// reference's.
+/// True when the encoder's code stream, code count and telemetry under
+/// `tiebreak` equal the reference's.
 bool matches_reference(const bits::TritVector& input, lzw::Tiebreak tiebreak) {
   const auto fast = lzw::Encoder(kConfig, tiebreak).encode(input);
   const auto ref = reference::reference_lzw_encode(kConfig, tiebreak, input);
-  return fast.codes == ref.codes && fast.stream.bytes() == ref.stream.bytes();
+  return fast.stream.bytes() == ref.stream.bytes() && fast.code_count == ref.code_count &&
+         reference::telemetry_json(fast) == reference::telemetry_json(ref);
 }
 
 constexpr lzw::Tiebreak kPolicies[] = {lzw::Tiebreak::First, lzw::Tiebreak::LowestChar,
@@ -521,8 +524,7 @@ int run_path_comparison() {
     const lzw::Decoder decoder(kConfig);
     const auto decode = [&] {
       bits::BitReader reader(encoded.stream);
-      return decoder.try_decode_stream(reader, encoded.codes.size(),
-                                       encoded.original_bits);
+      return decoder.try_decode_stream(reader, encoded.code_count, encoded.original_bits);
     };
     const hw::DecompressorModel model(hw::HwConfig{.lzw = kConfig, .clock_ratio = 10});
     const auto decoded = decode();

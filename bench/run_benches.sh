@@ -16,8 +16,10 @@
 #                                   the pinned pre-slab-order baseline) +
 #                                   google-benchmark micro numbers on stdout
 #   BENCH_engine_throughput.json  — batch-engine scaling at 1/2/4/8 worker
-#                                   threads (wall time, jobs/sec, MB/sec,
-#                                   speedup vs 1 thread) plus the last
+#                                   threads, 15 timed runs per point (median
+#                                   wall time with quartiles, median process
+#                                   CPU seconds, jobs/sec, MB/sec, speedup
+#                                   vs 1 thread from medians) plus the last
 #                                   run's metrics snapshot
 #
 # Usage: bench/run_benches.sh [build-dir]

@@ -30,10 +30,12 @@ void walkthrough(const char* title, const std::string& message) {
               "input", "output", "new entry");
 
   lzw::Dictionary shadow(config);  // expands entries for pretty-printing
+  std::vector<std::uint32_t> codes;  // the emitted codes, from the observer
   char step_label = 'a';
   const lzw::Encoder encoder(config);
   const auto encoded = encoder.encode(
       input, lzw::XAssignMode::Dynamic, 1, [&](const lzw::EncoderStep& step) {
+        if (step.emitted != lzw::kNoCode) codes.push_back(step.emitted);
         std::string in = step.char_index < (input.size() + config.char_bits - 1) /
                                                config.char_bits
                              ? ((step.char_care & 1) == 0 ? "X"
@@ -54,7 +56,7 @@ void walkthrough(const char* title, const std::string& message) {
       });
 
   std::printf("\n  compressed output:");
-  for (const auto c : encoded.codes) std::printf(" %u", c);
+  for (const auto c : codes) std::printf(" %u", c);
   std::printf("   (%llu -> %llu bits)\n\n",
               static_cast<unsigned long long>(encoded.original_bits),
               static_cast<unsigned long long>(encoded.compressed_bits()));
@@ -67,7 +69,7 @@ void walkthrough(const char* title, const std::string& message) {
   std::uint32_t prev = lzw::kNoCode;
   step_label = 'a';
   std::string recovered;
-  for (const auto code : encoded.codes) {
+  for (const auto code : codes) {
     std::vector<std::uint32_t> entry;
     const bool kwkwk = !dict.defined(code);
     if (kwkwk) {
@@ -96,9 +98,11 @@ void walkthrough(const char* title, const std::string& message) {
   recovered.resize(input.size());
   std::printf("\n  recovered: %s\n", recovered.c_str());
 
-  // Cross-check against the reference decoder.
+  // Cross-check against the reference decoder, which reads the packed
+  // stream.
+  bits::BitReader reader(encoded.stream);
   const auto decoded =
-      lzw::Decoder(config).decode(encoded.codes, encoded.original_bits);
+      lzw::Decoder(config).decode_stream(reader, encoded.code_count, encoded.original_bits);
   std::printf("  reference decoder agrees: %s\n",
               decoded.bits.to_string() == recovered ? "yes" : "NO");
   std::printf("  care bits preserved:      %s\n\n",

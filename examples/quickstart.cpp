@@ -47,16 +47,17 @@ int main() {
   // dictionary entries (the paper's dynamic don't-care assignment).
   const lzw::Encoder encoder(config);
   const lzw::EncodeResult encoded = encoder.encode(stream);
-  std::printf("compressed: %llu -> %llu bits (ratio %.2f%%), %zu codes\n",
+  std::printf("compressed: %llu -> %llu bits (ratio %.2f%%), %llu codes\n",
               static_cast<unsigned long long>(encoded.original_bits),
               static_cast<unsigned long long>(encoded.compressed_bits()),
-              encoded.ratio_percent(), encoded.codes.size());
+              encoded.ratio_percent(), static_cast<unsigned long long>(encoded.code_count));
 
-  // Decompress (the software model of the on-chip engine) and verify that
-  // every care bit of the cube set survived.
+  // Decompress the packed stream (the software model of the on-chip
+  // engine) and verify that every care bit of the cube set survived.
   const lzw::Decoder decoder(config);
+  bits::BitReader reader(encoded.stream);
   const lzw::DecodeResult decoded =
-      decoder.decode(encoded.codes, encoded.original_bits);
+      decoder.decode_stream(reader, encoded.code_count, encoded.original_bits);
   std::printf("decoded stream: %s\n", decoded.bits.to_string().substr(0, 48).c_str());
 
   const lzw::VerifyReport report = lzw::verify_roundtrip(stream, encoded);

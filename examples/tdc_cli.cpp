@@ -31,8 +31,9 @@
 //                                                compress / decompress /
 //                                                inspect / verify / stats
 //                                                requests over a unix
-//                                                socket, multiplexed onto
-//                                                the engine worker pool;
+//                                                socket, each computed on
+//                                                its connection thread,
+//                                                --jobs N at once;
 //                                                SIGINT/SIGTERM drain and
 //                                                exit 0
 //   tdc_cli client <socket> <op> [...]           talk to a running daemon
@@ -110,7 +111,8 @@ int usage() {
                " [--samples N]\n"
                "  tdc_cli convert <in.bench|in.v> <out.bench|out.v>\n"
                "  tdc_cli wave <in.tdclzw> <out.vcd> [clock_ratio]\n"
-               "  tdc_cli serve <socket> [--jobs N] [--max-in-flight N]\n"
+               "  tdc_cli serve <socket> [--jobs N] [--max-in-flight N]"
+               " (--jobs: requests computed at once)\n"
                "              [--max-connections N] [--no-verify]"
                " [--io-timeout-ms N]\n"
                "              [--log-level <debug|info|warn|error|off>]"
@@ -198,8 +200,7 @@ int cmd_wave(exp::Args& args) {
   encoded.original_bits = image.original_bits;
   const auto decoded = image.decode();  // validates the stream
   encoded.stream = image.stream;
-  // The RTL model reads codes from the stream; it only needs the count.
-  encoded.codes.resize(image.code_count);
+  encoded.code_count = image.code_count;
 
   std::ofstream out(pos[1]);
   if (!out) {
@@ -436,12 +437,13 @@ int cmd_stats(exp::Args& args) {
   const scan::TestSet tests = scan::read_tests_file(path);
   const bits::TritVector stream = tests.serialize();
   const auto encoded = lzw::Encoder(config).encode(stream);
+  bits::BitReader reader(encoded.stream);
   const auto decoded =
-      lzw::Decoder(config).decode(encoded.codes, encoded.original_bits);
+      lzw::Decoder(config).decode_stream(reader, encoded.code_count, encoded.original_bits);
   return emit_text(out_path,
                    stream_stats_json(path, "tests", config, encoded.original_bits,
                                      encoded.compressed_bits(),
-                                     encoded.codes.size(), nullptr,
+                                     encoded.code_count, nullptr,
                                      &encoded.telemetry, &decoded.telemetry));
 }
 
@@ -636,7 +638,7 @@ CompressOutcome compress_one(const std::string& in, const std::string& out,
   outcome.stats_json = stream_stats_json(in, "tests", config,
                                          encoded.original_bits,
                                          encoded.compressed_bits(),
-                                         encoded.codes.size(), nullptr,
+                                         encoded.code_count, nullptr,
                                          &encoded.telemetry, nullptr);
   return outcome;
 }

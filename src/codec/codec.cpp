@@ -106,6 +106,10 @@ class LzwCodec final : public Codec {
 
   Result<CompressedChunk> compress_chunk(const bits::TritVector& chunk) const override {
     return guarded<CompressedChunk>([&]() -> Result<CompressedChunk> {
+      // No payload is written that decompress_chunk would refuse.
+      if (std::string why = config_.check_stored(); !why.empty()) {
+        return Error{ErrorKind::ConfigMismatch, label_ + ": " + why};
+      }
       const lzw::EncodeResult encoded = lzw::Encoder(config_, tiebreak_).encode(chunk);
       CompressedChunk out;
       out.stats = CodecStats{label_, encoded.original_bits, encoded.compressed_bits()};
@@ -113,7 +117,7 @@ class LzwCodec final : public Codec {
       put_u32(out.payload, encoded.config.char_bits);
       put_u32(out.payload, encoded.config.entry_bits);
       put_u32(out.payload, encoded.config.variable_width ? 1u : 0u);
-      put_u64(out.payload, encoded.codes.size());
+      put_u64(out.payload, encoded.code_count);
       put_stream(out.payload, encoded.stream);
       return out;
     });
@@ -132,11 +136,15 @@ class LzwCodec final : public Codec {
       return malformed(label_, "truncated LZW fields");
     }
     config.variable_width = (flags & 1u) != 0;
-    if (std::string why = config.check(); !why.empty()) {
+    if (std::string why = config.check_stored(); !why.empty()) {
       return malformed(label_, why);
     }
     if (code_count > stream.bit_count()) {
       return malformed(label_, "code_count exceeds the stream's bit budget");
+    }
+    if (trit_count > config.max_decoded_bits(code_count)) {
+      return malformed(label_, std::to_string(trit_count) + " trits exceed what " +
+                                   std::to_string(code_count) + " codes can decode to");
     }
     bits::BitReader reader(stream);
     Result<lzw::DecodeResult> decoded =

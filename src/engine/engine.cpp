@@ -286,8 +286,8 @@ void run_stage(const StageMetrics& sm, const char* span_name, Job& job,
 }
 
 /// The whole job path, load → encode → containerize → verify, on the
-/// calling thread: Engine::run's and JobRunner::run's pool tasks both run a
-/// job through here.
+/// calling thread: Engine::run's pool tasks and JobRunner::run's calls both
+/// run a job through here.
 void run_job(JobContext& ctx, Job& job, bool verify, std::atomic<bool>* cancel) {
   run_stage(ctx.load, "engine.load", job, cancel,
             [&ctx](Job& j) { return stage_load(ctx.gen, j); });
@@ -361,8 +361,10 @@ std::string BatchResult::report() const {
     } else if (!j.status.ok()) {
       status = std::string("FAILED ") + to_string(j.status.error().kind);
     }
-    table.add_row({j.name, j.config_summary,
-                   "v" + std::to_string(j.container_version),
+    // Not "v" + to_string(): a false GCC 12 -Wrestrict positive.
+    std::string container = "v";
+    container += std::to_string(j.container_version);
+    table.add_row({j.name, j.config_summary, container,
                    j.ok() ? exp::num(j.original_bits) : "-",
                    j.ok() ? exp::num(j.compressed_bits) : "-",
                    j.ok() ? exp::pct(j.ratio_percent) : "-", status});
@@ -485,16 +487,16 @@ struct JobRunner::RunnerState {
   obs::Gauge* in_flight;  ///< admitted calls; moved under mutex_, so peak <= cap
 };
 
-JobRunner::JobRunner(Options options, MetricsRegistry* metrics)
-    : options_(options), pool_(options.workers) {
+JobRunner::JobRunner(Options options, MetricsRegistry* metrics) : options_(options) {
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<MetricsRegistry>();
     metrics_ = owned_metrics_.get();
   } else {
     metrics_ = metrics;
   }
+  if (options_.workers == 0) options_.workers = exp::ThreadPool::default_jobs();
   if (options_.max_in_flight == 0) {
-    options_.max_in_flight = 2 * static_cast<std::size_t>(pool_.thread_count());
+    options_.max_in_flight = 2 * static_cast<std::size_t>(options_.workers);
   }
   state_ = std::make_unique<RunnerState>(*metrics_);
 }
@@ -511,23 +513,12 @@ std::optional<R> JobRunner::call(const std::function<R()>& body) {
     }
     ++in_flight_;
     state_->in_flight->add(1);
+    while (running_ >= options_.workers) slot_free_.wait(lock);
+    ++running_;
   }
-  // stop() shuts the pool down only after every admitted call has
-  // returned, so an admitted call always reaches a live pool.
-  std::future<R> result;
-  try {
-    // The task owns a share of the promise, so its set_value never touches
-    // memory this caller frees once get() returns.
-    auto done = std::make_shared<std::promise<R>>();
-    result = done->get_future();
-    // noexcept, as in Engine::run: a body that threw would leave this
-    // caller waiting forever, so it ends the process instead.
-    pool_.submit([done, &body]() noexcept { done->set_value(body()); });
-  } catch (...) {
-    release();
-    throw;
-  }
-  std::optional<R> value(result.get());
+  // noexcept, as in Engine::run: a body that threw would keep its slot and
+  // its admission forever, so it ends the process instead.
+  std::optional<R> value([&body]() noexcept { return body(); }());
   release();
   return value;
 }
@@ -559,10 +550,12 @@ void JobRunner::release() {
   bool idle = false;
   {
     core::MutexLock lock(mutex_);
+    --running_;
     --in_flight_;
     state_->in_flight->add(-1);
     idle = in_flight_ == 0;
   }
+  slot_free_.notify_one();
   if (idle) idle_.notify_all();
 }
 
@@ -572,12 +565,9 @@ std::size_t JobRunner::in_flight() const {
 }
 
 void JobRunner::stop() {
-  {
-    core::MutexLock lock(mutex_);
-    stopping_ = true;
-    while (in_flight_ != 0) idle_.wait(lock);
-  }
-  pool_.shutdown();
+  core::MutexLock lock(mutex_);
+  stopping_ = true;
+  while (in_flight_ != 0) idle_.wait(lock);
 }
 
 }  // namespace tdc::engine

@@ -12,7 +12,6 @@
 #include "core/thread_safety.h"
 #include "engine/manifest.h"
 #include "engine/metrics.h"
-#include "exp/thread_pool.h"
 
 namespace tdc::engine {
 
@@ -115,22 +114,22 @@ class Engine {
 };
 
 /// Persistent job front end: the same load → encode → containerize →
-/// verify job path as Engine::run, run one call at a time on an owned
-/// exp::ThreadPool — the shape a request/response service needs. Each call
-/// blocks its caller until a pool thread has run it. A job runs all its
+/// verify job path as Engine::run, one call at a time on the calling
+/// thread — the shape a request/response service needs. A job runs all its
 /// stages on that thread, failures stay typed and per job, and the outcome
 /// carries the container bytes in JobOutcome::container (runner jobs never
 /// write output files).
 ///
 /// Backpressure is explicit: at most `max_in_flight` calls may be admitted
-/// (waiting for a pool thread or running) at once; past that a call is
-/// refused at once (the caller maps this to a Busy rejection) instead of
-/// queueing unboundedly. The "runner.in_flight" gauge is that occupancy, so
-/// its peak never exceeds the cap.
+/// (waiting to run or running) at once; past that a call is refused at once
+/// (the caller maps this to a Busy rejection) instead of queueing
+/// unboundedly. The "runner.in_flight" gauge is that occupancy, so its peak
+/// never exceeds the cap. At most `workers` admitted calls run at once; the
+/// others wait until one returns.
 class JobRunner {
  public:
   struct Options {
-    /// Pool threads; 0 = exp::ThreadPool::default_jobs().
+    /// Calls whose bodies run at once; 0 = exp::ThreadPool::default_jobs().
     unsigned workers = 0;
     /// Cap on admitted calls before a call is refused; 0 = 2 * workers.
     std::size_t max_in_flight = 0;
@@ -147,31 +146,32 @@ class JobRunner {
 
   MetricsRegistry& metrics() { return *metrics_; }
 
-  /// Runs one compression job on the pool and returns its outcome, ok or
-  /// failed. nullopt, with nothing run, when the runner is stopping or
-  /// max_in_flight calls are already admitted (counted in
+  /// Runs one compression job on the calling thread and returns its
+  /// outcome, ok or failed. nullopt, with nothing run, when the runner is
+  /// stopping or max_in_flight calls are already admitted (counted in
   /// "runner.busy_rejects").
   std::optional<JobOutcome> run(JobSpec spec);
 
-  /// Runs `task` on the pool under the same cap and returns true once it has
-  /// run; false when refused as run() is — how the service daemon puts its
-  /// decode-side requests (decompress/verify/inspect) on the engine pool.
+  /// Runs `task` on the calling thread under the same caps and returns true
+  /// once it has run; false when refused as run() is — how the service
+  /// daemon runs its decode-side requests (decompress/verify/inspect).
   /// Must not throw.
   bool run_task(const std::function<void()>& task);
 
   /// Calls admitted and not yet returned (monitoring only).
   std::size_t in_flight() const;
 
-  /// Refuses new calls, waits until every admitted call has returned, then
-  /// shuts the pool down. Idempotent.
+  /// Refuses new calls and waits until every admitted call has returned.
+  /// Idempotent.
   void stop();
 
  private:
-  /// Admits one call, runs `body` on the pool and returns its result once a
-  /// pool thread has run it; nullopt when the cap or stop() refuses it.
+  /// Admits one call, waits for a running slot and runs `body` on the
+  /// calling thread; nullopt when the admission cap or stop() refuses it.
   template <typename R>
   std::optional<R> call(const std::function<R()>& body);
-  /// Returns one admission; stop() wakes when the last one is back.
+  /// Returns one running slot and one admission; stop() wakes when the last
+  /// admission is back.
   void release();
 
   Options options_;
@@ -179,15 +179,15 @@ class JobRunner {
   MetricsRegistry* metrics_;
 
   mutable core::Mutex mutex_;
-  core::CondVar idle_;
+  core::CondVar idle_;       ///< stop() waits here for in_flight_ == 0
+  core::CondVar slot_free_;  ///< admitted calls wait here for running_ < workers
   std::size_t in_flight_ TDC_GUARDED_BY(mutex_) = 0;
+  std::size_t running_ TDC_GUARDED_BY(mutex_) = 0;
   bool stopping_ TDC_GUARDED_BY(mutex_) = false;
 
   // Pre-resolved instruments; private impl type defined in engine.cpp.
   struct RunnerState;
   std::unique_ptr<RunnerState> state_;
-
-  exp::ThreadPool pool_;
 };
 
 }  // namespace tdc::engine

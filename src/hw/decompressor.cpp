@@ -26,9 +26,8 @@ Result<HwRunResult> DecompressorModel::try_run(const lzw::EncodeResult& encoded)
   // and keeps the dictionary in lockstep with the encoder; the model adds
   // only the cycle arithmetic of each step.
   bits::BitReader reader(encoded.stream);
-  lzw::StreamCodes codes{.reader = reader};
   Result<lzw::DecodeResult> decoded = lzw::decode_codes(
-      config_.lzw, codes, encoded.codes.size(), encoded.original_bits,
+      config_.lzw, reader, encoded.code_count, encoded.original_bits,
       [&](const lzw::CodeStep& step) {
         // --- Input: wait until the full code has arrived (C_E bits, or the
         // current dictionary-fill width in variable-width mode).

@@ -103,7 +103,7 @@ class DecompressorModel {
   const HwConfig& config() const { return config_; }
 
   /// Strict run of the model over an encoder's output. `encoded.stream` is
-  /// the tester image; its `encoded.codes.size()` codes run through the
+  /// the tester image; its `encoded.code_count` codes run through the
   /// decode core lzw::Decoder shares (lzw/decode_core.h), and the model
   /// times each step. On a corrupt stream the Error carries the failing
   /// code index and the payload bit offset; every read is bounds-checked.

@@ -79,7 +79,7 @@ HwRunResult DecompressorRtl::run(const lzw::EncodeResult& encoded,
     ++cycle;
   };
 
-  const std::size_t code_count = encoded.codes.size();
+  const std::size_t code_count = encoded.code_count;
   for (std::size_t idx = 0; idx < code_count; ++idx) {
     const std::uint32_t width =
         lc.variable_width

@@ -63,6 +63,12 @@ struct LzwConfig {
   /// allocate; the paper's configurations stay far below it.
   static constexpr std::uint32_t kMaxDictSize = 1u << 20;
 
+  /// Widest C_MDATA a stored image may declare (Table 5's widest word):
+  /// every container and LZW chunk-payload reader and writer enforces it
+  /// through check_stored(). In-process Encoder and Decoder runs stay
+  /// unbounded, since bench/table6_perf_vs_entry encodes with 2^20.
+  static constexpr std::uint32_t kMaxStoredEntryBits = 511;
+
   /// Why the configuration is not realizable, or the empty string when it
   /// is. The non-throwing core of validate(), used by the Result-returning
   /// container reader to map bad headers to a typed ConfigMismatch.
@@ -81,6 +87,26 @@ struct LzwConfig {
       return "LzwConfig: entry_bits must hold at least one character";
     }
     return {};
+  }
+
+  /// check(), plus the C_MDATA cap of a stored image.
+  std::string check_stored() const {
+    if (std::string why = check(); !why.empty()) return why;
+    if (entry_bits > kMaxStoredEntryBits) {
+      return "LzwConfig: entry_bits " + std::to_string(entry_bits) +
+             " exceeds the " + std::to_string(kMaxStoredEntryBits) +
+             "-bit cap of a stored image";
+    }
+    return {};
+  }
+
+  /// Most scan bits `code_count` codes can decode to: code i expands to at
+  /// most min(max_entry_chars(), i + 1) characters, which a KwKwK chain
+  /// reaches. Fits 64 bits when check_stored() passes and code_count <= 2^40.
+  constexpr std::uint64_t max_decoded_bits(std::uint64_t code_count) const {
+    const std::uint64_t cap = max_entry_chars();
+    const std::uint64_t ramp = code_count < cap ? code_count : cap;
+    return (ramp * (ramp + 1) / 2 + (code_count - ramp) * cap) * char_bits;
   }
 
   /// Raises Error{ConfigMismatch} (a std::invalid_argument) if the

@@ -37,33 +37,6 @@ struct CodeStep {
   bool added = false;  ///< the step defined a new dictionary entry
 };
 
-/// Code source over a packed tester stream: `width`-bit codes, MSB first.
-/// next() reads a code (false when fewer than `width` bits remain);
-/// position() is the payload bit offset of the next code.
-struct StreamCodes {
-  bits::BitReader& reader;
-
-  bool next(std::uint32_t width, std::uint32_t& code) {
-    if (reader.remaining() < width) return false;
-    code = static_cast<std::uint32_t>(reader.read(width));
-    return true;
-  }
-  std::int64_t position() const { return static_cast<std::int64_t>(reader.position()); }
-};
-
-/// Code source over an explicit code list, which has no bit offsets (-1).
-struct ListCodes {
-  const std::vector<std::uint32_t>& codes;
-  std::size_t read = 0;
-
-  bool next(std::uint32_t /*width*/, std::uint32_t& code) {
-    if (read >= codes.size()) return false;
-    code = codes[read++];
-    return true;
-  }
-  std::int64_t position() const { return -1; }
-};
-
 namespace detail {
 
 /// The decoded stream's value plane (the output is fully specified, so the
@@ -143,15 +116,15 @@ class ExpansionPlane {
 };
 
 inline Error decode_error(ErrorKind kind, std::string message, std::size_t code_index,
-                          std::int64_t bit_offset) {
+                          std::size_t bit_offset) {
   Error err{kind, std::move(message)};
   err.code_index = static_cast<std::int64_t>(code_index);
-  err.bit_offset = bit_offset;
+  err.bit_offset = static_cast<std::int64_t>(bit_offset);
   return err;
 }
 
 inline Error truncated_error(std::size_t idx, std::size_t code_count, std::uint32_t width,
-                             std::int64_t bit_offset) {
+                             std::size_t bit_offset) {
   return decode_error(ErrorKind::CodeStreamTruncated,
                       "payload ends inside code " + std::to_string(idx) + " of " +
                           std::to_string(code_count) + " (" + std::to_string(width) +
@@ -160,7 +133,7 @@ inline Error truncated_error(std::size_t idx, std::size_t code_count, std::uint3
 }
 
 inline Error undefined_error(std::uint32_t code, std::uint32_t dict_codes, std::size_t idx,
-                             std::int64_t bit_offset) {
+                             std::size_t bit_offset) {
   return decode_error(ErrorKind::UndefinedCode,
                       "code value " + std::to_string(code) +
                           " undefined (dictionary holds " + std::to_string(dict_codes) +
@@ -179,9 +152,10 @@ struct TableWord {
 }  // namespace detail
 
 /// The LZW decode loop behind both lzw::Decoder and hw::DecompressorModel:
-/// reads `code_count` codes from `source`, serves each from the dictionary
-/// (including the KwKwK case), updates the dictionary under the encoder's
-/// freeze and C_MDATA rules, and calls `observe(const CodeStep&)` per code.
+/// reads `code_count` codes from the packed stream in `reader`, serves each
+/// from the dictionary (including the KwKwK case), updates the dictionary
+/// under the encoder's freeze and C_MDATA rules, and calls
+/// `observe(const CodeStep&)` per code.
 /// Returns the stream truncated to `original_bits`.
 ///
 /// Storage follows the paper's Fig. 5 decompressor, whose dictionary words
@@ -200,13 +174,14 @@ struct TableWord {
 /// offset copies to the end. Decode memory is the output plus one offset
 /// per entry, and at most one table word per code; it never scales with
 /// C_MDATA, which arrives untrusted in container headers. The table is
-/// built only after N - 2^C_C entries were decoded from the source.
+/// built only after N - 2^C_C entries were decoded from the stream.
 ///
-/// Errors carry the failing code index and the source position at which
-/// the code started (CodeStreamTruncated, UndefinedCode), or the decoded
-/// versus expected bit counts (StreamTooShort).
-template <class Source, class Observer>
-Result<DecodeResult> decode_codes(const LzwConfig& config, Source& source,
+/// Every error carries the failing code index and a stream bit offset:
+/// where the code started (CodeStreamTruncated, UndefinedCode), or where
+/// the codes ended, with the decoded versus expected bit counts
+/// (StreamTooShort).
+template <class Observer>
+Result<DecodeResult> decode_codes(const LzwConfig& config, bits::BitReader& reader,
                                   std::size_t code_count, std::uint64_t original_bits,
                                   Observer&& observe) {
   Dictionary dict(config);
@@ -228,11 +203,11 @@ Result<DecodeResult> decode_codes(const LzwConfig& config, Source& source,
             ? std::min(static_cast<std::uint32_t>(std::bit_width(dict.size())),
                        config.code_bits())
             : config.code_bits();
-    const std::int64_t code_bit_offset = source.position();
-    std::uint32_t code = 0;
-    if (!source.next(width, code)) {
+    const std::size_t code_bit_offset = reader.position();
+    if (reader.remaining() < width) {
       return detail::truncated_error(idx, code_count, width, code_bit_offset);
     }
+    const auto code = static_cast<std::uint32_t>(reader.read(width));
 
     const std::uint64_t code_start = out.size();
     CodeStep step{.width = width};
@@ -246,15 +221,15 @@ Result<DecodeResult> decode_codes(const LzwConfig& config, Source& source,
       step.chars = dict.length(code);
       first = dict.first_char(code);
       out.copy(start[code - first_code], std::uint64_t{step.chars} * cc);
-    } else if (prev != kNoCode && !dict.full() && code == dict.next_code() &&
-               dict.extendable(prev) && dict.child(prev, dict.first_char(prev)) == kNoCode) {
+    } else if (prev != kNoCode && code == dict.next_code() && dict.extendable(prev) &&
+               dict.child(prev, dict.first_char(prev)) == kNoCode) {
       // KwKwK (paper Fig. 4f): the code names the entry being defined right
       // now, Buffer plus Buffer's first character. A real encoder only emits
       // this while (prev, first_char) is still undefined; if that child
       // exists the code is corrupt, and treating it as KwKwK would leave
       // `code` undefined and poison `prev`. A full dictionary defines no
-      // entry, and its next_code() is the kNoCode sentinel, which a code
-      // list may hold.
+      // entry: its next_code() is the kNoCode sentinel, which no code read
+      // from the stream can equal (a code is below 2^C_E <= 2^20).
       step.kind = CodeKind::KwKwK;
       step.chars = dict.length(prev) + 1;
       first = dict.first_char(prev);
@@ -294,11 +269,11 @@ Result<DecodeResult> decode_codes(const LzwConfig& config, Source& source,
     }
     const std::uint32_t width = config.code_bits();
     for (; idx < code_count; ++idx) {
-      const std::int64_t code_bit_offset = source.position();
-      std::uint32_t code = 0;
-      if (!source.next(width, code)) {
+      const std::size_t code_bit_offset = reader.position();
+      if (reader.remaining() < width) {
         return detail::truncated_error(idx, code_count, width, code_bit_offset);
       }
+      const auto code = static_cast<std::uint32_t>(reader.read(width));
       if (code >= config.dict_size) {
         return detail::undefined_error(code, dict.size(), idx, code_bit_offset);
       }
@@ -314,7 +289,7 @@ Result<DecodeResult> decode_codes(const LzwConfig& config, Source& source,
                                 "decoded " + std::to_string(out.size()) + " of " +
                                     std::to_string(original_bits) + " scan bits from " +
                                     std::to_string(code_count) + " codes",
-                                code_count, source.position());
+                                code_count, reader.position());
   }
   DecodeResult result;
   result.bits = std::move(out).take();

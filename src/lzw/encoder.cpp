@@ -35,19 +35,6 @@ bits::TritVector prefill(const bits::TritVector& input, XAssignMode mode,
   return input;
 }
 
-/// Builds the per-stream emission histograms after the loop: match lengths
-/// are counted from the already-recorded code_lengths, code widths were
-/// counted by the emit path; both fold in with one record_repeated per
-/// value. Equivalent to recording each sample inline, but keeps the full
-/// histogram update off the hot emit path (micro_codec pins the telemetry
-/// overhead under 2%).
-void fold_emit_histograms(EncodeResult& result, SampleCounts& widths) {
-  SampleCounts lengths(result.telemetry.match_chars);
-  for (const std::uint32_t len : result.code_lengths) lengths.record(len);
-  lengths.fold();
-  widths.fold();
-}
-
 /// The slab order that keeps `rule`'s winner at the first compatible lane
 /// (the last, for MostRecent): codes grow in insertion order, so each
 /// order's lane ties fall exactly where the rule's strict comparisons put
@@ -140,10 +127,6 @@ EncodeResult encode_with(const LzwConfig& config, const bits::TritVector& input,
   result.config = config;
   result.original_bits = input.size();
   result.input_chars = (input.size() + cc - 1) / cc;
-  // Worst case one code per character (no compression): size once so the
-  // emit path never reallocates.
-  result.codes.reserve(result.input_chars);
-  result.code_lengths.reserve(result.input_chars);
 
   Dictionary dict(config);
   const std::uint32_t initial_codes = dict.size();
@@ -168,15 +151,16 @@ EncodeResult encode_with(const LzwConfig& config, const bits::TritVector& input,
   // register increment folded into the pick arm whose slab scan dwarfs it
   // (micro_codec pins the total overhead under 2%).
   std::uint64_t n_probes_scan = 0, n_x_zeroed = 0;
-  // Per-emit code widths are counted (one array increment each) and
-  // folded into the code_width_bits histogram after the loop; a full
-  // histogram add per emission is measurable in micro_codec. match_chars is
-  // rebuilt from result.code_lengths the same way.
+  // Per-emit match lengths and code widths are counted (one array
+  // increment each) and folded into the match_chars and code_width_bits
+  // histograms after the loop; a full histogram add per emission is
+  // measurable in micro_codec.
+  SampleCounts lengths(result.telemetry.match_chars);
   SampleCounts widths(result.telemetry.code_width_bits);
   std::uint32_t width_basis = dict.size();
   auto emit = [&](std::uint32_t code) {
-    result.codes.push_back(code);
-    result.code_lengths.push_back(dict.length(code));
+    ++result.code_count;
+    lengths.record(dict.length(code));
     // Clamp at C_E: once the dictionary is full, codes stay below N even
     // though bit_width(N) would be one wider.
     const std::uint32_t width =
@@ -283,14 +267,15 @@ EncodeResult encode_with(const LzwConfig& config, const bits::TritVector& input,
       result.input_chars > 0 ? result.input_chars - 1 : 0;
   tel.probes_scan = n_probes_scan;
   tel.probes_fast = probes - n_probes_scan;
-  tel.match_extensions = result.input_chars - result.codes.size();
+  tel.match_extensions = result.input_chars - result.code_count;
   tel.x_bits_input =
       input.x_count() + (result.input_chars * cc - input.size());
   tel.x_bits_zeroed = n_x_zeroed;
   tel.x_bits_matched = tel.x_bits_input - n_x_zeroed;
   tel.entries_added = dict.size() - initial_codes;
   tel.dict_full_events = !initially_full && dict.full() ? 1 : 0;
-  fold_emit_histograms(result, widths);
+  lengths.fold();
+  widths.fold();
 
   result.dict_codes_used = dict.size();
   result.longest_entry_bits = dict.longest_entry_bits();
@@ -338,14 +323,13 @@ EncodeResult Encoder::encode(const bits::TritVector& raw_input, XAssignMode mode
   // expands from fewer characters than it emits, and with fixed-width
   // packing the stream is exactly codes * C_E bits — the paper's central
   // bit-accounting relation.
-  TDC_ENSURE(result.codes.size() <= result.input_chars,
+  TDC_ENSURE(result.code_count <= result.input_chars,
              "encode emitted more codes than input characters");
   TDC_ENSURE(config_.variable_width ||
-                 result.stream.bit_count() ==
-                     result.codes.size() * config_.code_bits(),
+                 result.stream.bit_count() == result.code_count * config_.code_bits(),
              "fixed-width stream must hold exactly codes * C_E bits");
   span.arg("input_bits", result.original_bits);
-  span.arg("codes", static_cast<std::uint64_t>(result.codes.size()));
+  span.arg("codes", result.code_count);
   return result;
 }
 

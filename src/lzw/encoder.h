@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "bits/bitstream.h"
 #include "bits/tritvector.h"
@@ -43,20 +42,18 @@ enum class Tiebreak {
                  ///< characters furthest (depth-2 greedy lookahead)
 };
 
-/// Everything the compression run produces: the code stream, the packed
-/// tester bit stream, and the statistics the paper's tables report.
+/// Everything the compression run produces: the packed code stream and
+/// the statistics the paper's tables report.
 struct EncodeResult {
   LzwConfig config;
 
-  /// Emitted LZW codes, in order.
-  std::vector<std::uint32_t> codes;
-
-  /// Expansion length (in characters) of each emitted code; drives the
-  /// cycle-accurate decompressor model.
-  std::vector<std::uint32_t> code_lengths;
-
-  /// Codes packed C_E bits each, MSB first — the tester download image.
+  /// The emitted codes packed MSB first, C_E bits each (the fill width when
+  /// config.variable_width is set): the tester download image, and the only
+  /// record of the codes (an observer sees each in EncoderStep::emitted).
   bits::BitWriter stream;
+
+  /// Number of codes in `stream`.
+  std::uint64_t code_count = 0;
 
   /// Unpadded input length in bits (scan data to deliver).
   std::uint64_t original_bits = 0;

@@ -27,7 +27,8 @@ constexpr char kMagicV2[8] = {'T', 'D', 'C', 'L', 'Z', 'W', '2', '\0'};
 
 // Plausibility caps applied before any size-driven allocation, so a fuzzed
 // header cannot demand terabytes. Real images sit far below all of them.
-// The dictionary-size cap is LzwConfig::kMaxDictSize, part of check().
+// The dictionary-size cap is LzwConfig::kMaxDictSize, part of check(); the
+// C_MDATA cap is LzwConfig::kMaxStoredEntryBits, part of check_stored().
 constexpr std::uint64_t kMaxCodeCount = 1ull << 40;
 constexpr std::uint64_t kMaxOriginalBits = 1ull << 48;
 constexpr std::uint32_t kMaxChunkCount = 1u << 20;
@@ -66,7 +67,7 @@ Error truncated(ErrorKind kind, const ByteSource& src, const std::string& what) 
 /// Shared post-header plausibility checks (both container versions).
 Status check_image_header(const CompressedImage& image, std::uint64_t payload_bits) {
   const LzwConfig& c = image.config;
-  if (std::string why = c.check(); !why.empty()) {
+  if (std::string why = c.check_stored(); !why.empty()) {
     return Error{ErrorKind::ConfigMismatch, why};
   }
   if (image.code_count > kMaxCodeCount || image.original_bits > kMaxOriginalBits) {
@@ -88,7 +89,24 @@ Status check_image_header(const CompressedImage& image, std::uint64_t payload_bi
   if (image.original_bits > 0 && image.code_count == 0) {
     return Error{ErrorKind::ConfigMismatch, "original_bits > 0 but code_count == 0"};
   }
+  // Decode output is linear in the code count under the C_MDATA cap; a
+  // header claiming more than its codes can expand to is refused before
+  // anything is decoded.
+  if (const std::uint64_t bound = c.max_decoded_bits(image.code_count);
+      image.original_bits > bound) {
+    return Error{ErrorKind::ConfigMismatch,
+                 "original_bits " + std::to_string(image.original_bits) + " exceeds the " +
+                     std::to_string(bound) + " bits " + std::to_string(image.code_count) +
+                     " codes can decode to"};
+  }
   return {};
+}
+
+/// Refuses to write what the readers above refuse to read.
+void require_storable(const LzwConfig& config, const char* writer) {
+  if (std::string why = config.check_stored(); !why.empty()) {
+    Error{ErrorKind::ConfigMismatch, std::string(writer) + ": " + why}.raise();
+  }
 }
 
 /// Reads `payload_bytes` in bounded slabs (so a lying header cannot force a
@@ -154,7 +172,7 @@ Result<CompressedImage> read_image_v3_body(ByteSource& src, CompressedImage imag
                                            std::uint32_t payload_crc,
                                            const std::vector<std::uint8_t>& chunk_table) {
   const LzwConfig& c = image.config;
-  if (std::string why = c.check(); !why.empty()) {
+  if (std::string why = c.check_stored(); !why.empty()) {
     return Error{ErrorKind::ConfigMismatch, why};
   }
   if (image.original_bits > kMaxOriginalBits) {
@@ -384,6 +402,7 @@ void write_image(std::ostream& out, const EncodeResult& encoded,
   TDC_REQUIRE(options.version == 1 || options.chunk_bytes == 0 ||
                   options.chunk_bytes >= kMinChunkBytes,
               "write_image: chunk_bytes must be 0 or >= 64");
+  require_storable(encoded.config, "write_image");
 
   const auto& payload = encoded.stream.bytes();
   std::vector<std::uint8_t> header;
@@ -394,7 +413,7 @@ void write_image(std::ostream& out, const EncodeResult& encoded,
     put_u32(header, encoded.config.entry_bits);
     put_u32(header, encoded.config.variable_width ? 1u : 0u);
     put_u64(header, encoded.original_bits);
-    put_u64(header, encoded.codes.size());
+    put_u64(header, encoded.code_count);
     put_u64(header, encoded.stream.bit_count());
   } else {
     const std::uint32_t cb = options.chunk_bytes;
@@ -407,7 +426,7 @@ void write_image(std::ostream& out, const EncodeResult& encoded,
     put_u32(header, encoded.config.entry_bits);
     put_u32(header, encoded.config.variable_width ? 1u : 0u);
     put_u64(header, encoded.original_bits);
-    put_u64(header, encoded.codes.size());
+    put_u64(header, encoded.code_count);
     put_u64(header, encoded.stream.bit_count());
     put_u32(header, crc32(payload));
     put_u32(header, cb);
@@ -432,6 +451,7 @@ void write_image_v3(std::ostream& out, const LzwConfig& config,
                     const std::vector<ChunkRecord>& chunks) {
   TDC_REQUIRE(chunks.size() <= kMaxChunkCount,
               "write_image_v3: record count exceeds the container cap");
+  require_storable(config, "write_image_v3");
   std::uint64_t trits_total = 0;
   for (const ChunkRecord& r : chunks) {
     TDC_REQUIRE(r.payload.size() <= kMaxRecordPayload,

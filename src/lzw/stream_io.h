@@ -113,8 +113,10 @@ struct CompressedImage {
 };
 
 /// Serializes an encoder result. Throws std::invalid_argument on unusable
-/// options (unknown version, 0 < chunk_bytes < 64) and ContainerError on a
-/// stream write failure.
+/// options (unknown version, 0 < chunk_bytes < 64) or a configuration no
+/// reader accepts (Error{ConfigMismatch}: C_MDATA above
+/// LzwConfig::kMaxStoredEntryBits), and ContainerError on a stream write
+/// failure.
 void write_image(std::ostream& out, const EncodeResult& encoded,
                  const ContainerOptions& options = {});
 
@@ -123,7 +125,8 @@ void write_image(std::ostream& out, const EncodeResult& encoded,
 /// encode-time chunk granularity, and each record is CRC-framed whole.
 /// `original_bits` must equal the sum of the records' original_trits.
 /// Throws ContainerError on a stream write failure, DecodeError
-/// (ContractViolation) on inconsistent arguments.
+/// (ContractViolation) on inconsistent arguments, and DecodeError
+/// (ConfigMismatch) on a configurator block no reader accepts.
 void write_image_v3(std::ostream& out, const LzwConfig& config,
                     std::uint64_t original_bits, std::uint32_t chunk_trits,
                     const std::vector<ChunkRecord>& chunks);
@@ -136,7 +139,10 @@ void write_image_v3_file(const std::string& path, const LzwConfig& config,
 /// every integrity check typed — TruncatedHeader, BadMagic,
 /// UnsupportedVersion, HeaderCrcMismatch, ConfigMismatch, TruncatedPayload,
 /// ChunkCrcMismatch (with the chunk index and byte range), and
-/// PayloadCrcMismatch. Never exhibits UB on corrupt input.
+/// PayloadCrcMismatch. Never exhibits UB on corrupt input. A header whose
+/// C_MDATA exceeds LzwConfig::kMaxStoredEntryBits, or whose original_bits
+/// exceeds what its code_count codes can decode to
+/// (LzwConfig::max_decoded_bits), is a ConfigMismatch before any decoding.
 Result<CompressedImage> try_read_image(std::istream& in);
 
 /// Throwing wrapper over try_read_image (ContainerError / DecodeError).

@@ -1,49 +1,31 @@
 #include "lzw/verify.h"
 
-#include <stdexcept>
-
 namespace tdc::lzw {
 
 VerifyReport verify_roundtrip(const bits::TritVector& input,
                               const EncodeResult& encoded) {
   VerifyReport report;
-  Decoder decoder(encoded.config);
-
-  DecodeResult from_codes;
-  try {
-    from_codes = decoder.decode(encoded.codes, encoded.original_bits);
-  } catch (const std::exception& e) {
-    report.error = std::string("decode failed: ") + e.what();
+  bits::BitReader reader(encoded.stream);
+  Result<DecodeResult> decoded = Decoder(encoded.config)
+                                     .try_decode_stream(reader, encoded.code_count,
+                                                        encoded.original_bits);
+  if (!decoded.ok()) {
+    report.error = "decode failed: " + decoded.error().describe();
     return report;
   }
-
-  if (from_codes.bits.size() != input.size()) {
+  const bits::TritVector& out = decoded.value().bits;
+  if (out.size() != input.size()) {
     report.error = "decoded length mismatch";
     return report;
   }
-  if (!input.covered_by(from_codes.bits)) {
+  if (!input.covered_by(out)) {
     report.error = "decoded stream violates a care bit of the input";
     return report;
   }
-  if (!from_codes.bits.fully_specified()) {
+  if (!out.fully_specified()) {
     report.error = "decoded stream contains X";
     return report;
   }
-
-  // The packed tester stream must decode identically to the code list.
-  bits::BitReader reader(encoded.stream);
-  try {
-    const DecodeResult from_stream =
-        decoder.decode_stream(reader, encoded.codes.size(), encoded.original_bits);
-    if (from_stream.bits != from_codes.bits) {
-      report.error = "bit-stream decode differs from code-list decode";
-      return report;
-    }
-  } catch (const std::exception& e) {
-    report.error = std::string("stream decode failed: ") + e.what();
-    return report;
-  }
-
   report.ok = true;
   return report;
 }

@@ -16,10 +16,9 @@ struct VerifyReport {
 };
 
 /// Checks the central correctness invariant of the scheme: decompressing the
-/// encoder's output yields a fully specified stream that is *compatible* with
-/// the ternary input — every care bit is reproduced exactly, every X was
-/// bound to some concrete 0/1. Also cross-checks the packed bit stream
-/// against the explicit code list.
+/// encoder's packed stream yields a fully specified stream that is
+/// *compatible* with the ternary input — every care bit is reproduced
+/// exactly, every X was bound to some concrete 0/1.
 VerifyReport verify_roundtrip(const bits::TritVector& input,
                               const EncodeResult& encoded);
 

@@ -32,7 +32,7 @@ Error busy_error() {
                      "daemon at its in-flight cap; retry after a response drains");
 }
 
-/// Exception → typed-Error mapping for pool-side work, mirroring the engine
+/// Exception → typed-Error mapping for runner-side work, mirroring the engine
 /// stage discipline: TdcErrorBase keeps its typed error, invalid_argument is
 /// a configuration/semantic problem, anything else an I/O-level failure.
 Result<Frame> guarded_frame(const std::function<Result<Frame>()>& fn) {
@@ -175,9 +175,9 @@ Frame Dispatcher::dispatch(const Frame& request) {
   }
 
   if (request.op == "stats") {
-    // Served inline on the connection thread, deliberately NOT through the
-    // pool: stats must answer even when every worker is busy — that is
-    // exactly when an operator asks for them.
+    // Served inline, deliberately NOT through the runner: stats must answer
+    // even when every running slot is busy — that is exactly when an
+    // operator asks for them.
     refresh_sampled_instruments();
     Frame resp;
     resp.op = "ok";
@@ -194,7 +194,7 @@ Frame Dispatcher::dispatch(const Frame& request) {
 
   if (request.op == "metrics") {
     // Inline for the same reason as stats: the scrape endpoint must answer
-    // while the pool is saturated.
+    // while the runner is saturated.
     refresh_sampled_instruments();
     Frame resp;
     resp.op = "ok";
@@ -206,9 +206,8 @@ Frame Dispatcher::dispatch(const Frame& request) {
   if (request.op == "compress") return do_compress(request);
 
   if (request.op == "decompress") {
-    return run_on_pool(request, [&payload = request.payload]() -> Result<Frame> {
-      std::istringstream in(payload, std::ios::binary);
-      Result<lzw::CompressedImage> image = lzw::try_read_image(in);
+    return run_capped(request, [this, &payload = request.payload]() -> Result<Frame> {
+      Result<lzw::CompressedImage> image = read_decodable(payload);
       if (!image.ok()) return image.error();
       Result<bits::TritVector> decoded = codec::decode_image(image.value());
       if (!decoded.ok()) return decoded.error();
@@ -228,9 +227,8 @@ Frame Dispatcher::dispatch(const Frame& request) {
   }
 
   if (request.op == "verify") {
-    return run_on_pool(request, [&payload = request.payload]() -> Result<Frame> {
-      std::istringstream in(payload, std::ios::binary);
-      Result<lzw::CompressedImage> image = lzw::try_read_image(in);
+    return run_capped(request, [this, &payload = request.payload]() -> Result<Frame> {
+      Result<lzw::CompressedImage> image = read_decodable(payload);
       if (!image.ok()) return image.error();
       const Result<bits::TritVector> decoded = codec::decode_image(image.value());
       if (!decoded.ok()) return decoded.error();
@@ -250,7 +248,7 @@ Frame Dispatcher::dispatch(const Frame& request) {
   }
 
   if (request.op == "inspect") {
-    return run_on_pool(request, [&payload = request.payload]() -> Result<Frame> {
+    return run_capped(request, [&payload = request.payload]() -> Result<Frame> {
       std::istringstream in(payload, std::ios::binary);
       if (Result<lzw::CompressedImage> image = lzw::try_read_image(in);
           image.ok()) {
@@ -295,8 +293,8 @@ Frame Dispatcher::dispatch(const Frame& request) {
 }
 
 Frame Dispatcher::do_compress(const Frame& request) {
-  // Build the JobSpec on the connection thread (parse errors answer
-  // immediately, without costing a pool slot), run it on the pool.
+  // Build the JobSpec before entering the runner (parse errors answer
+  // immediately, without costing an admission), then run it.
   engine::JobSpec spec;
   spec.name = request.param("name", "req-" + request.id);
   spec.trace = request.param("trace");
@@ -358,14 +356,26 @@ Frame Dispatcher::do_compress(const Frame& request) {
   return resp;
 }
 
-Frame Dispatcher::run_on_pool(const Frame& request,
-                              const std::function<Result<Frame>()>& work) {
+Result<lzw::CompressedImage> Dispatcher::read_decodable(const std::string& payload) const {
+  std::istringstream in(payload, std::ios::binary);
+  Result<lzw::CompressedImage> image = lzw::try_read_image(in);
+  if (image.ok() && image.value().original_bits > max_payload_bytes_) {
+    return Error{ErrorKind::ConfigMismatch,
+                 "image declares " + u64_str(image.value().original_bits) +
+                     " trits; a reply of more than " + u64_str(max_payload_bytes_) +
+                     " bytes is refused"};
+  }
+  return image;
+}
+
+Frame Dispatcher::run_capped(const Frame& request,
+                             const std::function<Result<Frame>()>& work) {
   std::optional<Result<Frame>> result;
   const std::string trace = request.param("trace");
   const bool ran = runner_.run_task([&] {
-    // The worker-side half of the request's trace: same id as the
-    // connection thread's serve.request span, so the hand-off is one query
-    // in Perfetto.
+    // The runner-side half of the request's trace: same id as the
+    // serve.request span, so the wait for a running slot is one query in
+    // Perfetto.
     obs::TraceSpan span("serve.task");
     span.arg("op", request.op);
     if (!trace.empty()) span.arg("trace", trace);

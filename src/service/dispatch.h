@@ -8,6 +8,7 @@
 
 #include "core/thread_safety.h"
 #include "engine/engine.h"
+#include "lzw/stream_io.h"
 #include "obs/metrics.h"
 #include "service/framing.h"
 
@@ -51,10 +52,10 @@ class SlowLog {
 
 /// Maps one request frame to one response frame. All CPU-bound work
 /// (compress jobs via JobRunner::run, decode-side ops via run_task) runs on
-/// the shared engine pool under its in-flight cap — each call blocks the
-/// connection thread until the pool has run it, so engine workers never
-/// touch a socket and a slow peer can only stall its own connection. Failures come back as "error" frames carrying the typed
-/// ErrorKind; nothing a client sends can make handle() throw.
+/// the calling connection thread under the runner's in-flight and running
+/// caps, so a slow peer can only stall its own connection. Failures come
+/// back as "error" frames carrying the typed ErrorKind; nothing a client
+/// sends can make handle() throw.
 ///
 /// Operations:
 ///   ping        payload echoed back — liveness and framing check
@@ -67,11 +68,14 @@ class SlowLog {
 ///               single-cube set `tdc_cli decompress` writes).
 ///   verify      payload: container bytes → integrity + decode check;
 ///               ok payload is a human-readable summary line.
+///               decompress and verify refuse, before decoding, an image
+///               that declares more trits than `max_payload_bytes`: one
+///               .tests byte per trit would outgrow the reply cap.
 ///   inspect     payload: container bytes or .tests text → description.
 ///   stats       payload out: live obs registry JSON — counters (including
 ///               the per-codec codec.selected.* family the offline stats
 ///               subcommand reports), gauges, histograms — plus the
-///               "slowlog" array; runner.in_flight is the live pool
+///               "slowlog" array; runner.in_flight is the live runner
 ///               occupancy.
 ///   metrics     payload out: the same registry in the OpenMetrics text
 ///               exposition format (obs::openmetrics_render) — the scrape
@@ -83,14 +87,18 @@ class SlowLog {
 /// bound.
 ///
 /// Tracing: a client-stamped `trace=<id>` param is attached to this
-/// request's serve.request span and propagated into the pool-side spans
+/// request's serve.request span and propagated into the runner-side spans
 /// (serve.task, engine.<stage>), so one Perfetto view follows the id from
-/// the client process into the worker that served it.
+/// the client process into the work that served it.
 class Dispatcher {
  public:
   Dispatcher(engine::JobRunner& runner, obs::MetricsRegistry& registry,
+             std::size_t max_payload_bytes = FrameLimits{}.max_payload_bytes,
              std::size_t slowlog_capacity = 16)
-      : runner_(runner), registry_(registry), slowlog_(slowlog_capacity) {}
+      : runner_(runner),
+        registry_(registry),
+        max_payload_bytes_(max_payload_bytes),
+        slowlog_(slowlog_capacity) {}
 
   /// Handles one request synchronously. Never throws; never returns a frame
   /// whose id differs from the request's.
@@ -101,16 +109,19 @@ class Dispatcher {
  private:
   Frame dispatch(const Frame& request);
   Frame do_compress(const Frame& request);
-  /// Runs `work` on the runner pool and waits for its frame; Busy error
+  /// Runs `work` through the runner and returns its frame; Busy error
   /// frame when the in-flight cap refuses the task.
-  Frame run_on_pool(const Frame& request,
-                    const std::function<Result<Frame>()>& work);
+  Frame run_capped(const Frame& request, const std::function<Result<Frame>()>& work);
+  /// Reads a container for decompress/verify, refusing one that declares
+  /// more trits than max_payload_bytes_ before anything is decoded.
+  Result<lzw::CompressedImage> read_decodable(const std::string& payload) const;
   /// Stamps process.rss_bytes — both reporting endpoints (stats, metrics)
   /// refresh through this before rendering.
   void refresh_sampled_instruments();
 
   engine::JobRunner& runner_;
   obs::MetricsRegistry& registry_;
+  std::size_t max_payload_bytes_;
   SlowLog slowlog_;
 };
 

@@ -30,7 +30,7 @@ Server::Server(ServerOptions options)
           engine::JobRunner::Options{options_.workers, options_.max_in_flight,
                                      options_.verify},
           &metrics_)),
-      dispatcher_(*runner_, metrics_) {
+      dispatcher_(*runner_, metrics_, options_.max_payload_bytes) {
   obs::Log::Options log_options;
   log_options.level = options_.log_level;
   log_options.sink = options_.log_sink;

@@ -25,11 +25,12 @@ struct ServerOptions {
   /// sockaddr_un, ~107 bytes).
   std::string socket_path;
 
-  /// Engine pool size; 0 = exp::ThreadPool::default_jobs().
+  /// Requests computed at once, each on its own connection thread;
+  /// 0 = exp::ThreadPool::default_jobs().
   unsigned workers = 0;
 
-  /// Jobs queued + running before requests get a Busy refusal;
-  /// 0 = 2 * workers (JobRunner's default).
+  /// Requests waiting to compute + computing before requests get a Busy
+  /// refusal; 0 = 2 * workers (JobRunner's default).
   std::size_t max_in_flight = 0;
 
   /// Concurrent connections; one past the cap is answered with a Busy error
@@ -40,7 +41,9 @@ struct ServerOptions {
   bool verify = true;
 
   /// Per-frame payload cap, enforced before allocation (ProtocolError past
-  /// it). Defaults to FrameLimits' 256 MiB.
+  /// it). Defaults to FrameLimits' 256 MiB. A decompress or verify of an
+  /// image declaring more trits than this is refused before decoding
+  /// (ConfigMismatch): the .tests reply holds one byte per trit.
   std::size_t max_payload_bytes = FrameLimits{}.max_payload_bytes;
 
   /// Bounds every per-connection socket wait (read and write). A peer that
@@ -74,15 +77,16 @@ struct ServerOptions {
 };
 
 /// The tdcd daemon: accepts framed requests over a unix-domain socket and
-/// multiplexes every client onto one shared engine::JobRunner pool.
+/// runs every client's requests through one shared engine::JobRunner.
 ///
-/// Threading model: one accept thread, one thread per live connection
-/// (bounded by max_connections), `workers` engine threads. A connection
-/// thread reads one frame, hands it to the Dispatcher (which blocks on the
-/// pool), writes the response, and repeats — so per-client requests are
-/// strictly ordered, while clients run concurrently under the pool's
-/// in-flight cap. Job isolation is per request: a typed failure becomes
-/// that request's error frame and touches nothing else.
+/// Threading model: one accept thread and one thread per live connection
+/// (bounded by max_connections), nothing else. A connection thread reads
+/// one frame, hands it to the Dispatcher, which computes it on that same
+/// thread once the runner's running cap (`workers`) has a slot, writes the
+/// response, and repeats — so per-client requests are strictly ordered,
+/// while clients run concurrently under the runner's in-flight and running
+/// caps. Job isolation is per request: a typed failure becomes that
+/// request's error frame and touches nothing else.
 ///
 /// Shutdown: request_stop() is async-signal-safe (one byte to a self-pipe),
 /// so SIGINT/SIGTERM handlers may call it directly. wait() then stops

@@ -16,11 +16,13 @@
 #include <vector>
 
 #include "bits/rng.h"
+#include "bits/wire.h"
+#include "codec/codec.h"
 #include "codec/select.h"
+#include "code_lists.h"
 #include "container_golden.h"
 #include "core/crc32.h"
 #include "core/error.h"
-#include "lzw/decode_core.h"
 #include "lzw/decoder.h"
 #include "lzw/encoder.h"
 #include "lzw/stream_io.h"
@@ -113,7 +115,7 @@ TEST(ContainerRoundTrip, EveryTiebreakWidthAndVersion) {
       EXPECT_EQ(img.container.version, options.version);
       EXPECT_EQ(img.config.dict_size, encoded.config.dict_size);
       EXPECT_EQ(img.config.variable_width, encoded.config.variable_width);
-      EXPECT_EQ(img.code_count, encoded.codes.size());
+      EXPECT_EQ(img.code_count, encoded.code_count);
       EXPECT_EQ(img.original_bits, encoded.original_bits);
       EXPECT_EQ(img.stream.bytes(), encoded.stream.bytes());
 
@@ -333,11 +335,10 @@ TEST(DecodePosition, StreamTooShortReportsCodeIndexAndBitOffset) {
   bits::BitReader reader(encoded.stream);
   // Demand more scan bits than the codes expand to.
   Result<lzw::DecodeResult> r = lzw::Decoder(encoded.config).try_decode_stream(
-      reader, encoded.codes.size(), encoded.original_bits + 64);
+      reader, encoded.code_count, encoded.original_bits + 64);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().kind, ErrorKind::StreamTooShort);
-  EXPECT_EQ(r.error().code_index,
-            static_cast<std::int64_t>(encoded.codes.size()));
+  EXPECT_EQ(r.error().code_index, static_cast<std::int64_t>(encoded.code_count));
   EXPECT_EQ(r.error().bit_offset,
             static_cast<std::int64_t>(encoded.stream.bit_count()));
   EXPECT_NE(r.error().describe().find("code"), std::string::npos);
@@ -350,7 +351,7 @@ TEST(DecodePosition, TruncatedCodeStreamReportsWhereItEnded) {
       encoded.stream.bytes().data(), encoded.stream.bit_count() - 3);
   bits::BitReader reader(short_stream);
   Result<lzw::DecodeResult> r = lzw::Decoder(encoded.config).try_decode_stream(
-      reader, encoded.codes.size(), encoded.original_bits);
+      reader, encoded.code_count, encoded.original_bits);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().kind, ErrorKind::CodeStreamTruncated);
   EXPECT_GE(r.error().code_index, 0);
@@ -372,6 +373,7 @@ TEST(DecodePosition, FakeKwKwKWithExistingChildIsRejected) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().kind, ErrorKind::UndefinedCode);
   EXPECT_EQ(r.error().code_index, 2);
+  EXPECT_EQ(r.error().bit_offset, 12);
 }
 
 TEST(DecodePosition, UndefinedCodeReportsItsIndex) {
@@ -385,6 +387,7 @@ TEST(DecodePosition, UndefinedCodeReportsItsIndex) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().kind, ErrorKind::UndefinedCode);
   EXPECT_EQ(r.error().code_index, 2);
+  EXPECT_EQ(r.error().bit_offset, 12);
 }
 
 /// A stream whose dictionary freezes early: N = 160 leaves 32 entries after
@@ -403,93 +406,272 @@ EncodeResult frozen_stream() {
   return encoded;
 }
 
+/// The codes of a fixed-width encoder stream, read back at C_E bits.
+std::vector<std::uint32_t> read_codes(const EncodeResult& encoded) {
+  std::vector<std::uint32_t> codes;
+  bits::BitReader reader(encoded.stream);
+  for (std::uint64_t i = 0; i < encoded.code_count; ++i) {
+    codes.push_back(static_cast<std::uint32_t>(reader.read(encoded.config.code_bits())));
+  }
+  return codes;
+}
+
+/// Decodes the first `head` codes of `encoded` on their own.
+lzw::DecodeResult decode_head(const EncodeResult& encoded, std::size_t head) {
+  std::vector<std::uint32_t> codes = read_codes(encoded);
+  codes.resize(head);
+  const bits::BitWriter stream = code_lists::pack_codes(encoded.config, codes);
+  bits::BitReader reader(stream);
+  return lzw::Decoder(encoded.config).decode_stream(reader, head, 0);
+}
+
 TEST(DecodePosition, UndefinedCodeAfterTheFreezeReportsItsIndex) {
   const EncodeResult encoded = frozen_stream();
   const lzw::LzwConfig& config = encoded.config;
-  const std::size_t bad = encoded.codes.size() - 10;
+  const std::size_t bad = encoded.code_count - 10;
   // The dictionary is already full before code `bad`.
-  const std::vector<std::uint32_t> head(encoded.codes.begin(), encoded.codes.begin() + bad);
-  EXPECT_EQ(lzw::Decoder(config).decode(head, 0).dict_codes_used, config.dict_size);
+  EXPECT_EQ(decode_head(encoded, bad).dict_codes_used, config.dict_size);
 
-  std::vector<std::uint32_t> codes = encoded.codes;
+  std::vector<std::uint32_t> codes = read_codes(encoded);
   codes[bad] = 200;
-  bits::BitWriter stream;
-  for (const std::uint32_t code : codes) stream.write(code, config.code_bits());
+  const bits::BitWriter stream = code_lists::pack_codes(config, codes);
   bits::BitReader reader(stream);
-  const Result<lzw::DecodeResult> from_stream = lzw::Decoder(config).try_decode_stream(
+  const Result<lzw::DecodeResult> r = lzw::Decoder(config).try_decode_stream(
       reader, codes.size(), encoded.original_bits);
-  const Result<lzw::DecodeResult> from_list =
-      lzw::Decoder(config).try_decode(codes, encoded.original_bits);
-  for (const auto* r : {&from_stream, &from_list}) {
-    ASSERT_FALSE(r->ok());
-    EXPECT_EQ(r->error().kind, ErrorKind::UndefinedCode);
-    EXPECT_EQ(r->error().code_index, static_cast<std::int64_t>(bad));
-    EXPECT_NE(r->error().message.find(
-                  "code value 200 undefined (dictionary holds 160 codes"),
-              std::string::npos)
-        << r->error().message;
-  }
-  EXPECT_EQ(from_stream.error().bit_offset, static_cast<std::int64_t>(bad * 8));
-  EXPECT_EQ(from_list.error().bit_offset, -1);
-}
-
-TEST(DecodePosition, NoCodeSentinelAfterTheFreezeIsUndefined) {
-  // 0xFFFFFFFF equals kNoCode, which Dictionary::next_code() returns once
-  // the dictionary is full. In a code list it must not pass for the KwKwK
-  // code, whether the frozen table (60-bit entries) or the offset copies
-  // (65-bit entries) serve the codes after the freeze. Literals that never
-  // repeat back to back leave every (p, p) entry undefined, so the last
-  // literal before the sentinel meets the rest of the KwKwK test.
-  bits::Rng rng(0x5e47u);
-  std::vector<std::uint32_t> codes{0};
-  while (codes.size() < 300) {
-    const auto c = static_cast<std::uint32_t>(rng.below(32));
-    if (c != codes.back()) codes.push_back(c);
-  }
-  const std::vector<std::uint32_t> head = codes;
-  codes.push_back(0xFFFFFFFFu);
-  for (const lzw::LzwConfig& config :
-       {lzw::LzwConfig{.dict_size = 160, .char_bits = 5, .entry_bits = 63},
-        lzw::LzwConfig{.dict_size = 160, .char_bits = 5, .entry_bits = 65}}) {
-    SCOPED_TRACE(config.describe());
-    EXPECT_EQ(lzw::Decoder(config).decode(head, 0).dict_codes_used, config.dict_size);
-    const Result<lzw::DecodeResult> r = lzw::Decoder(config).try_decode(codes, 0);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.error().kind, ErrorKind::UndefinedCode);
-    EXPECT_EQ(r.error().code_index, 300);
-  }
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().kind, ErrorKind::UndefinedCode);
+  EXPECT_EQ(r.error().code_index, static_cast<std::int64_t>(bad));
+  EXPECT_NE(r.error().message.find("code value 200 undefined (dictionary holds 160 codes"),
+            std::string::npos)
+      << r.error().message;
+  EXPECT_EQ(r.error().bit_offset, static_cast<std::int64_t>(bad * 8));
 }
 
 TEST(DecodePosition, TruncationAfterTheFreezeReportsWhereItEnded) {
   const EncodeResult encoded = frozen_stream();
   const lzw::LzwConfig& config = encoded.config;
-  const std::size_t cut = encoded.codes.size() - 10;
+  const std::size_t cut = encoded.code_count - 10;
   const std::string message = "payload ends inside code " + std::to_string(cut) + " of " +
-                              std::to_string(encoded.codes.size()) + " (8 bits needed)";
+                              std::to_string(encoded.code_count) + " (8 bits needed)";
 
   // Packed stream: the first `cut` codes and three bits of the next.
   bits::BitWriter short_stream =
       bits::BitWriter::from_bytes(encoded.stream.bytes().data(), cut * 8 + 3);
   bits::BitReader reader(short_stream);
-  const Result<lzw::DecodeResult> from_stream = lzw::Decoder(config).try_decode_stream(
-      reader, encoded.codes.size(), encoded.original_bits);
-  ASSERT_FALSE(from_stream.ok());
-  EXPECT_EQ(from_stream.error().kind, ErrorKind::CodeStreamTruncated);
-  EXPECT_EQ(from_stream.error().code_index, static_cast<std::int64_t>(cut));
-  EXPECT_EQ(from_stream.error().bit_offset, static_cast<std::int64_t>(cut * 8));
-  EXPECT_EQ(from_stream.error().message, message);
+  const Result<lzw::DecodeResult> r = lzw::Decoder(config).try_decode_stream(
+      reader, encoded.code_count, encoded.original_bits);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().kind, ErrorKind::CodeStreamTruncated);
+  EXPECT_EQ(r.error().code_index, static_cast<std::int64_t>(cut));
+  EXPECT_EQ(r.error().bit_offset, static_cast<std::int64_t>(cut * 8));
+  EXPECT_EQ(r.error().message, message);
+}
 
-  // Code list: only the first `cut` codes, all of them demanded.
-  const std::vector<std::uint32_t> head(encoded.codes.begin(), encoded.codes.begin() + cut);
-  lzw::ListCodes source{.codes = head};
-  const Result<lzw::DecodeResult> from_list =
-      lzw::decode_codes(config, source, encoded.codes.size(), encoded.original_bits,
-                        [](const lzw::CodeStep&) {});
-  ASSERT_FALSE(from_list.ok());
-  EXPECT_EQ(from_list.error().kind, ErrorKind::CodeStreamTruncated);
-  EXPECT_EQ(from_list.error().code_index, static_cast<std::int64_t>(cut));
-  EXPECT_EQ(from_list.error().bit_offset, -1);
-  EXPECT_EQ(from_list.error().message, message);
+/// N = 1024 with 4000 trits: the dictionary never fills, so every code is
+/// served before the freeze.
+EncodeResult open_stream() {
+  const lzw::LzwConfig config{.dict_size = 1024, .char_bits = 7, .entry_bits = 63};
+  bits::Rng rng(61);
+  bits::TritVector input(4000);
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    if (!rng.chance(0.5)) input.set(i, rng.bit() ? bits::Trit::One : bits::Trit::Zero);
+  }
+  EncodeResult encoded = lzw::Encoder(config).encode(input);
+  EXPECT_EQ(encoded.telemetry.dict_full_events, 0u);
+  return encoded;
+}
+
+// Each error path of the decode core, in the growing phase and in the
+// frozen one, names the failing code and the stream bit where it started
+// (where the codes ended, for StreamTooShort).
+TEST(DecodePosition, EveryErrorPathReportsAStreamBitOffset) {
+  for (const EncodeResult& encoded : {open_stream(), frozen_stream()}) {
+    const lzw::LzwConfig& config = encoded.config;
+    SCOPED_TRACE(config.describe());
+    const std::size_t last = encoded.code_count - 1;
+    const auto last_offset = static_cast<std::int64_t>(last * config.code_bits());
+    const auto decode = [&](const bits::BitWriter& stream, std::uint64_t original_bits) {
+      bits::BitReader reader(stream);
+      return lzw::Decoder(config).try_decode_stream(reader, encoded.code_count,
+                                                    original_bits);
+    };
+
+    const Result<lzw::DecodeResult> truncated = decode(
+        bits::BitWriter::from_bytes(encoded.stream.bytes().data(),
+                                    encoded.stream.bit_count() - 1),
+        encoded.original_bits);
+    ASSERT_FALSE(truncated.ok());
+    EXPECT_EQ(truncated.error().kind, ErrorKind::CodeStreamTruncated);
+    EXPECT_EQ(truncated.error().code_index, static_cast<std::int64_t>(last));
+    EXPECT_EQ(truncated.error().bit_offset, last_offset);
+
+    std::vector<std::uint32_t> codes = read_codes(encoded);
+    // Above every defined code and not the KwKwK code, in either phase.
+    codes[last] = (1u << config.code_bits()) - 1;
+    const Result<lzw::DecodeResult> undefined =
+        decode(code_lists::pack_codes(config, codes), encoded.original_bits);
+    ASSERT_FALSE(undefined.ok());
+    EXPECT_EQ(undefined.error().kind, ErrorKind::UndefinedCode);
+    EXPECT_EQ(undefined.error().code_index, static_cast<std::int64_t>(last));
+    EXPECT_EQ(undefined.error().bit_offset, last_offset);
+
+    const Result<lzw::DecodeResult> too_short =
+        decode(encoded.stream, encoded.input_chars * config.char_bits + 1);
+    ASSERT_FALSE(too_short.ok());
+    EXPECT_EQ(too_short.error().kind, ErrorKind::StreamTooShort);
+    EXPECT_EQ(too_short.error().code_index, static_cast<std::int64_t>(encoded.code_count));
+    EXPECT_EQ(too_short.error().bit_offset,
+              static_cast<std::int64_t>(encoded.stream.bit_count()));
+  }
+}
+
+// ------------------------------------------------------------ decode bound
+
+/// v1 or v2 container bytes written field by field, CRCs included, so a
+/// test can build headers write_image refuses to write. v2 frames the
+/// payload in 4096-byte chunks, as write_image does by default.
+std::string handmade_image(std::uint32_t version, const lzw::LzwConfig& config,
+                           std::uint64_t original_bits, std::uint64_t code_count,
+                           const bits::BitWriter& stream) {
+  constexpr std::uint32_t kChunkBytes = 4096;
+  const std::vector<std::uint8_t>& payload = stream.bytes();
+  std::vector<std::uint8_t> h;
+  const std::string magic = version == 1 ? "TDCLZW1" : "TDCLZW2";
+  h.insert(h.end(), magic.begin(), magic.end());
+  h.push_back(0);
+  if (version == 2) bits::put_u32(h, 2);
+  bits::put_u32(h, config.dict_size);
+  bits::put_u32(h, config.char_bits);
+  bits::put_u32(h, config.entry_bits);
+  bits::put_u32(h, config.variable_width ? 1u : 0u);
+  bits::put_u64(h, original_bits);
+  bits::put_u64(h, code_count);
+  bits::put_u64(h, stream.bit_count());
+  if (version == 2) {
+    const std::size_t chunks = (payload.size() + kChunkBytes - 1) / kChunkBytes;
+    bits::put_u32(h, crc32(payload));
+    bits::put_u32(h, kChunkBytes);
+    bits::put_u32(h, static_cast<std::uint32_t>(chunks));
+    for (std::size_t i = 0; i < chunks; ++i) {
+      const std::size_t begin = i * kChunkBytes;
+      const std::size_t end = std::min<std::size_t>(begin + kChunkBytes, payload.size());
+      bits::put_u32(h, crc32(payload.data() + begin, end - begin));
+    }
+    bits::put_u32(h, crc32(h));
+  }
+  h.insert(h.end(), payload.begin(), payload.end());
+  return std::string(h.begin(), h.end());
+}
+
+/// The longest expansion `count` codes can have under `config` (C_C = 1):
+/// literal 0, then each new entry by KwKwK, one character longer than the
+/// last, until entries reach max_entry_chars(); then that entry again and
+/// again. Code i expands to exactly min(max_entry_chars(), i + 1) zeros.
+std::vector<std::uint32_t> longest_codes(const lzw::LzwConfig& config, std::uint64_t count) {
+  std::vector<std::uint32_t> codes;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint64_t chars = std::min<std::uint64_t>(config.max_entry_chars(), i + 1);
+    codes.push_back(chars == 1 ? 0u
+                               : config.first_code() + static_cast<std::uint32_t>(chars) - 2);
+  }
+  return codes;
+}
+
+// A CRC-valid decode bomb: N = 2^20, C_C = 1, C_MDATA = 2^32 - 1 and a
+// KwKwK chain of 30,000 codes truthfully declaring k(k+1)/2 = 450,015,000
+// bits from a 75 KB image. The C_MDATA cap refuses it at the header, so
+// nothing is decoded.
+TEST(DecodeBound, KwKwKChainBombIsRefusedAtTheHeader) {
+  const lzw::LzwConfig config{.dict_size = 1u << 20, .char_bits = 1,
+                              .entry_bits = 0xFFFFFFFFu};
+  constexpr std::uint64_t kCodes = 30000;
+  const bits::BitWriter stream = code_lists::pack_codes(config, longest_codes(config, kCodes));
+  for (const std::uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("v" + std::to_string(version));
+    const std::string bytes =
+        handmade_image(version, config, kCodes * (kCodes + 1) / 2, kCodes, stream);
+    if (version == 2) {
+      EXPECT_EQ(bytes.size(), 75144u);
+    }
+    const Result<CompressedImage> image = parse(bytes);
+    ASSERT_FALSE(image.ok());
+    EXPECT_EQ(image.error().kind, ErrorKind::ConfigMismatch);
+    EXPECT_NE(image.error().message.find("511-bit cap"), std::string::npos)
+        << image.error().message;
+  }
+}
+
+// Under the cap, original_bits may reach exactly what the codes can decode
+// to (LzwConfig::max_decoded_bits), inside the ramp and past it, and not
+// one bit more.
+TEST(DecodeBound, OriginalBitsUpToTheExactBoundDecode) {
+  const lzw::LzwConfig config{.dict_size = 1024, .char_bits = 1, .entry_bits = 8};
+  for (const std::uint64_t count : {5u, 20u}) {
+    const std::uint64_t bound = config.max_decoded_bits(count);
+    EXPECT_EQ(bound, count == 5 ? 15u : 36u + 12u * 8u);
+    const bits::BitWriter stream =
+        code_lists::pack_codes(config, longest_codes(config, count));
+    for (const std::uint32_t version : {1u, 2u}) {
+      SCOPED_TRACE("v" + std::to_string(version) + " codes " + std::to_string(count));
+      const Result<CompressedImage> at =
+          parse(handmade_image(version, config, bound, count, stream));
+      ASSERT_TRUE(at.ok()) << at.error().describe();
+      const Result<lzw::DecodeResult> decoded = at.value().try_decode();
+      ASSERT_TRUE(decoded.ok()) << decoded.error().describe();
+      EXPECT_EQ(decoded.value().bits, bits::TritVector(bound, bits::Trit::Zero));
+
+      const Result<CompressedImage> above =
+          parse(handmade_image(version, config, bound + 1, count, stream));
+      ASSERT_FALSE(above.ok());
+      EXPECT_EQ(above.error().kind, ErrorKind::ConfigMismatch);
+      EXPECT_NE(above.error().message.find("codes can decode to"), std::string::npos)
+          << above.error().message;
+    }
+  }
+}
+
+// A v3 LZW record is held to the same cap and bound by the chunk-payload
+// reader, and no writer emits a C_MDATA any reader refuses.
+TEST(DecodeBound, LzwRecordsAndWritersKeepTheCap) {
+  const codec::Codec* lzw_codec =
+      codec::codec_for_id(static_cast<std::uint8_t>(codec::CodecId::Lzw));
+  ASSERT_NE(lzw_codec, nullptr);
+  const auto record = [](const lzw::LzwConfig& config, std::uint64_t count) {
+    std::vector<std::uint8_t> payload;
+    bits::put_u32(payload, config.dict_size);
+    bits::put_u32(payload, config.char_bits);
+    bits::put_u32(payload, config.entry_bits);
+    bits::put_u32(payload, 0);
+    bits::put_u64(payload, count);
+    bits::put_stream(payload, code_lists::pack_codes(config, longest_codes(config, count)));
+    return payload;
+  };
+  const lzw::LzwConfig capped{.dict_size = 1024, .char_bits = 1, .entry_bits = 8};
+  const std::uint64_t bound = capped.max_decoded_bits(20);
+  const Result<bits::TritVector> at = lzw_codec->decompress_chunk(record(capped, 20), bound);
+  ASSERT_TRUE(at.ok()) << at.error().describe();
+  EXPECT_EQ(at.value().size(), bound);
+  const Result<bits::TritVector> above =
+      lzw_codec->decompress_chunk(record(capped, 20), bound + 1);
+  ASSERT_FALSE(above.ok());
+  EXPECT_EQ(above.error().kind, ErrorKind::InvalidInput);
+
+  lzw::LzwConfig wide{.dict_size = 1u << 20, .char_bits = 1, .entry_bits = 512};
+  const Result<bits::TritVector> bomb = lzw_codec->decompress_chunk(record(wide, 3000), 6);
+  ASSERT_FALSE(bomb.ok());
+  EXPECT_NE(bomb.error().message.find("511-bit cap"), std::string::npos);
+
+  // The writers: a whole-stream container, the v3 configurator block and
+  // an LZW chunk payload.
+  wide.dict_size = 1024;
+  const EncodeResult encoded = lzw::Encoder(wide).encode(bits::TritVector(64, bits::Trit::X));
+  std::ostringstream out(std::ios::binary);
+  EXPECT_THROW(lzw::write_image(out, encoded), std::invalid_argument);
+  EXPECT_THROW(lzw::write_image_v3(out, wide, 0, 4096, {}), std::invalid_argument);
+  const Result<codec::CompressedChunk> chunk =
+      codec::make_lzw_codec(wide)->compress_chunk(bits::TritVector(64, bits::Trit::X));
+  ASSERT_FALSE(chunk.ok());
+  EXPECT_EQ(chunk.error().kind, ErrorKind::ConfigMismatch);
 }
 
 }  // namespace

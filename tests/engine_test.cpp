@@ -685,5 +685,64 @@ TEST(JobRunnerTest, StopDrainsQueuedWorkAndStaysIdempotent) {
   EXPECT_EQ(runner.in_flight(), 0u);
 }
 
+TEST(JobRunnerTest, BodiesRunOnTheCallersThread) {
+  JobRunner runner(JobRunner::Options{.workers = 2});
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  EXPECT_TRUE(runner.run_task([&] { ran_on = std::this_thread::get_id(); }));
+  EXPECT_EQ(ran_on, caller);
+
+  std::thread::id other_caller;
+  std::thread::id other_ran_on;
+  std::thread t([&] {
+    other_caller = std::this_thread::get_id();
+    EXPECT_TRUE(runner.run_task([&] { other_ran_on = std::this_thread::get_id(); }));
+  });
+  t.join();
+  EXPECT_EQ(other_ran_on, other_caller);
+  EXPECT_NE(other_ran_on, caller);
+}
+
+TEST(JobRunnerTest, RunningCapBoundsBodiesInsideAtOnce) {
+  constexpr std::size_t kWorkers = 2;
+  constexpr std::size_t kCap = 4;
+  JobRunner runner(JobRunner::Options{.workers = kWorkers, .max_in_flight = kCap});
+  Gate gate;
+  std::atomic<int> inside{0};
+  std::atomic<int> peak{0};
+  std::atomic<int> entered{0};
+  std::vector<std::thread> callers;
+  for (std::size_t i = 0; i < kCap; ++i) {
+    callers.emplace_back([&] {
+      EXPECT_TRUE(runner.run_task([&] {
+        const int now = inside.fetch_add(1) + 1;
+        int seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        entered.fetch_add(1);
+        gate.wait();
+        inside.fetch_sub(1);
+      }));
+    });
+  }
+  // All four are admitted; two bodies are inside and two callers wait for
+  // a running slot.
+  wait_for_in_flight(runner, kCap);
+  while (entered.load() < static_cast<int>(kWorkers)) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(inside.load(), static_cast<int>(kWorkers));
+  EXPECT_EQ(entered.load(), static_cast<int>(kWorkers));
+
+  // A fifth call is past the admission cap.
+  EXPECT_FALSE(runner.run_task([] {}));
+  EXPECT_EQ(runner.metrics().counter("runner.busy_rejects").value(), 1u);
+
+  gate.open();
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(entered.load(), static_cast<int>(kCap));
+  EXPECT_EQ(peak.load(), static_cast<int>(kWorkers));
+  EXPECT_EQ(runner.in_flight(), 0u);
+}
+
 }  // namespace
 }  // namespace tdc::engine

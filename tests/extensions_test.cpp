@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "bits/rng.h"
+#include "code_lists.h"
 #include "hw/decompressor.h"
 #include "lzw/stream_io.h"
 #include "lzw/verify.h"
@@ -100,10 +101,10 @@ TEST(VariableWidthTest, ShrinksEarlyStream) {
   variable.variable_width = true;
 
   const auto input = random_cube(6000, 0.9, 17);
-  const auto rf = lzw::Encoder(fixed).encode(input);
-  const auto rv = lzw::Encoder(variable).encode(input);
+  const auto rf = code_lists::encode_traced(lzw::Encoder(fixed), input);
+  const auto rv = code_lists::encode_traced(lzw::Encoder(variable), input);
   EXPECT_EQ(rf.codes, rv.codes);  // same parse, different packing
-  EXPECT_LT(rv.compressed_bits(), rf.compressed_bits());
+  EXPECT_LT(rv.result.compressed_bits(), rf.result.compressed_bits());
 }
 
 TEST(VariableWidthTest, RoundTripsThroughStreamDecoder) {
@@ -123,7 +124,9 @@ TEST(VariableWidthTest, HardwareModelAgrees) {
   const auto encoded = lzw::Encoder(config).encode(input);
   const hw::DecompressorModel model(hw::HwConfig{.lzw = config, .clock_ratio = 10});
   const auto run = model.run(encoded);
-  const auto sw = lzw::Decoder(config).decode(encoded.codes, encoded.original_bits);
+  bits::BitReader reader(encoded.stream);
+  const auto sw =
+      lzw::Decoder(config).decode_stream(reader, encoded.code_count, encoded.original_bits);
   EXPECT_EQ(run.scan_bits, sw.bits);
   // The input side consumed exactly the packed stream.
   EXPECT_TRUE(input.covered_by(run.scan_bits));
@@ -143,7 +146,7 @@ TEST(StreamIoTest, RoundTripThroughMemory) {
   EXPECT_EQ(image.config.char_bits, config.char_bits);
   EXPECT_EQ(image.config.entry_bits, config.entry_bits);
   EXPECT_EQ(image.original_bits, encoded.original_bits);
-  EXPECT_EQ(image.code_count, encoded.codes.size());
+  EXPECT_EQ(image.code_count, encoded.code_count);
 
   const auto decoded = image.decode();
   EXPECT_TRUE(input.covered_by(decoded.bits));
@@ -204,7 +207,7 @@ TEST(ObserverTest, StepsCoverEveryCharacterPlusFlush) {
         if (s.new_entry != lzw::kNoCode) ++entries;
       });
   EXPECT_EQ(steps, encoded.input_chars + 1);  // every char + the flush
-  EXPECT_EQ(emissions, encoded.codes.size());
+  EXPECT_EQ(emissions, encoded.code_count);
   EXPECT_EQ(entries + config.literal_count(), encoded.dict_codes_used);
 }
 

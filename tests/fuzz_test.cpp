@@ -203,7 +203,7 @@ TEST_P(FuzzTest, DamagedContainersAlwaysFailCleanly) {
       view.config = image.value().config;
       view.original_bits = image.value().original_bits;
       view.stream = image.value().stream;
-      view.codes.resize(image.value().code_count);
+      view.code_count = image.value().code_count;
       const hw::HwConfig hc{.lzw = image.value().config, .clock_ratio = 2};
       tdc::Result<hw::HwRunResult> hw_run = hw::DecompressorModel(hc).try_run(view);
       // The RTL keeps its own decode loop: it must accept exactly the

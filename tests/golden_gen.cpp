@@ -22,8 +22,8 @@ int main(int argc, char** argv) {
     const std::string v2 = dir + "/" + tdc::golden::file_name(c, 2);
     tdc::lzw::write_image_file(v1, encoded, {.version = 1});
     tdc::lzw::write_image_file(v2, encoded, tdc::golden::v2_options());
-    std::printf("%s + %s: %zu codes, %llu payload bits\n", v1.c_str(), v2.c_str(),
-                encoded.codes.size(),
+    std::printf("%s + %s: %llu codes, %llu payload bits\n", v1.c_str(), v2.c_str(),
+                static_cast<unsigned long long>(encoded.code_count),
                 static_cast<unsigned long long>(encoded.stream.bit_count()));
   }
   const std::string v3 = dir + "/" + tdc::golden::v3_file_name();

@@ -68,15 +68,18 @@ TEST(DecompressorModelTest, ScanOutputMatchesRtlReference) {
 }
 
 // Decode memory is the output plus one offset per entry, whatever C_MDATA
-// says. 2^20 bits is bench/table6's "unbounded" width, and a crafted v1
-// header or v3 LZW record can declare the same; storing each entry in a
+// says. 2^20 bits is bench/table6's "unbounded" width, which in-process
+// encodes and decodes still accept (stored images stop at
+// LzwConfig::kMaxStoredEntryBits); storing each entry in a
 // ceil(C_MDATA/64)-word slot would need >= 1 GiB for the 8k+ entries here.
 TEST(DecompressorModelTest, UnboundedEntryWidthRoundTrips) {
   const lzw::LzwConfig config{.dict_size = 65536, .char_bits = 7, .entry_bits = 1u << 20};
   const auto input = random_cube(300000, 0.5, 43);
   const auto encoded = lzw::Encoder(config).encode(input);
 
-  const auto decoded = lzw::Decoder(config).decode(encoded.codes, encoded.original_bits);
+  bits::BitReader reader(encoded.stream);
+  const auto decoded =
+      lzw::Decoder(config).decode_stream(reader, encoded.code_count, encoded.original_bits);
   ASSERT_GE(decoded.telemetry.entries_added, 8192u);
   EXPECT_TRUE(input.covered_by(decoded.bits));
 

@@ -92,7 +92,9 @@ TEST_F(IntegrationTest, HardwareModelMatchesSoftwareDecoder) {
   const bits::TritVector stream = prepared_->tests.serialize();
   const lzw::LzwConfig config = exp::paper_lzw_config(*profile_);
   const auto encoded = lzw::Encoder(config).encode(stream);
-  const auto sw = lzw::Decoder(config).decode(encoded.codes, encoded.original_bits);
+  bits::BitReader reader(encoded.stream);
+  const auto sw =
+      lzw::Decoder(config).decode_stream(reader, encoded.code_count, encoded.original_bits);
   for (const std::uint32_t k : {4u, 10u}) {
     const hw::DecompressorModel model(hw::HwConfig{.lzw = config, .clock_ratio = k});
     const auto run = model.run(encoded);
@@ -108,7 +110,9 @@ TEST_F(IntegrationTest, DecompressedVectorsKeepTargetFaultCoverage) {
   const bits::TritVector stream = prepared_->tests.serialize();
   const lzw::LzwConfig config = exp::paper_lzw_config(*profile_);
   const auto encoded = lzw::Encoder(config).encode(stream);
-  const auto decoded = lzw::Decoder(config).decode(encoded.codes, encoded.original_bits);
+  bits::BitReader reader(encoded.stream);
+  const auto decoded =
+      lzw::Decoder(config).decode_stream(reader, encoded.code_count, encoded.original_bits);
   ASSERT_TRUE(stream.covered_by(decoded.bits));
 
   const auto patterns = prepared_->tests.deserialize(decoded.bits);

@@ -15,6 +15,7 @@
 
 #include "bits/rng.h"
 #include "bits/tritvector.h"
+#include "code_lists.h"
 #include "lzw/decoder.h"
 #include "lzw/encoder.h"
 #include "lzw/verify.h"
@@ -44,10 +45,12 @@ constexpr XAssignMode kModes[] = {XAssignMode::Dynamic, XAssignMode::ZeroFill,
                                   XAssignMode::OneFill, XAssignMode::RepeatFill,
                                   XAssignMode::RandomFill};
 
+/// Equal streams written at the rule's widths, with equal code counts,
+/// hold equal codes; the telemetry carries the match lengths.
 void expect_identical(const EncodeResult& a, const EncodeResult& b,
                       const char* what) {
-  EXPECT_EQ(a.codes, b.codes) << what;
-  EXPECT_EQ(a.code_lengths, b.code_lengths) << what;
+  EXPECT_EQ(a.code_count, b.code_count) << what;
+  EXPECT_EQ(reference::telemetry_json(a), reference::telemetry_json(b)) << what;
   EXPECT_EQ(a.stream.bit_count(), b.stream.bit_count()) << what;
   EXPECT_EQ(a.stream.bytes(), b.stream.bytes()) << what;
   EXPECT_EQ(a.dict_codes_used, b.dict_codes_used) << what;
@@ -335,9 +338,11 @@ TEST(LookaheadChainTest, EveryShortInputMatchesReference) {
         for (const Tiebreak tb : kTiebreaks) {
           const auto a = Encoder(config, tb).encode(input);
           const auto b = reference_lzw_encode(config, tb, input);
-          ASSERT_EQ(a.codes, b.codes) << input.to_string() << " tiebreak "
-                                      << static_cast<int>(tb);
+          ASSERT_EQ(a.code_count, b.code_count) << input.to_string() << " tiebreak "
+                                                << static_cast<int>(tb);
           ASSERT_EQ(a.stream.bytes(), b.stream.bytes()) << input.to_string();
+          ASSERT_EQ(reference::telemetry_json(a), reference::telemetry_json(b))
+              << input.to_string();
         }
       }
     }
@@ -367,7 +372,7 @@ TEST(LookaheadChainTest, ChainDroppedAfterEmitAndExactLookup) {
     const auto b = reference_lzw_encode(config, Tiebreak::Lookahead, input);
     expect_identical(a, b, ("seed " + std::to_string(seed)).c_str());
     EXPECT_GT(a.telemetry.probes_fast, 0u);
-    EXPECT_GT(a.codes.size(), 100u);
+    EXPECT_GT(a.code_count, 100u);
   }
 }
 
@@ -390,9 +395,37 @@ TEST(LookaheadChainTest, FullAndNearlyFullDictionaries) {
                                    std::to_string(static_cast<int>(tb));
           const auto a = Encoder(config, tb).encode(input);
           expect_identical(a, reference_lzw_encode(config, tb, input), what.c_str());
-          const auto adds = std::min<std::size_t>(extra, a.codes.size());
+          const auto adds = std::min<std::uint64_t>(extra, a.code_count);
           EXPECT_EQ(a.dict_codes_used, literals + adds) << what;
           EXPECT_TRUE(verify_roundtrip(input, a).ok) << what;
+        }
+      }
+    }
+  }
+}
+
+// The stream is the encoder's only record of its codes: code_count counts
+// exactly the codes the observer saw emitted, and at fixed width the stream
+// holds exactly code_count C_E-bit codes (the packed codes are the
+// observer's, read back at C_E bits).
+TEST(CodeStreamProperty, CodeCountMatchesTheObserversEmits) {
+  for (const bool variable : {false, true}) {
+    const LzwConfig config{.dict_size = 256, .char_bits = 4, .entry_bits = 32,
+                           .variable_width = variable};
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const TritVector input = random_cube(3000, 0.6, seed);
+      for (const Tiebreak tb : kTiebreaks) {
+        const std::string what = "tiebreak=" + std::to_string(static_cast<int>(tb)) +
+                                 " variable=" + std::to_string(variable) +
+                                 " seed=" + std::to_string(seed);
+        const code_lists::TracedEncode traced =
+            code_lists::encode_traced(Encoder(config, tb), input);
+        const EncodeResult& r = traced.result;
+        EXPECT_EQ(r.code_count, traced.codes.size()) << what;
+        if (!variable) {
+          EXPECT_EQ(r.stream.bit_count(), r.code_count * config.code_bits()) << what;
+          EXPECT_EQ(r.stream.bytes(), code_lists::pack_codes(config, traced.codes).bytes())
+              << what;
         }
       }
     }

@@ -8,6 +8,7 @@
 
 #include "bits/rng.h"
 #include "bits/tritvector.h"
+#include "code_lists.h"
 #include "lzw/config.h"
 #include "lzw/decoder.h"
 #include "lzw/dictionary.h"
@@ -21,6 +22,20 @@ namespace {
 using bits::Rng;
 using bits::Trit;
 using bits::TritVector;
+using code_lists::encode_traced;
+using code_lists::pack_codes;
+
+/// Throwing decode of a packed stream holding `code_count` codes.
+DecodeResult decode(const LzwConfig& config, const bits::BitWriter& stream,
+                    std::size_t code_count, std::uint64_t original_bits) {
+  bits::BitReader reader(stream);
+  return Decoder(config).decode_stream(reader, code_count, original_bits);
+}
+
+/// Throwing decode of an encoder's stream.
+DecodeResult decode(const EncodeResult& r) {
+  return decode(r.config, r.stream, r.code_count, r.original_bits);
+}
 
 /// Random ternary vector with the given X density.
 TritVector random_cube(std::size_t n, double x_density, std::uint64_t seed) {
@@ -422,9 +437,10 @@ TEST(EncoderTest, HandComputedExample) {
   //   emit 1 (add 2="10"), emit 0 (add 3="01"), match "10" -> emit 2
   //   (add 4="101"), match "10" -> flush emit 2.
   const Encoder enc(tiny_config());
-  const auto r = enc.encode(TritVector::from_string("101010"));
-  EXPECT_EQ(r.codes, (std::vector<std::uint32_t>{1, 0, 2, 2}));
-  EXPECT_EQ(r.code_lengths, (std::vector<std::uint32_t>{1, 1, 2, 2}));
+  const auto traced = encode_traced(enc, TritVector::from_string("101010"));
+  const EncodeResult& r = traced.result;
+  EXPECT_EQ(traced.codes, (std::vector<std::uint32_t>{1, 0, 2, 2}));
+  EXPECT_EQ(traced.lengths, (std::vector<std::uint32_t>{1, 1, 2, 2}));
   EXPECT_EQ(r.original_bits, 6u);
   EXPECT_EQ(r.input_chars, 6u);
   EXPECT_EQ(r.compressed_bits(), 4u * 3u);  // C_E = 3
@@ -434,10 +450,9 @@ TEST(EncoderTest, KwKwKPattern) {
   // 11111 -> codes 1, 2, 2 where the first "2" is emitted before the decoder
   // has seen entry 2 defined (paper Fig. 4f special case).
   const Encoder enc(tiny_config());
-  const auto r = enc.encode(TritVector::from_string("11111"));
-  EXPECT_EQ(r.codes, (std::vector<std::uint32_t>{1, 2, 2}));
-  const Decoder dec(tiny_config());
-  const auto d = dec.decode(r.codes, 5);
+  const auto traced = encode_traced(enc, TritVector::from_string("11111"));
+  EXPECT_EQ(traced.codes, (std::vector<std::uint32_t>{1, 2, 2}));
+  const auto d = decode(tiny_config(), pack_codes(tiny_config(), traced.codes), 3, 5);
   EXPECT_EQ(d.bits.to_string(), "11111");
 }
 
@@ -445,9 +460,9 @@ TEST(EncoderTest, DynamicXBindingFollowsDictionary) {
   // 1X1X1X: the X bits must be bound so the stream matches dictionary
   // entries; the result equals the fully-specified 101010 run above.
   const Encoder enc(tiny_config());
-  const auto r = enc.encode(TritVector::from_string("1X1X1X"));
-  EXPECT_EQ(r.codes, (std::vector<std::uint32_t>{1, 0, 2, 2}));
-  const auto rep = verify_roundtrip(TritVector::from_string("1X1X1X"), r);
+  const auto traced = encode_traced(enc, TritVector::from_string("1X1X1X"));
+  EXPECT_EQ(traced.codes, (std::vector<std::uint32_t>{1, 0, 2, 2}));
+  const auto rep = verify_roundtrip(TritVector::from_string("1X1X1X"), traced.result);
   EXPECT_TRUE(rep.ok) << rep.error;
 }
 
@@ -461,18 +476,19 @@ TEST(EncoderTest, AllXCompressesHard) {
 
 TEST(EncoderTest, EmptyInput) {
   const Encoder enc(tiny_config());
-  const auto r = enc.encode(TritVector{});
-  EXPECT_TRUE(r.codes.empty());
+  const auto traced = encode_traced(enc, TritVector{});
+  const EncodeResult& r = traced.result;
+  EXPECT_TRUE(traced.codes.empty());
+  EXPECT_EQ(r.code_count, 0u);
   EXPECT_EQ(r.original_bits, 0u);
-  const Decoder dec(tiny_config());
-  EXPECT_EQ(dec.decode(r.codes, 0).bits.size(), 0u);
+  EXPECT_EQ(decode(r).bits.size(), 0u);
 }
 
 TEST(EncoderTest, SingleCharInput) {
   const Encoder enc(tiny_config());
-  const auto r = enc.encode(TritVector::from_string("1"));
-  EXPECT_EQ(r.codes, (std::vector<std::uint32_t>{1}));
-  EXPECT_TRUE(verify_roundtrip(TritVector::from_string("1"), r).ok);
+  const auto traced = encode_traced(enc, TritVector::from_string("1"));
+  EXPECT_EQ(traced.codes, (std::vector<std::uint32_t>{1}));
+  EXPECT_TRUE(verify_roundtrip(TritVector::from_string("1"), traced.result).ok);
 }
 
 TEST(EncoderTest, PartialTailCharacterIsPadded) {
@@ -489,7 +505,7 @@ TEST(EncoderTest, StreamPackingMatchesCodeCount) {
   const LzwConfig c{.dict_size = 2048, .char_bits = 7, .entry_bits = 63};
   const Encoder enc(c);
   const auto r = enc.encode(random_cube(5000, 0.8, 5));
-  EXPECT_EQ(r.stream.bit_count(), r.codes.size() * c.code_bits());
+  EXPECT_EQ(r.stream.bit_count(), r.code_count * c.code_bits());
 }
 
 TEST(EncoderTest, DegenerateConfigEmitsLiteralsOnly) {
@@ -498,7 +514,7 @@ TEST(EncoderTest, DegenerateConfigEmitsLiteralsOnly) {
   const Encoder enc(c);
   const auto input = random_cube(1024, 0.0, 3);
   const auto r = enc.encode(input);
-  EXPECT_EQ(r.codes.size(), 1024u / 8u);
+  EXPECT_EQ(r.code_count, 1024u / 8u);
   EXPECT_NEAR(r.ratio_percent(), 0.0, 1e-9);
   EXPECT_TRUE(verify_roundtrip(input, r).ok);
 }
@@ -526,25 +542,25 @@ TEST(EncoderTest, DictionaryFreezeKeepsLockstep) {
 // ---------------------------------------------------------------- Decoder errors
 
 TEST(DecoderTest, RejectsUndefinedCode) {
-  const Decoder dec(tiny_config());
-  EXPECT_THROW(dec.decode({1, 5}, 4), std::invalid_argument);
+  EXPECT_THROW(decode(tiny_config(), pack_codes(tiny_config(), {1, 5}), 2, 4),
+               std::invalid_argument);
 }
 
 TEST(DecoderTest, RejectsLeadingNonLiteral) {
-  const Decoder dec(tiny_config());
-  EXPECT_THROW(dec.decode({2}, 2), std::invalid_argument);
+  EXPECT_THROW(decode(tiny_config(), pack_codes(tiny_config(), {2}), 1, 2),
+               std::invalid_argument);
 }
 
 TEST(DecoderTest, RejectsTruncatedStream) {
-  const Decoder dec(tiny_config());
-  EXPECT_THROW(dec.decode({1}, 10), std::invalid_argument);
+  EXPECT_THROW(decode(tiny_config(), pack_codes(tiny_config(), {1}), 1, 10),
+               std::invalid_argument);
 }
 
 TEST(DecoderTest, DictGrowsInLockstepWithEncoder) {
   const LzwConfig c{.dict_size = 1024, .char_bits = 7, .entry_bits = 63};
   const auto input = random_cube(3000, 0.7, 11);
   const auto r = Encoder(c).encode(input);
-  const auto d = Decoder(c).decode(r.codes, r.original_bits);
+  const auto d = decode(r);
   // Decoder may learn exactly one extra entry from the final code.
   EXPECT_GE(d.dict_codes_used + 0u, r.dict_codes_used - 1u);
   EXPECT_LE(d.dict_codes_used, r.dict_codes_used + 1u);
@@ -579,10 +595,10 @@ TEST(XAssignTest, FullySpecifiedInputIdenticalAcrossModes) {
   const LzwConfig c{.dict_size = 512, .char_bits = 4, .entry_bits = 32};
   const auto input = random_cube(2000, 0.0, 41);
   const Encoder enc(c);
-  const auto base = enc.encode(input, XAssignMode::Dynamic);
+  const auto base = encode_traced(enc, input, XAssignMode::Dynamic);
   for (const auto mode : {XAssignMode::ZeroFill, XAssignMode::OneFill,
                           XAssignMode::RepeatFill, XAssignMode::RandomFill}) {
-    EXPECT_EQ(enc.encode(input, mode).codes, base.codes);
+    EXPECT_EQ(encode_traced(enc, input, mode).codes, base.codes);
   }
 }
 
@@ -610,16 +626,17 @@ TEST(TiebreakTest, LowestCharPicksSmallestCompatibleCharacter) {
   const LzwConfig c{.dict_size = 8, .char_bits = 2, .entry_bits = 8};
   const auto input = TritVector::from_string("0010000100XX");
 
-  const auto lowest = Encoder(c, Tiebreak::LowestChar).encode(input);
+  const auto lowest = encode_traced(Encoder(c, Tiebreak::LowestChar), input);
   EXPECT_EQ(lowest.codes, (std::vector<std::uint32_t>{0, 2, 0, 1, 6}));
 
   // Control: First keeps insertion order and lands on the ch=2 child.
-  const auto first = Encoder(c, Tiebreak::First).encode(input);
+  const auto first = encode_traced(Encoder(c, Tiebreak::First), input);
   EXPECT_EQ(first.codes, (std::vector<std::uint32_t>{0, 2, 0, 1, 4}));
 
   // The reference walk agrees (the fix is independent of the slab order).
   const auto reference = reference::reference_lzw_encode(c, Tiebreak::LowestChar, input);
-  EXPECT_EQ(reference.codes, lowest.codes);
+  EXPECT_EQ(reference.stream.bytes(), lowest.result.stream.bytes());
+  EXPECT_EQ(reference.code_count, lowest.result.code_count);
 }
 
 // ---------------------------------------------------------------- Round-trip property sweep
@@ -670,7 +687,7 @@ TEST(StatsTest, RatioFormula) {
   const auto input = random_cube(7000, 0.8, 61);
   const auto r = Encoder(c).encode(input);
   const double expect =
-      (1.0 - static_cast<double>(r.codes.size() * 10) / 7000.0) * 100.0;
+      (1.0 - static_cast<double>(r.code_count * 10) / 7000.0) * 100.0;
   EXPECT_DOUBLE_EQ(r.ratio_percent(), expect);
 }
 
@@ -687,8 +704,8 @@ TEST(TelemetryTest, EncoderAccountingIsExact) {
   const EncoderTelemetry& tel = r.telemetry;
 
   // One histogram sample per emitted code; lengths partition the input.
-  EXPECT_EQ(tel.match_chars.snapshot().count, r.codes.size());
-  EXPECT_EQ(tel.code_width_bits.snapshot().count, r.codes.size());
+  EXPECT_EQ(tel.match_chars.snapshot().count, r.code_count);
+  EXPECT_EQ(tel.code_width_bits.snapshot().count, r.code_count);
   EXPECT_EQ(tel.match_chars.snapshot().sum, r.input_chars);
   EXPECT_EQ(tel.code_width_bits.snapshot().sum, r.compressed_bits());
 
@@ -696,7 +713,7 @@ TEST(TelemetryTest, EncoderAccountingIsExact) {
   // a probe either extends the match or ends one (the final emit is outside
   // the loop, so emissions-during-loop = codes - 1).
   EXPECT_EQ(tel.probes_fast + tel.probes_scan, r.input_chars - 1);
-  EXPECT_EQ(tel.match_extensions, r.input_chars - r.codes.size());
+  EXPECT_EQ(tel.match_extensions, r.input_chars - r.code_count);
 
   // Dynamic mode: every X bit of the input is bound exactly once — by a
   // match or by zeroing — and none were pre-filled.
@@ -762,11 +779,11 @@ TEST(TelemetryTest, DecoderMirrorsEncoderStream) {
   const LzwConfig c{.dict_size = 1024, .char_bits = 7, .entry_bits = 63};
   const auto input = random_cube(7000, 0.8, 53);
   const auto encoded = Encoder(c).encode(input);
-  const auto decoded = Decoder(c).decode(encoded.codes, encoded.original_bits);
+  const auto decoded = decode(encoded);
   const DecoderTelemetry& tel = decoded.telemetry;
 
-  EXPECT_EQ(tel.codes_consumed, encoded.codes.size());
-  EXPECT_EQ(tel.expansion_chars.snapshot().count, encoded.codes.size());
+  EXPECT_EQ(tel.codes_consumed, encoded.code_count);
+  EXPECT_EQ(tel.expansion_chars.snapshot().count, encoded.code_count);
   EXPECT_EQ(tel.expansion_chars.snapshot().sum, encoded.input_chars);
   // The decoder learns one entry per code after the first, minus freezes —
   // never more than the encoder's own dictionary growth plus the trailing
@@ -782,7 +799,7 @@ TEST(TelemetryTest, DecoderCountsKwKwKCodes) {
   TritVector v;
   for (int i = 0; i < 8; ++i) v.push_back(Trit::Zero);
   const auto encoded = Encoder(c).encode(v);
-  const auto decoded = Decoder(c).decode(encoded.codes, encoded.original_bits);
+  const auto decoded = decode(encoded);
   EXPECT_GT(decoded.telemetry.kwkwk_codes, 0u);
 }
 

@@ -9,9 +9,11 @@
 //     insertion-ordered Dictionary, a child-by-child walk of the current
 //     code's children applying the tie-break rule literally, per-bit stream
 //     emission and no container pre-sizing. Its output equals
-//     lzw::Encoder's for every rule and X mode, telemetry aside: every
+//     lzw::Encoder's for every rule and X mode, probe split aside: every
 //     probe here counts as a scan, because it never takes the exact
-//     lookup.
+//     lookup. telemetry_json() compares everything else; equal streams
+//     written at the rule's widths, with equal code counts, hold equal
+//     codes.
 //   * reference_best_rle — the tuned RLE grid as seven full encodes
 //     (Golomb m = 4 ... 128, then FDR), keeping the first strictly smaller
 //     stream.
@@ -21,6 +23,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <utility>
 
 #include "bits/rng.h"
@@ -147,11 +150,12 @@ inline lzw::EncodeResult reference_lzw_encode(
 
   lzw::EncoderTelemetry& tel = result.telemetry;
   std::uint64_t n_x_zeroed = 0;
+  lzw::SampleCounts lengths(tel.match_chars);
   lzw::SampleCounts widths(tel.code_width_bits);
   std::uint32_t width_basis = dict.size();
   auto emit = [&](std::uint32_t code) {
-    result.codes.push_back(code);
-    result.code_lengths.push_back(dict.length(code));
+    ++result.code_count;
+    lengths.record(dict.length(code));
     const std::uint32_t width =
         config.variable_width
             ? std::min(static_cast<std::uint32_t>(std::bit_width(width_basis)),
@@ -200,21 +204,29 @@ inline lzw::EncodeResult reference_lzw_encode(
     }
   }
   tel.probes_scan = result.input_chars > 0 ? result.input_chars - 1 : 0;
-  tel.match_extensions = result.input_chars - result.codes.size();
+  tel.match_extensions = result.input_chars - result.code_count;
   tel.x_bits_input = input.x_count() + (result.input_chars * cc - input.size());
   tel.x_bits_zeroed = n_x_zeroed;
   tel.x_bits_matched = tel.x_bits_input - n_x_zeroed;
   tel.x_bits_prefilled = mode == lzw::XAssignMode::Dynamic ? 0 : raw_input.x_count();
   tel.entries_added = dict.size() - initial_codes;
   tel.dict_full_events = !initially_full && dict.full() ? 1 : 0;
-  lzw::SampleCounts lengths(tel.match_chars);
-  for (const std::uint32_t len : result.code_lengths) lengths.record(len);
   lengths.fold();
   widths.fold();
 
   result.dict_codes_used = dict.size();
   result.longest_entry_bits = dict.longest_entry_bits();
   return result;
+}
+
+/// `encoded`'s telemetry JSON with the probe split summed into
+/// probes_scan: the one part of the telemetry where the reference and
+/// lzw::Encoder differ by design.
+inline std::string telemetry_json(const lzw::EncodeResult& encoded) {
+  lzw::EncoderTelemetry tel = encoded.telemetry;
+  tel.probes_scan += tel.probes_fast;
+  tel.probes_fast = 0;
+  return tel.to_json();
 }
 
 /// The tuned RLE grid as seven full encodes: Golomb m = 4, 8, ..., 128,

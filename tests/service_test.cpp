@@ -5,6 +5,7 @@
 // graceful shutdown draining in-flight work.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -547,6 +548,53 @@ TEST_F(ServiceTest, OversizedDeclaredLengthIsRefusedWithTypedError) {
   EXPECT_TRUE(!eof.ok() || !eof.value());
 
   Client client = MustConnect();
+  EXPECT_TRUE(client.call("ping").ok());
+}
+
+// A valid image that declares more trits than the payload cap would need
+// a reply past it (one .tests byte per trit): decompress and verify refuse
+// it before decoding, so the daemon's memory stays where it was.
+TEST_F(ServiceTest, DecodeLargerThanThePayloadCapIsRefusedBeforeDecoding) {
+  ServerOptions options;
+  options.max_payload_bytes = 1 << 20;  // 1 MiB cap for the test
+  StartServer(std::move(options));
+  std::string container;
+  {
+    // 32 Mi all-X trits in 511-bit entries compress to about 80 KiB, under
+    // the cap; the small container keeps the request's own copies (which
+    // a sanitizer's quarantine holds resident) far below the bound below.
+    const auto encoded =
+        lzw::Encoder(lzw::LzwConfig{.entry_bits = 511}).encode(bits::TritVector(32u << 20));
+    std::ostringstream out(std::ios::binary);
+    lzw::write_image(out, encoded);
+    container = std::move(out).str();
+  }
+  ASSERT_LT(container.size(), 128u << 10);
+  Client client = MustConnect();
+  const auto rss = [&] {
+    EXPECT_TRUE(client.call("stats").ok());
+    return server_->metrics().gauge("process.rss_bytes").value();
+  };
+  // Client and daemon share this process, so its peak RSS covers both.
+  const auto peak_rss = [] {
+    rusage ru{};
+    ::getrusage(RUSAGE_SELF, &ru);
+    return std::int64_t{ru.ru_maxrss} << 10;  // KiB on Linux
+  };
+  const std::int64_t before = rss();
+  const std::int64_t peak_before = peak_rss();
+  for (const char* op : {"decompress", "verify", "decompress"}) {
+    Result<Frame> resp = client.call(op, {}, container);
+    EXPECT_FALSE(resp.ok()) << op;
+    if (!resp.ok()) {
+      EXPECT_EQ(resp.error().kind, ErrorKind::ConfigMismatch) << op;
+      EXPECT_NE(resp.error().message.find("33554432 trits"), std::string::npos)
+          << resp.error().message;
+    }
+  }
+  // Decoding would have held a 4 MiB value plane and a 32 MiB reply.
+  EXPECT_LT(rss() - before, std::int64_t{8} << 20);
+  EXPECT_LT(peak_rss() - peak_before, std::int64_t{8} << 20);
   EXPECT_TRUE(client.call("ping").ok());
 }
 

@@ -106,7 +106,7 @@ TEST(ParallelMapTest, TableIdenticalForAnyWorkerCount) {
                                       .entry_bits = entry};
           const auto encoded = lzw::Encoder(config).encode(input);
           return std::vector<std::string>{
-              num(entry), num(encoded.codes.size()),
+              num(entry), num(encoded.code_count),
               pct(encoded.ratio_percent())};
         });
     Table table({"C_MDATA", "codes", "ratio"});
