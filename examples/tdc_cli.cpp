@@ -71,7 +71,6 @@
 #include "exp/thread_pool.h"
 #include "hw/decompressor_rtl.h"
 #include "lzw/stream_io.h"
-#include "lzw/verify.h"
 #include "netlist/bench_io.h"
 #include "netlist/stats.h"
 #include "netlist/verilog_io.h"
@@ -271,7 +270,9 @@ std::string stream_stats_json(const std::string& input, const char* source,
 std::string multicodec_stats_json(const std::string& input,
                                   const std::string& mode,
                                   const lzw::LzwConfig& config,
-                                  const codec::EncodedChunks& chunks);
+                                  std::uint64_t original_bits,
+                                  std::uint64_t stats_bits,
+                                  const std::vector<codec::ChunkChoice>& choices);
 
 /// Writes `text` to `--out <file>` when given, stdout otherwise.
 int emit_text(const std::optional<std::string>& out_path, const std::string& text) {
@@ -402,8 +403,8 @@ int cmd_stats(exp::Args& args) {
                      decoded.error().describe().c_str());
         return 1;
       }
-      codec::EncodedChunks chunks;
-      chunks.original_bits = img.original_bits;
+      std::vector<codec::ChunkChoice> choices;
+      std::uint64_t payload_bytes = 0;
       for (const lzw::ChunkRecord& r : img.chunks) {
         const codec::Codec* c = codec::codec_for_id(r.codec_id);
         codec::ChunkChoice choice;
@@ -412,12 +413,13 @@ int cmd_stats(exp::Args& args) {
                                     : "id" + std::to_string(r.codec_id);
         choice.trits = r.original_trits;
         choice.payload_bytes = r.payload.size();
-        chunks.payload_bytes += r.payload.size();
-        chunks.choices.push_back(std::move(choice));
+        payload_bytes += r.payload.size();
+        choices.push_back(std::move(choice));
       }
-      chunks.stats_bits = chunks.payload_bytes * 8;
       return emit_text(out_path,
-                       multicodec_stats_json(path, "container", img.config, chunks));
+                       multicodec_stats_json(path, "container", img.config,
+                                             img.original_bits, payload_bytes * 8,
+                                             choices));
     }
     const Result<lzw::DecodeResult> decoded = img.try_decode();
     if (!decoded.ok()) {
@@ -479,14 +481,6 @@ int cmd_gen(exp::Args& args) {
   return 0;
 }
 
-/// One verified compress of `in` to `out`; returns the success line plus the
-/// stream's telemetry JSON (for --stats), or throws. Shared by the
-/// single-file and the parallel --out-dir paths.
-struct CompressOutcome {
-  std::string line;
-  std::string stats_json;
-};
-
 /// "auto[lzw x2, bwt x1]" — the mode plus the winner histogram in chunk
 /// order of first appearance.
 std::string choices_summary(const std::string& mode,
@@ -513,7 +507,11 @@ std::string choices_summary(const std::string& mode,
 std::string multicodec_stats_json(const std::string& input,
                                   const std::string& mode,
                                   const lzw::LzwConfig& config,
-                                  const codec::EncodedChunks& chunks) {
+                                  std::uint64_t original_bits,
+                                  std::uint64_t stats_bits,
+                                  const std::vector<codec::ChunkChoice>& choices) {
+  std::uint64_t payload_bytes = 0;
+  for (const codec::ChunkChoice& c : choices) payload_bytes += c.payload_bytes;
   char buf[512];
   std::snprintf(buf, sizeof buf,
                 "{\n"
@@ -528,14 +526,14 @@ std::string multicodec_stats_json(const std::string& input,
                 obs::json_escape(input).c_str(), obs::json_escape(mode).c_str(),
                 obs::json_escape(config.describe()).c_str(),
                 config.variable_width ? " variable-width" : "",
-                static_cast<unsigned long long>(chunks.original_bits),
-                static_cast<unsigned long long>(chunks.stats_bits),
-                static_cast<unsigned long long>(chunks.payload_bytes),
-                codec::ratio_percent(chunks.original_bits, chunks.stats_bits));
+                static_cast<unsigned long long>(original_bits),
+                static_cast<unsigned long long>(stats_bits),
+                static_cast<unsigned long long>(payload_bytes),
+                codec::ratio_percent(original_bits, stats_bits));
   std::string json = buf;
   json += "  \"chunks\": [";
-  for (std::size_t i = 0; i < chunks.choices.size(); ++i) {
-    const codec::ChunkChoice& c = chunks.choices[i];
+  for (std::size_t i = 0; i < choices.size(); ++i) {
+    const codec::ChunkChoice& c = choices[i];
     std::snprintf(buf, sizeof buf,
                   "%s\n    {\"codec\": \"%s\", \"trits\": %llu,"
                   " \"stats_bits\": %llu, \"payload_bytes\": %llu}",
@@ -547,7 +545,7 @@ std::string multicodec_stats_json(const std::string& input,
   }
   json += "\n  ],\n  \"per_codec\": {";
   std::vector<std::pair<std::string, std::array<std::uint64_t, 4>>> totals;
-  for (const codec::ChunkChoice& c : chunks.choices) {
+  for (const codec::ChunkChoice& c : choices) {
     bool found = false;
     for (auto& [name, t] : totals) {
       if (name == c.codec) {
@@ -577,155 +575,104 @@ std::string multicodec_stats_json(const std::string& input,
   return json;
 }
 
-CompressOutcome compress_one(const std::string& in, const std::string& out,
-                             const lzw::LzwConfig& config,
-                             const lzw::ContainerOptions& container,
-                             const std::string& codec_mode,
-                             std::uint32_t chunk_trits) {
-  obs::TraceSpan span("cli.compress");
-  const scan::TestSet tests = scan::read_tests_file(in);
-  const bits::TritVector stream = tests.serialize();
-
-  if (!codec_mode.empty()) {
-    // Multi-codec path: per-chunk selection into a TDCLZW2 v3 container,
-    // verified end to end through the registry before the file is written.
-    codec::SelectOptions options =
-        codec::parse_codec_mode(codec_mode).value_or_throw();
-    options.lzw = config;
-    if (chunk_trits != 0) options.chunk_trits = chunk_trits;
-    obs::MetricsRegistry metrics;
-    const codec::EncodedChunks chunks =
-        codec::encode_chunks(stream, options, &metrics).value_or_throw();
-    const bits::TritVector decoded =
-        codec::decode_records(chunks.records, chunks.original_bits)
-            .value_or_throw();
-    if (!decoded.fully_specified() || !stream.covered_by(decoded)) {
-      throw std::runtime_error(
-          "internal verification failed: expansion does not cover the input");
-    }
-    lzw::write_image_v3_file(out, config, chunks.original_bits,
-                             options.chunk_trits, chunks.records);
-    char buf[512];
-    std::snprintf(
-        buf, sizeof buf,
-        "%s: %llu -> %llu bits (ratio %.2f%%, %s, codec %s, TDCLZW2 v3) -> %s",
-        in.c_str(), static_cast<unsigned long long>(chunks.original_bits),
-        static_cast<unsigned long long>(chunks.stats_bits),
-        codec::ratio_percent(chunks.original_bits, chunks.stats_bits),
-        config.describe().c_str(),
-        choices_summary(codec_mode, chunks.choices).c_str(), out.c_str());
-    CompressOutcome outcome;
-    outcome.line = buf;
-    outcome.stats_json = multicodec_stats_json(in, codec_mode, config, chunks);
-    return outcome;
+/// compress's codec and container flags as the shared job keys
+/// (engine::set_job_param), only those given: offline compress sets them on
+/// its jobs and `client compress` forwards them as frame params, so both
+/// get the same defaults and the same refusals.
+std::vector<std::pair<std::string, std::string>> compress_keys(exp::Args& args) {
+  static constexpr std::pair<const char*, const char*> kValueFlags[] = {
+      {"--dict", "dict"},          {"--char", "char"},   {"--entry", "entry"},
+      {"--chunk-bytes", "chunk"},  {"--codec", "codec"}, {"--chunk-trits", "chunk_trits"}};
+  std::vector<std::pair<std::string, std::string>> keys;
+  for (const auto& [flag, key] : kValueFlags) {
+    if (const auto v = args.value(flag)) keys.emplace_back(key, *v);
   }
-
-  const auto encoded = lzw::Encoder(config).encode(stream);
-  const auto report = lzw::verify_roundtrip(stream, encoded);
-  if (!report.ok) {
-    throw std::runtime_error("internal verification failed: " + report.error);
-  }
-  lzw::write_image_file(out, encoded, container);
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "%s: %llu -> %llu bits (ratio %.2f%%, %s, TDCLZW%u) -> %s",
-                in.c_str(), static_cast<unsigned long long>(encoded.original_bits),
-                static_cast<unsigned long long>(encoded.compressed_bits()),
-                encoded.ratio_percent(), config.describe().c_str(),
-                container.version, out.c_str());
-  CompressOutcome outcome;
-  outcome.line = buf;
-  outcome.stats_json = stream_stats_json(in, "tests", config,
-                                         encoded.original_bits,
-                                         encoded.compressed_bits(),
-                                         encoded.code_count, nullptr,
-                                         &encoded.telemetry, nullptr);
-  return outcome;
+  if (args.flag("--variable")) keys.emplace_back("variable", "1");
+  if (args.flag("--v1")) keys.emplace_back("container", "1");
+  return keys;
 }
 
-std::string basename_of(const std::string& path) {
+std::string stem_of(const std::string& path) {
   const std::size_t slash = path.rfind('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
+  std::string stem = slash == std::string::npos ? path : path.substr(slash + 1);
+  if (ends_with(stem, ".tests")) stem.resize(stem.size() - 6);
+  return stem;
 }
 
 int cmd_compress(exp::Args& args) {
-  lzw::LzwConfig config;
-  config.variable_width = args.flag("--variable");
-  config.dict_size = args.u32("--dict", config.dict_size);
-  config.char_bits = args.u32("--char", config.char_bits);
-  config.entry_bits = args.u32("--entry", config.entry_bits);
-  lzw::ContainerOptions container;
-  if (args.flag("--v1")) container.version = 1;
-  container.chunk_bytes = args.u32("--chunk-bytes", container.chunk_bytes);
-  const std::string codec_mode = args.value("--codec").value_or("");
-  const std::uint32_t chunk_trits = args.u32("--chunk-trits", 0);
+  obs::TraceSpan span("cli.compress");
+  const auto keys = compress_keys(args);
   const std::optional<std::string> out_dir = args.value("--out-dir");
   const std::optional<std::string> stats_path = args.value("--stats");
   const unsigned jobs = args.jobs();
 
   std::vector<std::string> pos;
   if (!accept(args, out_dir ? 1 : 2, out_dir ? 9999 : 2, &pos)) return usage();
-  config.validate();
-  if (!codec_mode.empty()) {
-    if (const auto mode = codec::parse_codec_mode(codec_mode); !mode.ok()) {
-      std::fprintf(stderr, "%s\n", mode.error().describe().c_str());
-      return 2;
-    }
-    if (container.version == 1 ||
-        container.chunk_bytes != lzw::ContainerOptions{}.chunk_bytes) {
-      std::fprintf(stderr,
-                   "--codec writes a TDCLZW2 v3 container; drop --v1/--chunk-bytes\n");
-      return 2;
-    }
-  } else if (chunk_trits != 0) {
-    std::fprintf(stderr, "--chunk-trits needs --codec\n");
+  engine::JobSpec spec;
+  Status checked;
+  for (const auto& [key, value] : keys) {
+    if (checked.ok()) checked = engine::set_job_param(spec, key, value);
+  }
+  if (checked.ok()) checked = engine::check_job(spec);
+  if (!checked.ok()) {
+    std::fprintf(stderr, "%s\n", checked.error().describe().c_str());
     return 2;
   }
 
+  // A batch of one job per input, run (and verified) by the engine as
+  // `tdc_cli batch` runs a manifest. --out-dir writes <dir>/<stem>.tdclzw
+  // for every positional, across --jobs workers, in input order.
+  engine::Manifest manifest;
+  for (std::size_t i = 0; i < (out_dir ? pos.size() : 1); ++i) {
+    engine::JobSpec& job = manifest.jobs.emplace_back(spec);
+    job.name = job.input_path = pos[i];
+    job.output_path = out_dir ? *out_dir + "/" + stem_of(pos[i]) + ".tdclzw" : pos[1];
+  }
+  engine::EngineOptions options;
+  options.workers = jobs;
+  const engine::BatchResult result = engine::Engine(options).run(manifest);
+
+  int rc = 0;
+  std::vector<std::string> stats;
+  for (const engine::JobOutcome& job : result.jobs) {
+    if (!job.ok()) {
+      std::fprintf(stderr, "%s: %s\n", job.name.c_str(),
+                   job.status.error().describe().c_str());
+      rc = 1;
+      continue;
+    }
+    const std::string codec = spec.codec.empty()
+                                  ? "TDCLZW" + std::to_string(job.container_version)
+                                  : "codec " + choices_summary(spec.codec, job.choices) +
+                                        ", TDCLZW2 v3";
+    std::printf("%s: %llu -> %llu bits (ratio %.2f%%, %s, %s) -> %s\n",
+                job.name.c_str(), static_cast<unsigned long long>(job.original_bits),
+                static_cast<unsigned long long>(job.compressed_bits),
+                job.ratio_percent, spec.config.describe().c_str(), codec.c_str(),
+                job.output_path.c_str());
+    stats.push_back(spec.codec.empty()
+                        ? stream_stats_json(job.name, "tests", spec.config,
+                                            job.original_bits, job.compressed_bits,
+                                            job.code_count, nullptr,
+                                            &job.telemetry, nullptr)
+                        : multicodec_stats_json(job.name, spec.codec, spec.config,
+                                                job.original_bits,
+                                                job.compressed_bits, job.choices));
+  }
   // --stats: per-stream telemetry JSON, one object per input in argument
   // order — byte-identical for any --jobs count.
-  const auto write_stats = [&](const std::vector<CompressOutcome>& outcomes) {
-    if (!stats_path) return 0;
-    std::string json;
-    if (outcomes.size() == 1) {
-      json = outcomes[0].stats_json;
-    } else {
-      json = "[\n";
-      for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        json += outcomes[i].stats_json;
-        if (i + 1 < outcomes.size()) {
-          json.pop_back();  // swap the trailing newline for a separator
-          json += ",\n";
-        }
-      }
-      json += "]\n";
+  if (rc != 0 || !stats_path) return rc;
+  if (stats.size() == 1) return emit_text(stats_path, stats[0]);
+  std::string json = "[\n";
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    json += stats[i];
+    if (i + 1 < stats.size()) {
+      json.pop_back();  // swap the trailing newline for a separator
+      json += ",\n";
     }
-    return emit_text(stats_path, json);
-  };
-
-  if (!out_dir) {
-    const CompressOutcome outcome =
-        compress_one(pos[0], pos[1], config, container, codec_mode, chunk_trits);
-    std::printf("%s\n", outcome.line.c_str());
-    return write_stats({outcome});
   }
-
-  // --out-dir: every positional is an input; <dir>/<stem>.tdclzw each,
-  // compressed across the pool, lines printed in input order.
-  std::filesystem::create_directories(*out_dir);
-  exp::ThreadPool pool(jobs);
-  const auto outcomes =
-      exp::parallel_map(pool, pos, [&](const std::string& in) {
-        std::string stem = basename_of(in);
-        if (const std::size_t dot = stem.rfind(".tests");
-            dot != std::string::npos && dot == stem.size() - 6) {
-          stem.resize(dot);
-        }
-        return compress_one(in, *out_dir + "/" + stem + ".tdclzw", config,
-                            container, codec_mode, chunk_trits);
-      });
-  for (const CompressOutcome& o : outcomes) std::printf("%s\n", o.line.c_str());
-  return write_stats(outcomes);
+  json += "]\n";
+  return emit_text(stats_path, json);
 }
 
 int cmd_decompress(exp::Args& args) {
@@ -1020,21 +967,8 @@ int cmd_client(exp::Args& args) {
   options.trace_id =
       args.value("--trace-id").value_or("cli-" + std::to_string(::getpid()));
 
-  // compress knobs, forwarded as frame params (only when given, so the
-  // daemon's defaults — identical to the offline tool's — apply otherwise).
-  std::vector<std::pair<std::string, std::string>> params;
-  for (const char* flag : {"--dict", "--char", "--entry"}) {
-    if (const auto v = args.value(flag)) {
-      params.emplace_back(flag + 2, *v);  // strip "--"
-    }
-  }
-  if (const auto v = args.value("--chunk-trits")) {
-    params.emplace_back("chunk_trits", *v);
-  }
-  if (const auto v = args.value("--chunk-bytes")) params.emplace_back("chunk", *v);
-  if (const auto v = args.value("--codec")) params.emplace_back("codec", *v);
-  if (args.flag("--variable")) params.emplace_back("variable", "1");
-  if (args.flag("--v1")) params.emplace_back("container", "1");
+  // compress's flags, forwarded as the job keys offline compress sets.
+  std::vector<std::pair<std::string, std::string>> params = compress_keys(args);
   const bool openmetrics = args.flag("--openmetrics");
   const std::optional<std::string> out_path = args.value("--out");
 
@@ -1042,6 +976,10 @@ int cmd_client(exp::Args& args) {
   if (!accept(args, 2, 4, &pos)) return usage();
   const std::string& socket_path = pos[0];
   const std::string& op = pos[1];
+  if (op != "compress" && !params.empty()) {
+    std::fprintf(stderr, "compress flags given to client %s\n", op.c_str());
+    return usage();
+  }
 
   options.socket_path = socket_path;
   Result<service::Client> client = service::Client::connect(options);

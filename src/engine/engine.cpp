@@ -77,29 +77,6 @@ struct JobContext {
   GenMemo gen;
 };
 
-Error typed_error(ErrorKind kind, std::string message) {
-  Error e;
-  e.kind = kind;
-  e.message = std::move(message);
-  return e;
-}
-
-/// Runs a stage body with exception → typed-Error mapping: TdcErrorBase
-/// keeps its typed error, std::invalid_argument means a configuration /
-/// semantic problem, anything else an I/O-level failure.
-template <typename Fn>
-Status guarded(Fn&& fn) {
-  try {
-    return fn();
-  } catch (const TdcErrorBase& e) {
-    return e.error();
-  } catch (const std::invalid_argument& e) {
-    return typed_error(ErrorKind::ConfigMismatch, e.what());
-  } catch (const std::exception& e) {
-    return typed_error(ErrorKind::IoError, e.what());
-  }
-}
-
 std::uint64_t micros_since(std::chrono::steady_clock::time_point start) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -187,6 +164,7 @@ Status stage_encode(Job& job, MetricsRegistry& metrics) {
     job.outcome.compressed_bits = job.chunks.stats_bits;
     job.outcome.ratio_percent = codec::ratio_percent(job.chunks.original_bits,
                                                      job.chunks.stats_bits);
+    job.outcome.choices = std::move(job.chunks.choices);
     return {};
   }
   const lzw::Encoder encoder(spec.config, spec.tiebreak);
@@ -194,6 +172,8 @@ Status stage_encode(Job& job, MetricsRegistry& metrics) {
   job.outcome.original_bits = job.encoded.original_bits;
   job.outcome.compressed_bits = job.encoded.compressed_bits();
   job.outcome.ratio_percent = job.encoded.ratio_percent();
+  job.outcome.code_count = job.encoded.code_count;
+  job.outcome.telemetry = std::move(job.encoded.telemetry);
   return {};
 }
 
@@ -225,12 +205,14 @@ Status stage_verify(Job& job) {
   Result<bits::TritVector> decoded = codec::decode_image(image.value());
   if (!decoded.ok()) return decoded.error();
   if (decoded.value().size() != job.stream.size()) {
-    return typed_error(ErrorKind::StreamTooShort,
-                       "decoded stream length mismatch");
+    return Error{ErrorKind::StreamTooShort, "decoded stream length mismatch"};
   }
   if (!job.stream.covered_by(decoded.value())) {
-    return typed_error(ErrorKind::ConfigMismatch,
-                       "decoded stream does not cover the input care bits");
+    return Error{ErrorKind::ConfigMismatch,
+                 "decoded stream does not cover the input care bits"};
+  }
+  if (!decoded.value().fully_specified()) {
+    return Error{ErrorKind::ConfigMismatch, "decoded stream contains X"};
   }
   return {};
 }
@@ -244,7 +226,7 @@ Status write_output(Job& job) {
   std::ofstream out(job.outcome.output_path, std::ios::binary);
   if (!out.write(job.container.data(),
                  static_cast<std::streamsize>(job.container.size()))) {
-    return typed_error(ErrorKind::IoError, "cannot write " + job.outcome.output_path);
+    return Error{ErrorKind::IoError, "cannot write " + job.outcome.output_path};
   }
   return {};
 }

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "codec/select.h"
 #include "core/error.h"
 #include "core/thread_safety.h"
 #include "engine/manifest.h"
@@ -50,8 +51,32 @@ struct JobOutcome {
   std::string output_path;  ///< resolved destination; empty if none
   std::string container;    ///< container bytes when no output_path was given
 
+  // What the encode stage saw beyond the totals, for `tdc_cli compress`'s
+  // line and --stats: an LZW job's code count and encoder telemetry, a
+  // codec= job's per-chunk choices in stream order.
+  std::uint64_t code_count = 0;
+  lzw::EncoderTelemetry telemetry;
+  std::vector<codec::ChunkChoice> choices;
+
   bool ok() const { return status.ok() && !cancelled; }
 };
+
+/// Runs `fn`, which returns a Status or a Result, and maps an exception it
+/// throws to a typed Error: a TdcErrorBase keeps its Error,
+/// std::invalid_argument is a ConfigMismatch, anything else an IoError.
+/// Every job stage and every tdcd request body runs under it.
+template <typename Fn>
+auto guarded(Fn&& fn) -> decltype(fn()) {
+  try {
+    return fn();
+  } catch (const TdcErrorBase& e) {
+    return e.error();
+  } catch (const std::invalid_argument& e) {
+    return Error{ErrorKind::ConfigMismatch, e.what()};
+  } catch (const std::exception& e) {
+    return Error{ErrorKind::IoError, e.what()};
+  }
+}
 
 /// The committed batch: per-job outcomes in manifest order plus wall time.
 /// report() is deliberately timing-free, so its bytes are identical for any

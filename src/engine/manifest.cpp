@@ -11,11 +11,12 @@ namespace tdc::engine {
 
 namespace {
 
+Error config_error(std::string message) {
+  return Error{ErrorKind::ConfigMismatch, std::move(message)};
+}
+
 Error manifest_error(std::size_t line_no, const std::string& message) {
-  Error e;
-  e.kind = ErrorKind::ConfigMismatch;
-  e.message = "manifest line " + std::to_string(line_no) + ": " + message;
-  return e;
+  return config_error("manifest line " + std::to_string(line_no) + ": " + message);
 }
 
 /// Joins a possibly relative path onto a base directory.
@@ -66,10 +67,7 @@ Result<lzw::Tiebreak> parse_tiebreak(const std::string& name) {
                        lzw::Tiebreak::Lookahead}) {
     if (name == tiebreak_name(t)) return t;
   }
-  Error e;
-  e.kind = ErrorKind::ConfigMismatch;
-  e.message = "unknown tiebreak '" + name + "'";
-  return e;
+  return config_error("unknown tiebreak '" + name + "'");
 }
 
 Result<lzw::XAssignMode> parse_xassign(const std::string& name) {
@@ -78,10 +76,70 @@ Result<lzw::XAssignMode> parse_xassign(const std::string& name) {
                        lzw::XAssignMode::RandomFill}) {
     if (name == xassign_name(m)) return m;
   }
-  Error e;
-  e.kind = ErrorKind::ConfigMismatch;
-  e.message = "unknown xassign mode '" + name + "'";
-  return e;
+  return config_error("unknown xassign mode '" + name + "'");
+}
+
+Status set_job_param(JobSpec& spec, const std::string& key, const std::string& value) {
+  if (value.empty()) return config_error("empty value for '" + key + "'");
+  const auto number = [&](auto* field) -> Status {
+    if (parse_number(value, field)) return {};
+    return config_error("bad " + key + " '" + value + "'");
+  };
+  if (key == "dict") return number(&spec.config.dict_size);
+  if (key == "char") return number(&spec.config.char_bits);
+  if (key == "entry") return number(&spec.config.entry_bits);
+  if (key == "chunk") return number(&spec.container.chunk_bytes);
+  if (key == "variable") {
+    if (value != "0" && value != "1") return config_error("variable must be 0 or 1");
+    spec.config.variable_width = value == "1";
+    return {};
+  }
+  if (key == "container") {
+    std::uint32_t& version = spec.container.version;
+    if (!parse_number(value, &version) || (version != 1 && version != 2)) {
+      return config_error("container must be 1 or 2");
+    }
+    return {};
+  }
+  if (key == "codec") {
+    Result<codec::SelectOptions> mode = codec::parse_codec_mode(value);
+    if (!mode.ok()) return config_error(mode.error().message);
+    spec.codec = value;
+    return {};
+  }
+  if (key == "chunk_trits") {
+    if (!parse_number(value, &spec.chunk_trits) || spec.chunk_trits == 0 ||
+        spec.chunk_trits > codec::kMaxChunkTrits) {
+      return config_error("chunk_trits must be in [1, 2^30], got '" + value + "'");
+    }
+    return {};
+  }
+  return config_error("unknown key '" + key + "'");
+}
+
+Status check_job(const JobSpec& spec) {
+  if (std::string why = spec.config.check_stored(); !why.empty()) {
+    return config_error(std::move(why));
+  }
+  if (spec.container.chunk_bytes != 0 && spec.container.chunk_bytes < 64) {
+    return config_error("chunk must be 0 or >= 64");
+  }
+  if (spec.codec.empty()) {
+    if (spec.chunk_trits != 0) return config_error("chunk_trits needs codec=");
+    return {};
+  }
+  // codec= routes through per-chunk selection and the v3 container; the
+  // selection path assigns don't-cares inside each backend, so the
+  // whole-buffer xassign modes and the v1/v2 container knobs don't apply.
+  if (spec.xassign != lzw::XAssignMode::Dynamic) {
+    return config_error("codec= jobs require xassign=dynamic");
+  }
+  const lzw::ContainerOptions defaults;
+  if (spec.container.version != defaults.version ||
+      spec.container.chunk_bytes != defaults.chunk_bytes) {
+    return config_error("codec= jobs write a v3 container; drop container=/chunk=");
+  }
+  return {};
 }
 
 Result<Manifest> parse_manifest(std::istream& in, const std::string& base_dir) {
@@ -113,21 +171,15 @@ Result<Manifest> parse_manifest(std::istream& in, const std::string& base_dir) {
     JobSpec spec;
     std::string token;
     while (tokens >> token) {
+      if (token == "variable") token = "variable=1";  // the bare flag
       const std::size_t eq = token.find('=');
       if (eq == std::string::npos) {
-        if (token == "variable") {
-          spec.config.variable_width = true;
-          continue;
-        }
         return manifest_error(line_no, "unknown token '" + token + "'");
       }
       const std::string key = token.substr(0, eq);
       const std::string value = token.substr(eq + 1);
       if (value.empty()) return manifest_error(line_no, "empty value for '" + key + "'");
 
-      const auto bad_value = [&] {
-        return manifest_error(line_no, "bad " + key + " '" + value + "'");
-      };
       if (key == "name") {
         spec.name = value;
       } else if (key == "input") {
@@ -136,12 +188,6 @@ Result<Manifest> parse_manifest(std::istream& in, const std::string& base_dir) {
         spec.gen_circuit = value;
       } else if (key == "out") {
         spec.output_path = value;
-      } else if (key == "dict") {
-        if (!parse_number(value, &spec.config.dict_size)) return bad_value();
-      } else if (key == "char") {
-        if (!parse_number(value, &spec.config.char_bits)) return bad_value();
-      } else if (key == "entry") {
-        if (!parse_number(value, &spec.config.entry_bits)) return bad_value();
       } else if (key == "tiebreak") {
         Result<lzw::Tiebreak> t = parse_tiebreak(value);
         if (!t.ok()) return manifest_error(line_no, t.error().message);
@@ -151,59 +197,20 @@ Result<Manifest> parse_manifest(std::istream& in, const std::string& base_dir) {
         if (!m.ok()) return manifest_error(line_no, m.error().message);
         spec.xassign = m.value();
       } else if (key == "seed") {
-        if (!parse_number(value, &spec.rng_seed)) return bad_value();
-      } else if (key == "container") {
-        std::uint32_t& version = spec.container.version;
-        if (!parse_number(value, &version) || (version != 1 && version != 2)) {
-          return manifest_error(line_no, "container must be 1 or 2");
+        if (!parse_number(value, &spec.rng_seed)) {
+          return manifest_error(line_no, "bad seed '" + value + "'");
         }
-      } else if (key == "chunk") {
-        if (!parse_number(value, &spec.container.chunk_bytes)) return bad_value();
-      } else if (key == "codec") {
-        Result<codec::SelectOptions> mode = codec::parse_codec_mode(value);
-        if (!mode.ok()) return manifest_error(line_no, mode.error().message);
-        spec.codec = value;
-      } else if (key == "chunk_trits") {
-        if (!parse_number(value, &spec.chunk_trits) || spec.chunk_trits == 0 ||
-            spec.chunk_trits > codec::kMaxChunkTrits) {
-          return manifest_error(line_no,
-                                "chunk_trits must be in [1, 2^30], got '" + value + "'");
-        }
-      } else {
-        return manifest_error(line_no, "unknown key '" + key + "'");
+      } else if (Status s = set_job_param(spec, key, value); !s.ok()) {
+        return manifest_error(line_no, s.error().message);
       }
     }
 
     // --- per-job validation: the engine only sees runnable specs.
-    const int sources = (!spec.input_path.empty() ? 1 : 0) +
-                        (!spec.gen_circuit.empty() ? 1 : 0) +
-                        (spec.inline_tests ? 1 : 0);
-    if (sources != 1) {
+    if ((spec.input_path.empty() ? 0 : 1) + (spec.gen_circuit.empty() ? 0 : 1) != 1) {
       return manifest_error(line_no, "job needs exactly one of input=/gen=");
     }
-    if (const std::string why = spec.config.check(); !why.empty()) {
-      return manifest_error(line_no, why);
-    }
-    if (spec.container.chunk_bytes != 0 && spec.container.chunk_bytes < 64) {
-      return manifest_error(line_no, "chunk must be 0 or >= 64");
-    }
-    if (spec.codec.empty()) {
-      if (spec.chunk_trits != 0) {
-        return manifest_error(line_no, "chunk_trits needs codec=");
-      }
-    } else {
-      // codec= routes through per-chunk selection and the v3 container; the
-      // selection path assigns don't-cares inside each backend, so the
-      // whole-buffer xassign modes and the v1/v2 container knobs don't apply.
-      if (spec.xassign != lzw::XAssignMode::Dynamic) {
-        return manifest_error(line_no, "codec= jobs require xassign=dynamic");
-      }
-      const lzw::ContainerOptions defaults;
-      if (spec.container.version != defaults.version ||
-          spec.container.chunk_bytes != defaults.chunk_bytes) {
-        return manifest_error(line_no,
-                              "codec= jobs write a v3 container; drop container=/chunk=");
-      }
+    if (Status s = check_job(spec); !s.ok()) {
+      return manifest_error(line_no, s.error().message);
     }
     if (spec.name.empty()) {
       spec.name = "job" + std::to_string(manifest.jobs.size());
@@ -218,12 +225,7 @@ Result<Manifest> parse_manifest(std::istream& in, const std::string& base_dir) {
 
 Result<Manifest> load_manifest(const std::string& path) {
   std::ifstream in(path);
-  if (!in) {
-    Error e;
-    e.kind = ErrorKind::IoError;
-    e.message = "cannot open manifest " + path;
-    return e;
-  }
+  if (!in) return Error{ErrorKind::IoError, "cannot open manifest " + path};
   const std::size_t slash = path.rfind('/');
   const std::string base_dir = slash == std::string::npos ? "" : path.substr(0, slash);
   return parse_manifest(in, base_dir);

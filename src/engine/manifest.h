@@ -58,6 +58,29 @@ const char* xassign_name(lzw::XAssignMode mode);
 Result<lzw::Tiebreak> parse_tiebreak(const std::string& name);
 Result<lzw::XAssignMode> parse_xassign(const std::string& name);
 
+/// Sets one of the compress-job keys every front end shares — the manifest's
+/// `job` lines, tdcd's compress params and `tdc_cli compress`'s flags:
+///
+///     dict, char, entry   the LzwConfig (N, C_C, C_MDATA)
+///     variable            0|1, variable-width codes
+///     container           1|2, the v1/v2 container version
+///     chunk               v2 chunk_bytes (0 = unchunked)
+///     codec               a codec token|auto|race — selects the v3
+///                         multi-codec container
+///     chunk_trits         per-chunk granularity for codec= jobs
+///
+/// Numbers are decimal digits only and must fit their field. A later value
+/// for the same key replaces an earlier one. ConfigMismatch for an empty or
+/// bad value and for any other key.
+Status set_job_param(JobSpec& spec, const std::string& key, const std::string& value);
+
+/// The rules a spec's keys must keep together, checked once all are set:
+/// the LzwConfig is storable (LzwConfig::check_stored(), which includes the
+/// 2^20 dictionary cap and the 511-bit C_MDATA cap), chunk is 0 or >= 64,
+/// chunk_trits needs codec=, and a codec= job keeps xassign=dynamic and the
+/// default container. ConfigMismatch naming the first rule broken.
+Status check_job(const JobSpec& spec);
+
 /// Parses the line-oriented manifest format:
 ///
 ///     # opentdc batch manifest
@@ -65,19 +88,15 @@ Result<lzw::XAssignMode> parse_xassign(const std::string& name);
 ///     job name=first input=a.tests dict=1024 char=7 entry=63 out=a.tdclzw
 ///     job name=v1 gen=itc_b09f dict=256 tiebreak=lookahead container=1
 ///
-/// One `job` line per job, `key=value` tokens plus the bare flag
-/// `variable`. Keys: name, input, gen, dict, char, entry, tiebreak
+/// One `job` line per job of `key=value` tokens: the shared keys of
+/// set_job_param plus name, input, gen, out, tiebreak
 /// (first|lowestchar|mostrecent|mostchildren|lookahead), xassign
-/// (dynamic|zero|one|repeat|random), seed, container (1|2), chunk, out,
-/// codec (a codec token|auto|race — selects the v3 multi-codec container),
-/// chunk_trits (per-chunk granularity for codec= jobs).
-/// Relative input paths resolve against `base_dir`; output paths are left
-/// relative (the engine's output_dir option anchors them at run time).
-/// Numbers are decimal digits only and must fit their field. Every job is
-/// validated here — config realizability (including the 2^20 dictionary
-/// cap), container options, duplicate names — so the engine only ever sees
-/// runnable specs.
-/// Errors are typed ConfigMismatch with the offending line number.
+/// (dynamic|zero|one|repeat|random) and seed; the bare token `variable`
+/// means variable=1. Relative input paths resolve against `base_dir`;
+/// output paths are left relative (the engine's output_dir option anchors
+/// them at run time). Every job is validated here — one input source,
+/// check_job, duplicate names — so the engine only ever sees runnable
+/// specs. Errors are typed ConfigMismatch with the offending line number.
 Result<Manifest> parse_manifest(std::istream& in, const std::string& base_dir = {});
 
 /// parse_manifest over a file; IoError if it cannot be opened.

@@ -15,9 +15,10 @@ namespace tdc::exp {
 
 /// Fixed-size worker pool: plain std::thread plus a mutex/condvar queue, no
 /// external dependencies. It is the project's one pool: the batch engine
-/// runs a task per manifest job on it, engine::JobRunner runs each tdcd
-/// request on it, and the experiment flow fans independent (circuit,
-/// config) sweep points out across it. Result ordering is the caller's job
+/// runs a task per manifest job on it (`tdc_cli batch` and
+/// `tdc_cli compress`), and the experiment flow fans independent (circuit,
+/// config) sweep points out across it; tdcd computes each request on its
+/// connection thread instead. Result ordering is the caller's job
 /// (see parallel_map, which collects by submission index so output is
 /// deterministic for any worker count).
 ///

@@ -20,50 +20,9 @@ namespace tdc::service {
 
 namespace {
 
-Error typed_error(ErrorKind kind, std::string message) {
-  Error e;
-  e.kind = kind;
-  e.message = std::move(message);
-  return e;
-}
-
 Error busy_error() {
-  return typed_error(ErrorKind::Busy,
-                     "daemon at its in-flight cap; retry after a response drains");
-}
-
-/// Exception → typed-Error mapping for runner-side work, mirroring the engine
-/// stage discipline: TdcErrorBase keeps its typed error, invalid_argument is
-/// a configuration/semantic problem, anything else an I/O-level failure.
-Result<Frame> guarded_frame(const std::function<Result<Frame>()>& fn) {
-  try {
-    return fn();
-  } catch (const TdcErrorBase& e) {
-    return e.error();
-  } catch (const std::invalid_argument& e) {
-    return typed_error(ErrorKind::ConfigMismatch, e.what());
-  } catch (const std::exception& e) {
-    return typed_error(ErrorKind::IoError, e.what());
-  }
-}
-
-Result<std::uint32_t> u32_param(const Frame& frame, const std::string& key,
-                                std::uint32_t fallback) {
-  if (!frame.has_param(key)) return fallback;
-  const std::string text = frame.param(key);
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9' || value > 0xffffffffull) {
-      return typed_error(ErrorKind::ProtocolError,
-                         "param " + key + " is not a u32: " + text);
-    }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  if (text.empty() || value > 0xffffffffull) {
-    return typed_error(ErrorKind::ProtocolError,
-                       "param " + key + " is not a u32: " + text);
-  }
-  return static_cast<std::uint32_t>(value);
+  return Error{ErrorKind::Busy,
+               "daemon at its in-flight cap; retry after a response drains"};
 }
 
 std::string u64_str(std::uint64_t v) { return std::to_string(v); }
@@ -288,55 +247,30 @@ Frame Dispatcher::dispatch(const Frame& request) {
   }
 
   return make_error_frame(request.id,
-                          typed_error(ErrorKind::ProtocolError,
-                                      "unknown op: " + request.op));
+                          Error{ErrorKind::ProtocolError, "unknown op: " + request.op});
 }
 
 Frame Dispatcher::do_compress(const Frame& request) {
-  // Build the JobSpec before entering the runner (parse errors answer
-  // immediately, without costing an admission), then run it.
+  // The spec is built and checked, and the .tests payload parsed, before
+  // the runner sees it: a refusal costs no admission.
   engine::JobSpec spec;
   spec.name = request.param("name", "req-" + request.id);
   spec.trace = request.param("trace");
-
-  Result<std::uint32_t> dict = u32_param(request, "dict", spec.config.dict_size);
-  Result<std::uint32_t> chr = u32_param(request, "char", spec.config.char_bits);
-  Result<std::uint32_t> entry =
-      u32_param(request, "entry", spec.config.entry_bits);
-  Result<std::uint32_t> container =
-      u32_param(request, "container", spec.container.version);
-  Result<std::uint32_t> chunk =
-      u32_param(request, "chunk", spec.container.chunk_bytes);
-  Result<std::uint32_t> chunk_trits = u32_param(request, "chunk_trits", 0);
-  for (const auto* r : {&dict, &chr, &entry, &container, &chunk, &chunk_trits}) {
-    if (!r->ok()) return make_error_frame(request.id, r->error());
-  }
-  spec.config.dict_size = dict.value();
-  spec.config.char_bits = chr.value();
-  spec.config.entry_bits = entry.value();
-  spec.config.variable_width = request.param("variable") == "1";
-  spec.container.version = container.value();
-  spec.container.chunk_bytes = chunk.value();
-  spec.codec = request.param("codec");
-  spec.chunk_trits = chunk_trits.value();
-
-  if (!spec.codec.empty()) {
-    if (const auto mode = codec::parse_codec_mode(spec.codec); !mode.ok()) {
-      return make_error_frame(request.id, mode.error());
+  Status checked;
+  for (const auto& [key, value] : request.params) {
+    if (checked.ok() && key != "name" && key != "trace") {
+      checked = engine::set_job_param(spec, key, value);
     }
   }
-
-  // Parse the .tests payload up front, with the engine's exception mapping.
-  {
-    Result<Frame> parsed =
-        guarded_frame([&spec, &request]() -> Result<Frame> {
-          spec.config.validate();
-          spec.inline_tests =
-              std::make_shared<const scan::TestSet>(scan::read_tests(request.payload));
-          return Frame{};
-        });
-    if (!parsed.ok()) return make_error_frame(request.id, parsed.error());
+  if (checked.ok()) checked = engine::check_job(spec);
+  if (checked.ok()) {
+    checked = engine::guarded([&spec, &request]() -> Status {
+      spec.inline_tests =
+          std::make_shared<const scan::TestSet>(scan::read_tests(request.payload));
+      return {};
+    });
   }
+  if (!checked.ok()) return make_error_frame(request.id, checked.error());
 
   std::optional<engine::JobOutcome> outcome = runner_.run(std::move(spec));
   if (!outcome) return make_error_frame(request.id, busy_error());
@@ -379,7 +313,7 @@ Frame Dispatcher::run_capped(const Frame& request,
     obs::TraceSpan span("serve.task");
     span.arg("op", request.op);
     if (!trace.empty()) span.arg("trace", trace);
-    result.emplace(guarded_frame(work));
+    result.emplace(engine::guarded(work));
   });
   if (!ran) return make_error_frame(request.id, busy_error());
   if (!result->ok()) return make_error_frame(request.id, result->error());

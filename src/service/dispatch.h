@@ -60,10 +60,13 @@ class SlowLog {
 /// Operations:
 ///   ping        payload echoed back — liveness and framing check
 ///   compress    payload: .tests text → payload: TDCLZW container bytes.
-///               Params (all optional): dict, char, entry, variable=1,
-///               container=1|2, chunk (v2 chunk_bytes), codec, chunk_trits,
-///               name. Defaults match `tdc_cli compress` exactly, so the
-///               returned bytes are identical to the offline tool's file.
+///               Params (all optional): the shared job keys of
+///               engine::set_job_param, plus name and trace. Any other key
+///               is refused, and so is a spec engine::check_job refuses:
+///               ConfigMismatch with the manifest's message, answered
+///               before admission or any payload parse. Defaults match
+///               `tdc_cli compress` exactly, so the returned bytes are
+///               identical to the offline tool's file.
 ///   decompress  payload: container bytes → payload: .tests text (the same
 ///               single-cube set `tdc_cli decompress` writes).
 ///   verify      payload: container bytes → integrity + decode check;

@@ -1,6 +1,7 @@
 #include "service/framing.h"
 
 #include <array>
+#include <charconv>
 #include <cstring>
 
 #include "service/socket.h"
@@ -10,6 +11,14 @@ namespace tdc::service {
 namespace {
 
 constexpr const char* kMagic = "tdcd/1";
+
+/// An error frame's position params, one per Error offset field.
+constexpr std::pair<const char*, std::int64_t Error::*> kErrorPositions[] = {
+    {"chunk", &Error::chunk_index},
+    {"byte", &Error::byte_offset},
+    {"code", &Error::code_index},
+    {"bit", &Error::bit_offset},
+};
 
 Error protocol_error(std::string message) {
   Error e;
@@ -220,7 +229,11 @@ Frame make_error_frame(const std::string& id, const Error& error) {
   frame.id = id;
   frame.op = "error";
   frame.add_param("kind", to_string(error.kind));
-  frame.payload = error.describe();
+  for (const auto& [key, field] : kErrorPositions) {
+    const std::int64_t value = error.*field;
+    if (value >= 0) frame.add_param(key, std::to_string(value));
+  }
+  frame.payload = error.message;
   return frame;
 }
 
@@ -230,6 +243,15 @@ Error decode_error_frame(const Frame& frame) {
   Error e;
   e.kind = kind.value();
   e.message = frame.payload;
+  for (const auto& [key, field] : kErrorPositions) {
+    if (!frame.has_param(key)) continue;
+    const std::string text = frame.param(key);
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, e.*field);
+    if (ec != std::errc() || ptr != end || e.*field < 0) {
+      return protocol_error("bad error position " + std::string(key) + "=" + text);
+    }
+  }
   return e;
 }
 

@@ -21,8 +21,9 @@ namespace tdc::service {
 /// parameters); the payload carries bulk bytes — test-set text, TDCLZW2
 /// container records, JSON — so the framing never re-encodes what the
 /// container format already frames. Responses reuse the same shape with op
-/// "ok" or "error"; error frames carry `kind=<ErrorKind>` and put the full
-/// describe() text in the payload.
+/// "ok" or "error"; error frames carry `kind=<ErrorKind>`, one
+/// `chunk=`/`byte=`/`code=`/`bit=` param per position the Error has, and
+/// the Error's message as the payload.
 struct Frame {
   std::string id;  ///< request id, echoed verbatim in the response
   std::string op;  ///< operation ("compress", "ok", "error", ...)
@@ -88,12 +89,14 @@ class FrameReader {
 Result<ErrorKind> parse_error_kind(const std::string& name);
 
 /// The error-frame convention, in one place for server and client:
-/// op "error", kind= param, describe() text as payload.
+/// op "error", kind= param, chunk=/byte=/code=/bit= params for the
+/// positions that are >= 0, message as payload.
 Frame make_error_frame(const std::string& id, const Error& error);
 
-/// Reconstructs a typed Error from an error frame (kind= param + payload
-/// text); a frame without a recognizable kind decodes to a ProtocolError
-/// (the failure to decode is itself an Error, so no Result wrapper here).
+/// Reconstructs the typed Error of an error frame, positions included, so
+/// its describe() equals the sender's. A frame without a recognizable kind
+/// or with a malformed position decodes to a ProtocolError (the failure to
+/// decode is itself an Error, so no Result wrapper here).
 Error decode_error_frame(const Frame& frame);
 
 }  // namespace tdc::service

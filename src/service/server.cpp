@@ -35,7 +35,6 @@ Server::Server(ServerOptions options)
   log_options.level = options_.log_level;
   log_options.sink = options_.log_sink;
   log_options.rate_per_sec = options_.log_rate_per_sec;
-  log_options.burst = options_.log_burst;
   log_.configure(std::move(log_options));
 }
 

@@ -62,11 +62,10 @@ struct ServerOptions {
   /// sits at Debug, lifecycle and errors at Info and above).
   obs::LogLevel log_level = obs::LogLevel::Info;
 
-  /// Sustained log lines per second past a `log_burst`-sized burst before
+  /// Sustained log lines per second past obs::Log's burst of 32 before
   /// the token bucket suppresses (suppressed lines surface as a
   /// "dropped": N field on the next emitted line). 0 = unlimited.
   double log_rate_per_sec = 0.0;
-  double log_burst = 32.0;
 
   /// When non-empty, a sampler thread appends one NDJSON metrics snapshot
   /// (obs::metrics_ndjson_line) to this file every metrics_interval_ms,

@@ -203,6 +203,12 @@ fi
 if "$CLI" compress "$WORK/c.tests" "$WORK/x.tdclzw" --codec bogus 2>/dev/null; then
   echo "compress accepted an unknown codec" >&2; exit 1
 fi
+# A spec is refused before anything is encoded, with the manifest's typed
+# message (a too-small chunk is not a contract violation mid-write).
+if "$CLI" compress "$WORK/c.tests" "$WORK/x.tdclzw" --chunk-bytes 10 2>"$WORK/chunk10.txt"; then
+  echo "compress accepted --chunk-bytes 10" >&2; exit 1
+fi
+grep -q "ConfigMismatch.*chunk must be 0 or >= 64" "$WORK/chunk10.txt"
 
 # Batch jobs with codec= are deterministic for any worker count too.
 cat > "$WORK/mc.manifest" <<EOF
@@ -272,7 +278,32 @@ if "$CLI" client "$SOCK" verify "$WORK/trunc.tdclzw" 2>"$WORK/serve_err.txt"; th
   echo "daemon verify accepted a truncated container" >&2; exit 1
 fi
 grep -q "Truncated" "$WORK/serve_err.txt"
+# The client's error line names the kind once (the wire carries the message
+# and the positions, not a pre-rendered describe()).
+test "$(grep -o '\[[A-Za-z]*\]' "$WORK/serve_err.txt" | wc -l)" = 1
 "$CLI" client "$SOCK" ping | grep -q "pong"
+
+# The daemon refuses every spec offline compress refuses, with the same
+# message, and encodes nothing for it.
+for FLAGS in "--codec auto --v1" "--codec auto --chunk-bytes 128" \
+    "--chunk-trits 512" "--chunk-bytes 10"; do
+  # shellcheck disable=SC2086  # FLAGS is a word list on purpose
+  if "$CLI" compress "$WORK/c.tests" "$WORK/x.tdclzw" $FLAGS 2>"$WORK/off.txt"; then
+    echo "compress accepted $FLAGS" >&2; exit 1
+  fi
+  # shellcheck disable=SC2086
+  if "$CLI" client "$SOCK" compress "$WORK/c.tests" "$WORK/x.tdclzw" $FLAGS \
+      2>"$WORK/srv.txt"; then
+    echo "daemon compress accepted $FLAGS" >&2; exit 1
+  fi
+  grep -q "ConfigMismatch" "$WORK/off.txt"
+  grep -qF "$(cat "$WORK/off.txt")" "$WORK/srv.txt"
+done
+# Compress flags on another op are refused, not dropped.
+if "$CLI" client "$SOCK" decompress "$WORK/served.tdclzw" "$WORK/x.tests" --dict 256 \
+    2>/dev/null; then
+  echo "client decompress accepted a compress flag" >&2; exit 1
+fi
 
 # SIGTERM drains and exits 0; the socket file is gone afterwards, and the
 # structured log recorded the full lifecycle as JSON lines.

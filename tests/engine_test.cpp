@@ -142,8 +142,42 @@ TEST(ManifestTest, RejectsBadInput) {
   expect_error("job input=a dict=+1024\n", "bad dict");
   expect_error("job input=a dict=2097152\n", "exceeds the 2^20 cap");
   expect_error("job input=a dict=4000000000\n", "exceeds the 2^20 cap");
+  // A job must be storable, not only encodable: no container writer takes
+  // C_MDATA past Table 5's 511-bit word.
+  expect_error("job input=a entry=600\n", "511-bit cap");
+  expect_error("job input=a variable=2\n", "variable must be 0 or 1");
   // The line number of the offending line is part of the message.
   expect_error("version 1\njob input=a\njob input=b container=9\n", "line 3");
+}
+
+/// The keys every front end shares go through set_job_param: the bare
+/// manifest token `variable` is variable=1, a later value replaces an
+/// earlier one, and keys only a manifest has are unknown there.
+TEST(ManifestTest, SharedJobKeysSetTheSpec) {
+  std::istringstream in(
+      "job input=a variable\n"
+      "job input=a variable=1 variable=0 dict=512 dict=256 codec=auto "
+      "chunk_trits=512\n");
+  const Result<Manifest> parsed = parse_manifest(in);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+  EXPECT_TRUE(parsed.value().jobs[0].config.variable_width);
+  const JobSpec& b = parsed.value().jobs[1];
+  EXPECT_FALSE(b.config.variable_width);
+  EXPECT_EQ(b.config.dict_size, 256u);
+  EXPECT_EQ(b.codec, "auto");
+  EXPECT_EQ(b.chunk_trits, 512u);
+  EXPECT_TRUE(check_job(b).ok());
+
+  JobSpec spec;
+  for (const char* key : {"name", "input", "gen", "out", "tiebreak", "xassign", "seed"}) {
+    const Status s = set_job_param(spec, key, "1");
+    ASSERT_FALSE(s.ok()) << key;
+    EXPECT_EQ(s.error().kind, ErrorKind::ConfigMismatch);
+    EXPECT_EQ(s.error().message, std::string("unknown key '") + key + "'");
+  }
+  const Status empty = set_job_param(spec, "dict", "");
+  ASSERT_FALSE(empty.ok());
+  EXPECT_EQ(empty.error().message, "empty value for 'dict'");
 }
 
 TEST(ManifestTest, LoadReportsMissingFileAsIoError) {
@@ -244,6 +278,45 @@ TEST(EngineTest, BatchIsByteIdenticalForAnyWorkerCount) {
     }
     EXPECT_EQ(serial.report(), parallel.report());
   }
+}
+
+/// The outcome carries what `tdc_cli compress` prints and --stats writes:
+/// the LZW job's code count and encoder telemetry, the codec job's chunk
+/// choices, equal to what the encoder and the selector report on their own.
+TEST(EngineTest, OutcomeCarriesTheEncodeReport) {
+  Manifest manifest;
+  for (const char* codec : {"", "auto"}) {
+    JobSpec& spec = manifest.jobs.emplace_back();
+    spec.name = codec;
+    spec.inline_tests = synthetic_tests(7);
+    spec.config.dict_size = 256;
+    spec.codec = codec;
+    spec.chunk_trits = *codec != '\0' ? 512 : 0;
+  }
+  const BatchResult result = run_with_workers(manifest, 2);
+  ASSERT_EQ(result.ok_count(), 2u);
+  const bits::TritVector stream = manifest.jobs[0].inline_tests->serialize();
+
+  const lzw::EncodeResult encoded = lzw::Encoder(manifest.jobs[0].config).encode(stream);
+  const JobOutcome& lzw_job = result.jobs[0];
+  EXPECT_EQ(lzw_job.code_count, encoded.code_count);
+  EXPECT_EQ(lzw_job.telemetry.to_json(), encoded.telemetry.to_json());
+  EXPECT_TRUE(lzw_job.choices.empty());
+
+  codec::SelectOptions options = codec::parse_codec_mode("auto").value();
+  options.lzw = manifest.jobs[1].config;
+  options.chunk_trits = 512;
+  const codec::EncodedChunks chunks = codec::encode_chunks(stream, options).value();
+  const JobOutcome& codec_job = result.jobs[1];
+  ASSERT_EQ(codec_job.choices.size(), chunks.choices.size());
+  ASSERT_GT(codec_job.choices.size(), 1u);
+  for (std::size_t i = 0; i < chunks.choices.size(); ++i) {
+    EXPECT_EQ(codec_job.choices[i].codec, chunks.choices[i].codec);
+    EXPECT_EQ(codec_job.choices[i].trits, chunks.choices[i].trits);
+    EXPECT_EQ(codec_job.choices[i].stats_bits, chunks.choices[i].stats_bits);
+    EXPECT_EQ(codec_job.choices[i].payload_bytes, chunks.choices[i].payload_bytes);
+  }
+  EXPECT_EQ(codec_job.compressed_bits, chunks.stats_bits);
 }
 
 /// More workers than jobs: the pool starts one thread per job, and the

@@ -20,6 +20,7 @@
 
 #include "bits/rng.h"
 #include "codec/select.h"
+#include "engine/manifest.h"
 #include "lzw/encoder.h"
 #include "lzw/stream_io.h"
 #include "obs/trace.h"
@@ -218,6 +219,32 @@ TEST(FramingTest, ErrorFrameRoundTrip) {
   const Error back = decode_error_frame(frame);
   EXPECT_EQ(back.kind, ErrorKind::Busy);
   EXPECT_NE(back.message.find("in-flight cap"), std::string::npos);
+  // Positions the Error lacks stay off the wire and come back as -1.
+  EXPECT_EQ(frame.payload, e.message);
+  EXPECT_FALSE(frame.has_param("byte"));
+  EXPECT_EQ(back.byte_offset, -1);
+
+  // Every position travels as its own param, so describe() survives.
+  e.kind = ErrorKind::UndefinedCode;
+  e.message = "code 900 is not defined yet";
+  e.byte_offset = 72;
+  e.bit_offset = 153;
+  e.code_index = 17;
+  e.chunk_index = 0;
+  Frame positioned = make_error_frame("18", e);
+  EXPECT_EQ(positioned.param("chunk"), "0");
+  EXPECT_EQ(positioned.param("bit"), "153");
+  const Error full = decode_error_frame(positioned);
+  EXPECT_EQ(full.kind, e.kind);
+  EXPECT_EQ(full.message, e.message);
+  EXPECT_EQ(full.byte_offset, 72);
+  EXPECT_EQ(full.bit_offset, 153);
+  EXPECT_EQ(full.code_index, 17);
+  EXPECT_EQ(full.chunk_index, 0);
+  EXPECT_EQ(full.describe(), e.describe());
+  // A malformed position is the sender's fault, typed as such.
+  positioned.add_param("code", "x17");
+  EXPECT_EQ(decode_error_frame(positioned).kind, ErrorKind::ProtocolError);
 }
 
 // ----------------------------------------------------------------- server
@@ -375,15 +402,92 @@ TEST_F(ServiceTest, CorruptContainerComesBackAsTypedError) {
 TEST_F(ServiceTest, BadConfigParamsAreTypedNotFatal) {
   StartServer();
   Client client = MustConnect();
+  // The frame is well formed; its spec is not.
   Result<Frame> junk =
       client.call("compress", {{"dict", "notanumber"}}, tests_text(3));
   ASSERT_FALSE(junk.ok());
-  EXPECT_EQ(junk.error().kind, ErrorKind::ProtocolError);
+  EXPECT_EQ(junk.error().kind, ErrorKind::ConfigMismatch);
   Result<Frame> bad =
       client.call("compress", {{"dict", "3"}}, tests_text(3));
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.error().kind, ErrorKind::ConfigMismatch);
   EXPECT_TRUE(client.call("ping").ok());
+}
+
+/// One table of bad specs, refused with the same kind and message by the
+/// manifest parser (plus its line prefix) and by the daemon; the daemon
+/// refuses before admission and before parsing the payload, which here is
+/// not even .tests text.
+TEST_F(ServiceTest, CompressRefusesWhatTheManifestRefuses) {
+  StartServer();
+  Client client = MustConnect();
+  using Params = std::vector<std::pair<std::string, std::string>>;
+  const std::vector<Params> bad = {
+      {{"container", "3"}},
+      {{"chunk", "10"}},
+      {{"chunk_trits", "0"}},
+      {{"chunk_trits", "512"}},
+      {{"codec", "auto"}, {"container", "1"}},
+      {{"codec", "auto"}, {"chunk", "128"}},
+      {{"entry", "600"}},
+      {{"dict", "notanumber"}},
+      {{"dict", "4294967552"}},
+      {{"wat", "1"}},
+  };
+  for (const Params& params : bad) {
+    std::string line = "job input=a.tests";
+    for (const auto& [key, value] : params) line += " " + key + "=" + value;
+    std::istringstream in(line + "\n");
+    const Result<engine::Manifest> parsed = engine::parse_manifest(in);
+    ASSERT_FALSE(parsed.ok()) << line;
+    const Result<Frame> resp = client.call("compress", params, "not a test set");
+    ASSERT_FALSE(resp.ok()) << line;
+    EXPECT_EQ(resp.error().kind, ErrorKind::ConfigMismatch) << line;
+    EXPECT_EQ(parsed.error().kind, resp.error().kind) << line;
+    EXPECT_EQ(parsed.error().message, "manifest line 1: " + resp.error().message);
+  }
+  // Keys only a manifest has are unknown on the wire.
+  for (const char* key : {"input", "gen", "out", "tiebreak"}) {
+    const Result<Frame> resp = client.call("compress", {{key, "first"}}, tests_text(3));
+    ASSERT_FALSE(resp.ok()) << key;
+    EXPECT_EQ(resp.error().kind, ErrorKind::ConfigMismatch);
+    EXPECT_EQ(resp.error().message, std::string("unknown key '") + key + "'");
+  }
+  // Nothing was admitted: no job counted, the in-flight gauge never moved.
+  obs::MetricsRegistry& metrics = server_->metrics();
+  EXPECT_EQ(metrics.counter("runner.jobs").value(), 0u);
+  EXPECT_EQ(metrics.counter("runner.busy_rejects").value(), 0u);
+  EXPECT_EQ(metrics.gauge("runner.in_flight").value(), 0);
+  EXPECT_EQ(metrics.gauge("runner.in_flight").peak(), 0);
+  EXPECT_TRUE(client.call("compress", {{"variable", "1"}}, tests_text(3)).ok());
+  EXPECT_EQ(metrics.counter("runner.jobs").value(), 1u);
+}
+
+/// An error crosses the wire whole: the daemon's verify of a damaged
+/// container reports exactly the Error the offline reader returns, its
+/// positions included, so describe() names the kind once.
+TEST_F(ServiceTest, ErrorFramesCarryTheOfflineErrorFieldByField) {
+  StartServer();
+  Client client = MustConnect();
+  std::string container = offline_container(tests_text(19));
+  container[container.size() - 3] ^= 0x40;  // flip a payload bit
+  std::istringstream in(container, std::ios::binary);
+  const Result<lzw::CompressedImage> offline = lzw::try_read_image(in);
+  ASSERT_FALSE(offline.ok());
+  const Error& want = offline.error();
+  ASSERT_GE(want.chunk_index, 0);
+  ASSERT_GE(want.byte_offset, 0);
+
+  const Result<Frame> resp = client.call("verify", {}, container);
+  ASSERT_FALSE(resp.ok());
+  const Error& got = resp.error();
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.message, want.message);
+  EXPECT_EQ(got.byte_offset, want.byte_offset);
+  EXPECT_EQ(got.bit_offset, want.bit_offset);
+  EXPECT_EQ(got.code_index, want.code_index);
+  EXPECT_EQ(got.chunk_index, want.chunk_index);
+  EXPECT_EQ(got.describe(), want.describe());
 }
 
 TEST_F(ServiceTest, MalformedTestsTextIsInvalidInputNotFatal) {
