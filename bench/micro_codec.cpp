@@ -6,9 +6,10 @@
 // reference encoder (tests/reference_encoders.h: child-by-child list walk +
 // per-character word()/care_word() re-slice) against lzw::Encoder
 // (policy-ordered slabs, slab match kernel, one-pass CharCursor), then the
-// encoder under each of the five tie-break policies, the two decode paths —
-// lzw::Decoder over the packed stream and the Fig. 5 cycle model — and the
-// .tests text codec (TritVector::from_string / to_string) on a dense and a
+// encoder under each of the five tie-break policies, the three decode paths —
+// lzw::Decoder over the packed stream, the Fig. 5 cycle model, and
+// codec::decode_records over the corpus cut into 4096-trit LZW records — and
+// the .tests text codec (TritVector::from_string / to_string) on a dense and a
 // 90%-X corpus. Per-class rows then time every policy on corpora dominated
 // by all-X, partly specified and fully specified characters, with the share
 // of characters encoded after the dictionary fills. It prints chars/sec
@@ -37,6 +38,7 @@
 #include "codec/lfsr_reseed.h"
 #include "codec/lz77.h"
 #include "codec/rle.h"
+#include "codec/select.h"
 #include "engine/manifest.h"
 #include "fault/fsim.h"
 #include "gen/circuit_gen.h"
@@ -339,6 +341,10 @@ struct Corpus {
   // this harness on a 4-vCPU Xeon VM, pinned the same way.
   double baseline_decoder;
   double baseline_model;
+  // decode_records chars/sec with the decode core on lzw::Dictionary (the
+  // encoder's slab trie): the median of five best-of-3 runs on the same VM,
+  // each pinned to one CPU.
+  double baseline_records;
   // Text chars/sec (one character per trit) of the per-character
   // from_string / to_string loops before the word-parallel text kernels,
   // pinned the same way on the same VM.
@@ -444,10 +450,12 @@ int run_path_comparison() {
   const std::size_t kBits = bits;
   const bool pinned = kBits == kDefaultBits;
   const Corpus corpora[] = {
-      {"dense_x0.1", 0.1, 7462016.0, 17060744.0, 19110358.0, 8501895.0, 130692087.0,
-       229273160.0, {16377178.0, 15802133.0, 18609972.0, 21594033.0, 23130007.0}},
-      {"sparse_x0.9", 0.9, 13488172.0, 26738851.0, 42778798.0, 18884487.0, 266148981.0,
-       222615079.0, {51779467.0, 21554348.0, 28847432.0, 19353293.0, 10452327.0}}};
+      {"dense_x0.1", 0.1, 7462016.0, 17060744.0, 19110358.0, 8501895.0, 41256911.0,
+       130692087.0, 229273160.0,
+       {16377178.0, 15802133.0, 18609972.0, 21594033.0, 23130007.0}},
+      {"sparse_x0.9", 0.9, 13488172.0, 26738851.0, 42778798.0, 18884487.0, 96724713.0,
+       266148981.0, 222615079.0,
+       {51779467.0, 21554348.0, 28847432.0, 19353293.0, 10452327.0}}};
 
   std::string json = "{\n  \"bench\": \"micro_codec\",\n  \"config\": {"
                      "\"dict_size\": " + std::to_string(kConfig.dict_size) +
@@ -518,8 +526,9 @@ int run_path_comparison() {
                                         c.baseline_tiebreak[p], tiebreak_table));
     }
 
-    // Decode paths: the container decoder over the packed stream, and the
-    // cycle model over the same encoder result.
+    // Decode paths: the container decoder over the packed stream, the cycle
+    // model over the same encoder result, and the v3 record path over the
+    // corpus cut into 4096-trit LZW records, one dictionary per record.
     const lzw::EncodeResult encoded = lzw::Encoder(kConfig).encode(input);
     const lzw::Decoder decoder(kConfig);
     const auto decode = [&] {
@@ -535,12 +544,24 @@ int run_path_comparison() {
         chars_per_sec(chars, [&] { benchmark::DoNotOptimize(decode()); });
     const double model_rate =
         chars_per_sec(chars, [&] { benchmark::DoNotOptimize(model.try_run(encoded)); });
-    decode_ok = decode_ok && decoder_covers && model_covers;
+    const codec::EncodedChunks chunked =
+        codec::encode_chunks(input, codec::SelectOptions{.lzw = kConfig, .chunk_trits = 4096})
+            .value_or_throw();
+    const auto decode_records = [&] {
+      return codec::decode_records(chunked.records, chunked.original_bits);
+    };
+    const auto records = decode_records();
+    const bool records_cover = records.ok() && input.covered_by(records.value());
+    const double records_rate =
+        chars_per_sec(chars, [&] { benchmark::DoNotOptimize(decode_records()); });
+    decode_ok = decode_ok && decoder_covers && model_covers && records_cover;
     decode_rows.push_back(bench_row(c, "path", "decoder", kBits, decoder_rate, "covers_input",
                                     decoder_covers, pinned, c.baseline_decoder,
                                     decode_table));
     decode_rows.push_back(bench_row(c, "path", "model", kBits, model_rate, "covers_input",
                                     model_covers, pinned, c.baseline_model, decode_table));
+    decode_rows.push_back(bench_row(c, "path", "records", kBits, records_rate, "covers_input",
+                                    records_cover, pinned, c.baseline_records, decode_table));
 
     // .tests text codec: one character per trit, so the rate is text
     // bytes (= trits) per second.

@@ -7,13 +7,16 @@
 #                                   pinned pre-index baseline), encode per
 #                                   tie-break policy (chars/sec, identical-
 #                                   to-reference flag, gain vs the pinned
-#                                   pre-slab baseline), decoder and cycle-
-#                                   model decode rows (chars/sec, care-bit
-#                                   coverage flag, gain vs the pinned
-#                                   pre-decode-core baseline), .tests text
-#                                   rows, per-character-class encode rows
-#                                   (chars/sec, post-fill share, gain vs
-#                                   the pinned pre-slab-order baseline) +
+#                                   pre-slab baseline), decoder, cycle-
+#                                   model and 4096-trit LZW record decode
+#                                   rows (chars/sec, care-bit coverage
+#                                   flag, gain vs the pinned baseline:
+#                                   pre-decode-core for decoder and model,
+#                                   the trie-based core for records),
+#                                   .tests text rows, per-character-class
+#                                   encode rows (chars/sec, post-fill
+#                                   share, gain vs the pinned
+#                                   pre-slab-order baseline) +
 #                                   google-benchmark micro numbers on stdout
 #   BENCH_engine_throughput.json  — batch-engine scaling at 1/2/4/8 worker
 #                                   threads, 15 timed runs per point (median

@@ -55,7 +55,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,7 +68,6 @@
 #include "codec/select.h"
 #include "engine/engine.h"
 #include "engine/manifest.h"
-#include "engine/metrics.h"
 #include "exp/args.h"
 #include "exp/flow.h"
 #include "exp/thread_pool.h"
@@ -154,6 +156,13 @@ bool accept(exp::Args& args, std::size_t min_pos, std::size_t max_pos,
   return pos->size() >= min_pos && pos->size() <= max_pos;
 }
 
+/// A millisecond flag held in an int (a poll timeout): a value past
+/// INT_MAX is refused rather than turned negative, which polls forever.
+int ms_flag(exp::Args& args, const std::string& name, int fallback) {
+  return static_cast<int>(args.u32(name, static_cast<std::uint32_t>(fallback),
+                                   std::numeric_limits<int>::max()));
+}
+
 std::string container_line(const lzw::ContainerInfo& c) {
   char buf[160];
   if (c.version >= 3) {
@@ -189,9 +198,16 @@ std::string container_line(const lzw::ContainerInfo& c) {
 int cmd_wave(exp::Args& args) {
   std::vector<std::string> pos;
   if (!accept(args, 2, 3, &pos)) return usage();
+  std::uint32_t k = 10;  // clock ratio
+  if (pos.size() == 3) {
+    const std::optional<std::uint32_t> ratio = exp::parse_u32(pos[2]);
+    if (!ratio) {
+      throw std::invalid_argument("clock ratio: expected an unsigned integer, got '" + pos[2] +
+                                  "'");
+    }
+    k = *ratio;
+  }
   const lzw::CompressedImage image = lzw::read_image_file(pos[0]);
-  const std::uint32_t k =
-      pos.size() == 3 ? static_cast<std::uint32_t>(std::stoul(pos[2])) : 10;
 
   // Rebuild an EncodeResult view of the image for the RTL model.
   lzw::EncodeResult encoded;
@@ -360,10 +376,8 @@ int cmd_stats(exp::Args& args) {
     const double follow_sec =
         follow ? std::strtod(follow->c_str(), nullptr) : 0.0;
     const std::uint64_t samples = args.u32("--samples", follow ? 0 : 1);
-    const int connect_wait_ms =
-        static_cast<int>(args.u32("--connect-wait-ms", 5000));
-    const int io_timeout_ms =
-        static_cast<int>(args.u32("--io-timeout-ms", 60000));
+    const int connect_wait_ms = ms_flag(args, "--connect-wait-ms", 5000);
+    const int io_timeout_ms = ms_flag(args, "--io-timeout-ms", 60000);
     std::vector<std::string> pos;
     if (!accept(args, 1, 1, &pos)) return usage();
     if (follow && follow_sec <= 0.0) {
@@ -715,12 +729,13 @@ int cmd_inspect(exp::Args& args) {
   if (Result<lzw::CompressedImage> image = lzw::try_read_image_file(path);
       image.ok()) {
     const lzw::CompressedImage& img = image.value();
-    std::printf("%s: TDCLZW%u image, %s%s, %llu codes, %llu original bits,"
+    std::printf("%s: TDCLZW%u image, %s%s, %llu %s, %llu original bits,"
                 " %llu payload bits (ratio %.2f%%)\n",
                 path.c_str(), img.container.version,
                 img.config.describe().c_str(),
                 img.config.variable_width ? " variable-width" : "",
                 static_cast<unsigned long long>(img.code_count),
+                img.multi_codec() ? "records" : "codes",
                 static_cast<unsigned long long>(img.original_bits),
                 static_cast<unsigned long long>(img.stream.bit_count()),
                 (1.0 - static_cast<double>(img.stream.bit_count()) /
@@ -907,8 +922,7 @@ int cmd_serve(exp::Args& args) {
   options.max_in_flight = args.u32("--max-in-flight", 0);
   options.max_connections = args.u32("--max-connections", 64);
   options.verify = !args.flag("--no-verify");
-  options.io_timeout_ms =
-      static_cast<int>(args.u32("--io-timeout-ms", 30000));
+  options.io_timeout_ms = ms_flag(args, "--io-timeout-ms", 30000);
   options.log_sink = [](const std::string& line) {
     std::printf("%s\n", line.c_str());
     std::fflush(stdout);  // scripts wait for the "server.listen" line
@@ -922,8 +936,7 @@ int cmd_serve(exp::Args& args) {
   options.log_rate_per_sec =
       static_cast<double>(args.u32("--log-rate", 0));
   options.metrics_log_path = args.value("--metrics-log").value_or("");
-  options.metrics_interval_ms =
-      static_cast<int>(args.u32("--metrics-interval-ms", 1000));
+  options.metrics_interval_ms = ms_flag(args, "--metrics-interval-ms", 1000);
   std::vector<std::string> pos;
   if (!accept(args, 1, 1, &pos)) return usage();
   options.socket_path = pos[0];
@@ -959,9 +972,8 @@ bool write_file_bytes(const std::string& path, const std::string& bytes) {
 
 int cmd_client(exp::Args& args) {
   service::ClientOptions options;
-  options.connect_wait_ms =
-      static_cast<int>(args.u32("--connect-wait-ms", 5000));
-  options.io_timeout_ms = static_cast<int>(args.u32("--io-timeout-ms", 60000));
+  options.connect_wait_ms = ms_flag(args, "--connect-wait-ms", 5000);
+  options.io_timeout_ms = ms_flag(args, "--io-timeout-ms", 60000);
   // Every request carries a trace id so daemon-side spans can be joined
   // back to this invocation; --trace-id overrides the pid-derived default.
   options.trace_id =

@@ -38,16 +38,16 @@ struct Job {
 /// Pre-resolved instruments of one stage, so a job never touches the
 /// registry's name map on the hot path.
 struct StageMetrics {
-  StageMetrics(MetricsRegistry& m, const std::string& stage)
+  StageMetrics(obs::MetricsRegistry& m, const std::string& stage)
       : in(&m.counter(stage + ".in")), ok(&m.counter(stage + ".ok")),
         fail(&m.counter(stage + ".fail")), skip(&m.counter(stage + ".skip")),
         micros(&m.histogram(stage + ".micros")) {}
 
-  Counter* in;
-  Counter* ok;
-  Counter* fail;
-  Counter* skip;
-  Histogram* micros;
+  obs::Counter* in;
+  obs::Counter* ok;
+  obs::Counter* fail;
+  obs::Counter* skip;
+  obs::Histogram* micros;
 };
 
 /// gen= inputs shared by several jobs are prepared exactly once; later
@@ -64,16 +64,16 @@ struct GenMemo {
 /// JobRunner one for its lifetime, so both front ends record under the
 /// same names.
 struct JobContext {
-  explicit JobContext(MetricsRegistry& m)
+  explicit JobContext(obs::MetricsRegistry& m)
       : registry(m), load(m, "load"), encode(m, "encode"),
         container(m, "container"), verify(m, "verify"),
         bits_in(&m.counter("encode.bits_in")),
         bits_out(&m.counter("encode.bits_out")) {}
 
-  MetricsRegistry& registry;
+  obs::MetricsRegistry& registry;
   StageMetrics load, encode, container, verify;
-  Counter* bits_in;
-  Counter* bits_out;
+  obs::Counter* bits_in;
+  obs::Counter* bits_out;
   GenMemo gen;
 };
 
@@ -144,7 +144,7 @@ Status stage_load(GenMemo& gen, Job& job) {
   return {};
 }
 
-Status stage_encode(Job& job, MetricsRegistry& metrics) {
+Status stage_encode(Job& job, obs::MetricsRegistry& metrics) {
   const JobSpec& spec = *job.spec;
   if (job.multi_codec()) {
     // Per-chunk codec selection. The reported compressed_bits stay in the
@@ -356,10 +356,10 @@ std::string BatchResult::report() const {
 
 // --------------------------------------------------------------------- Engine
 
-Engine::Engine(EngineOptions options, MetricsRegistry* metrics)
+Engine::Engine(EngineOptions options, obs::MetricsRegistry* metrics)
     : options_(std::move(options)) {
   if (metrics == nullptr) {
-    owned_metrics_ = std::make_unique<MetricsRegistry>();
+    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics_ = owned_metrics_.get();
   } else {
     metrics_ = metrics;
@@ -377,10 +377,10 @@ BatchResult Engine::run(const Manifest& manifest, const CommitCallback& on_commi
   run_span.arg("jobs", static_cast<std::uint64_t>(n));
   run_span.arg("workers", static_cast<std::uint64_t>(workers));
 
-  MetricsRegistry& m = *metrics_;
+  obs::MetricsRegistry& m = *metrics_;
   JobContext ctx(m);
   const StageMetrics commit_m(m, "commit");
-  Counter& bytes_written = m.counter("commit.bytes_written");
+  obs::Counter& bytes_written = m.counter("commit.bytes_written");
   m.counter("engine.jobs").add(n);
   m.counter("engine.runs").add();
 
@@ -454,24 +454,24 @@ BatchResult Engine::run(const Manifest& manifest, const CommitCallback& on_commi
 
 /// The job path's context plus the runner's own instruments.
 struct JobRunner::RunnerState {
-  explicit RunnerState(MetricsRegistry& m)
+  explicit RunnerState(obs::MetricsRegistry& m)
       : ctx(m), jobs(&m.counter("runner.jobs")), tasks(&m.counter("runner.tasks")),
         ok(&m.counter("runner.ok")), failed(&m.counter("runner.failed")),
         busy_rejects(&m.counter("runner.busy_rejects")),
         in_flight(&m.gauge("runner.in_flight")) {}
 
   JobContext ctx;
-  Counter* jobs;
-  Counter* tasks;
-  Counter* ok;
-  Counter* failed;
-  Counter* busy_rejects;
+  obs::Counter* jobs;
+  obs::Counter* tasks;
+  obs::Counter* ok;
+  obs::Counter* failed;
+  obs::Counter* busy_rejects;
   obs::Gauge* in_flight;  ///< admitted calls; moved under mutex_, so peak <= cap
 };
 
-JobRunner::JobRunner(Options options, MetricsRegistry* metrics) : options_(options) {
+JobRunner::JobRunner(Options options, obs::MetricsRegistry* metrics) : options_(options) {
   if (metrics == nullptr) {
-    owned_metrics_ = std::make_unique<MetricsRegistry>();
+    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics_ = owned_metrics_.get();
   } else {
     metrics_ = metrics;

@@ -12,7 +12,7 @@
 #include "core/error.h"
 #include "core/thread_safety.h"
 #include "engine/manifest.h"
-#include "engine/metrics.h"
+#include "obs/metrics.h"
 
 namespace tdc::engine {
 
@@ -120,13 +120,13 @@ class Engine {
  public:
   /// `metrics` may be shared/external (benches); the engine owns a private
   /// registry when none is given.
-  explicit Engine(EngineOptions options = {}, MetricsRegistry* metrics = nullptr);
+  explicit Engine(EngineOptions options = {}, obs::MetricsRegistry* metrics = nullptr);
   ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  MetricsRegistry& metrics() { return *metrics_; }
+  obs::MetricsRegistry& metrics() { return *metrics_; }
 
   /// Runs the whole batch to completion. Reentrant per Engine instance is
   /// not supported; run one batch at a time.
@@ -134,8 +134,8 @@ class Engine {
 
  private:
   EngineOptions options_;
-  std::unique_ptr<MetricsRegistry> owned_metrics_;
-  MetricsRegistry* metrics_;
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::MetricsRegistry* metrics_;
 };
 
 /// Persistent job front end: the same load → encode → containerize →
@@ -163,13 +163,13 @@ class JobRunner {
   };
 
   JobRunner() : JobRunner(Options(), nullptr) {}
-  explicit JobRunner(Options options, MetricsRegistry* metrics = nullptr);
+  explicit JobRunner(Options options, obs::MetricsRegistry* metrics = nullptr);
   ~JobRunner();  ///< stop()s
 
   JobRunner(const JobRunner&) = delete;
   JobRunner& operator=(const JobRunner&) = delete;
 
-  MetricsRegistry& metrics() { return *metrics_; }
+  obs::MetricsRegistry& metrics() { return *metrics_; }
 
   /// Runs one compression job on the calling thread and returns its
   /// outcome, ok or failed. nullopt, with nothing run, when the runner is
@@ -200,8 +200,8 @@ class JobRunner {
   void release();
 
   Options options_;
-  std::unique_ptr<MetricsRegistry> owned_metrics_;
-  MetricsRegistry* metrics_;
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::MetricsRegistry* metrics_;
 
   mutable core::Mutex mutex_;
   core::CondVar idle_;       ///< stop() waits here for in_flight_ == 0

@@ -1,6 +1,8 @@
 #include "exp/args.h"
 
 #include <cctype>
+#include <charconv>
+#include <limits>
 #include <stdexcept>
 
 #include "exp/thread_pool.h"
@@ -12,6 +14,14 @@ namespace {
 bool is_flag(const std::string& token) { return token.rfind("--", 0) == 0; }
 
 }  // namespace
+
+std::optional<std::uint32_t> parse_u32(const std::string& raw, std::uint32_t max) {
+  const char* end = raw.data() + raw.size();
+  std::uint32_t value = 0;
+  const auto [ptr, ec] = std::from_chars(raw.data(), end, value);
+  if (ec != std::errc() || ptr != end || value > max) return std::nullopt;
+  return value;
+}
 
 Args::Args(int argc, char** argv) {
   items_.reserve(static_cast<std::size_t>(argc));
@@ -51,18 +61,16 @@ std::optional<std::string> Args::value(const std::string& name) {
   return std::nullopt;
 }
 
-std::uint32_t Args::u32(const std::string& name, std::uint32_t fallback) {
+std::uint32_t Args::u32(const std::string& name, std::uint32_t fallback,
+                        std::uint32_t max) {
   const std::optional<std::string> raw = value(name);
   if (!raw) return fallback;
-  try {
-    std::size_t used = 0;
-    const unsigned long parsed = std::stoul(*raw, &used);
-    if (used != raw->size()) throw std::invalid_argument("trailing characters");
-    return static_cast<std::uint32_t>(parsed);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(name + ": expected an unsigned integer, got '" +
-                                *raw + "'");
-  }
+  if (const std::optional<std::uint32_t> parsed = parse_u32(*raw, max)) return *parsed;
+  const std::string bound = max == std::numeric_limits<std::uint32_t>::max()
+                                ? ""
+                                : " up to " + std::to_string(max);
+  throw std::invalid_argument(name + ": expected an unsigned integer" + bound + ", got '" +
+                              *raw + "'");
 }
 
 unsigned Args::jobs() {
@@ -85,15 +93,11 @@ unsigned Args::jobs() {
     }
   }
   if (raw) {
-    try {
-      std::size_t used = 0;
-      const unsigned long parsed = std::stoul(*raw, &used);
-      if (used != raw->size() || parsed == 0) throw std::invalid_argument("bad");
-      return static_cast<unsigned>(parsed);
-    } catch (const std::exception&) {
-      throw std::invalid_argument("--jobs: expected a positive integer, got '" +
-                                  *raw + "'");
+    const std::optional<std::uint32_t> parsed = parse_u32(*raw);
+    if (!parsed || *parsed == 0) {
+      throw std::invalid_argument("--jobs: expected a positive integer, got '" + *raw + "'");
     }
+    return *parsed;
   }
   return ThreadPool::default_jobs();
 }

@@ -22,7 +22,7 @@ Result<HwRunResult> DecompressorModel::try_run(const lzw::EncodeResult& encoded)
   std::uint64_t t = 0;
   std::uint64_t bits_consumed = 0;
 
-  // The decode core serves every code (one block copy per dictionary read)
+  // The decode core serves every code (one Fig. 5 word per dictionary read)
   // and keeps the dictionary in lockstep with the encoder; the model adds
   // only the cycle arithmetic of each step.
   bits::BitReader reader(encoded.stream);

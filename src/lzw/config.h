@@ -58,9 +58,10 @@ struct LzwConfig {
     return dict_size <= literal_count() || max_entry_chars() < 2;
   }
 
-  /// Largest N accepted anywhere. A decoder reserves N entries up front,
-  /// so this bounds what an untrusted header or payload can make it
-  /// allocate; the paper's configurations stay far below it.
+  /// Largest N accepted anywhere. The encoder and hw::DecompressorRtl
+  /// reserve N entries up front (the decode core sizes its state from the
+  /// stream), so this bounds what an untrusted header or payload can make
+  /// them allocate; the paper's configurations stay far below it.
   static constexpr std::uint32_t kMaxDictSize = 1u << 20;
 
   /// Widest C_MDATA a stored image may declare (Table 5's widest word):

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -15,7 +16,6 @@
 #include "core/error.h"
 #include "lzw/config.h"
 #include "lzw/decoder.h"
-#include "lzw/dictionary.h"
 
 namespace tdc::lzw {
 
@@ -43,15 +43,19 @@ namespace detail {
 /// care plane is implied), written only up to `limit` bits: the unpadded
 /// original length. Bits decoded past it are dropped, never stored — a
 /// later copy only reads bits below where it writes, so nothing below the
-/// limit ever needs them — and decode memory is bounded by the limit and
-/// the bits actually decoded, whatever C_MDATA a header declares.
+/// limit ever needs them — and decode memory is bounded by the limit, one
+/// character per code and the bits actually decoded, whatever C_MDATA a
+/// header declares.
 ///
 /// Storage stays zero past size() and always holds the word after the one
 /// size() falls in, so a one-word read or write at any offset up to size()
 /// touches two words with no bounds branch.
 class ExpansionPlane {
  public:
-  explicit ExpansionPlane(std::uint64_t limit) : words_(2, 0), limit_(limit) {}
+  /// Storage starts sized for min(limit, `least`) bits: `least` is what a
+  /// successful decode surely stores (one character per code).
+  ExpansionPlane(std::uint64_t limit, std::uint64_t least)
+      : words_(std::min(limit, least) / 64 + 2, 0), limit_(limit) {}
 
   /// Bits stored so far: the bits decoded, clipped at the limit.
   std::uint64_t size() const { return size_; }
@@ -149,6 +153,223 @@ struct TableWord {
   std::uint32_t chars = 0;
 };
 
+/// An entry too wide for one word: where its latest run starts in the
+/// output, its length in characters and its first character (as stream
+/// bits, first bit lowest).
+struct WideEntry {
+  std::uint64_t start = 0;
+  std::uint32_t chars = 0;
+  std::uint32_t first = 0;
+};
+
+/// The exact set of defined (parent code, appended character) pairs: the
+/// only trie question a decoder asks. Open addressing with linear probing
+/// at load <= 1/2; a pair packs into one 64-bit key (code < 2^20,
+/// character < 2^16).
+class ChildIndex {
+ public:
+  /// Room for `adds` pairs at load <= 1/2. The caller never inserts more.
+  explicit ChildIndex(std::size_t adds)
+      : slots_(std::bit_ceil(std::max<std::size_t>(2 * adds, 2)), kEmpty),
+        shift_(64 - static_cast<unsigned>(std::countr_zero(slots_.size()))) {}
+
+  bool contains(std::uint32_t parent, std::uint32_t ch) const {
+    return slots_[slot(pack(parent, ch))] != kEmpty;
+  }
+
+  /// Adds the pair; false when it was already there.
+  bool insert(std::uint32_t parent, std::uint32_t ch) {
+    const std::uint64_t key = pack(parent, ch);
+    std::uint64_t& s = slots_[slot(key)];
+    if (s == key) return false;
+    s = key;
+    return true;
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~0ULL;
+  static std::uint64_t pack(std::uint32_t parent, std::uint32_t ch) {
+    return std::uint64_t{parent} << 16 | ch;
+  }
+  /// The slot that holds `key`, or the empty slot its probe ends at.
+  std::size_t slot(std::uint64_t key) const {
+    std::size_t i = home(key);
+    while (slots_[i] != key && slots_[i] != kEmpty) i = (i + 1) & (slots_.size() - 1);
+    return i;
+  }
+  /// Fibonacci hashing: the key's golden-ratio product, top bits.
+  std::size_t home(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  std::vector<std::uint64_t> slots_;
+  unsigned shift_;
+};
+
+/// decode_codes for one entry form: `OneWord` when every entry fits a
+/// TableWord (max_entry_chars() * C_C <= 64), WideEntry otherwise.
+template <bool OneWord, class Observer>
+Result<DecodeResult> decode_entries(const LzwConfig& config, bits::BitReader& reader,
+                                    std::size_t code_count, std::uint64_t original_bits,
+                                    Observer& observe) {
+  using Entry = std::conditional_t<OneWord, TableWord, WideEntry>;
+  const std::uint32_t cc = config.char_bits;
+  const std::uint32_t first_code = config.first_code();
+  const std::uint32_t dict_size = config.dict_size;
+  const std::uint32_t max_chars = config.max_entry_chars();
+  // Entry first_code + i is entries[i]. Every code after the first defines
+  // at most one entry, at most N - 2^C_C fit, and every code takes at
+  // least one stream bit: the stream, not the header's N or C_MDATA,
+  // sizes the state.
+  const std::uint64_t codes = std::min<std::uint64_t>(code_count, reader.remaining());
+  const std::size_t adds = std::min<std::uint64_t>(dict_size - first_code, codes);
+  std::vector<Entry> entries;
+  entries.reserve(adds);
+  ChildIndex children(adds);
+  ExpansionPlane out(original_bits, codes * cc);
+  // A character as stream bits, first bit lowest: what a literal stores,
+  // and the child index's key.
+  const auto literal_bits = [cc](std::uint32_t code) {
+    return static_cast<std::uint32_t>(bits::reverse_low_bits(code, cc));
+  };
+  const auto first_of = [cc](const Entry& e) {
+    if constexpr (OneWord) {
+      return static_cast<std::uint32_t>(e.data & bits::low_mask(cc));
+    } else {
+      return e.first;
+    }
+  };
+
+  std::uint32_t size = first_code;  // codes defined
+  std::uint32_t prev = 0;           // the previous code, when idx > 0
+  Entry prev_entry{};               // its expansion
+  // One-word entries switch to the frozen loop once all N codes are
+  // defined. With N = 2^C_C there is no entry to add, and the literals
+  // this loop serves need no table.
+  const bool freezes = OneWord && dict_size > first_code;
+  std::size_t idx = 0;
+  for (; idx < code_count && !(freezes && size == dict_size); ++idx) {
+    const std::uint32_t width =
+        config.variable_width
+            ? std::min(static_cast<std::uint32_t>(std::bit_width(size)), config.code_bits())
+            : config.code_bits();
+    const std::size_t code_bit_offset = reader.position();
+    if (reader.remaining() < width) {
+      return truncated_error(idx, code_count, width, code_bit_offset);
+    }
+    const auto code = static_cast<std::uint32_t>(reader.read(width));
+
+    CodeStep step{.width = width};
+    Entry cur;
+    if constexpr (!OneWord) cur.start = out.size();
+    if (code < first_code) {
+      cur.chars = 1;
+      if constexpr (OneWord) {
+        cur.data = literal_bits(code);
+        out.put_word(cur.data, cc);
+      } else {
+        cur.first = literal_bits(code);
+        out.put_word(cur.first, cc);
+      }
+    } else if (code < size) {
+      step.kind = CodeKind::Entry;
+      const Entry& e = entries[code - first_code];
+      if constexpr (OneWord) {
+        cur = e;
+        out.put_word(e.data, e.chars * cc);
+      } else {
+        cur.chars = e.chars;
+        cur.first = e.first;
+        out.copy(e.start, std::uint64_t{e.chars} * cc);
+      }
+    } else if (idx > 0 && code == size && size < dict_size && prev_entry.chars < max_chars &&
+               !children.contains(prev, first_of(prev_entry))) {
+      // KwKwK (paper Fig. 4f): the code names the entry being defined right
+      // now, Buffer plus Buffer's first character. A real encoder only emits
+      // this while (prev, first character) is still undefined; if that
+      // child exists the code is corrupt, and treating it as KwKwK would
+      // leave `code` undefined and poison `prev`. A full dictionary defines
+      // no entry, so no code is KwKwK once size reaches N.
+      step.kind = CodeKind::KwKwK;
+      const std::uint32_t first = first_of(prev_entry);
+      cur.chars = prev_entry.chars + 1;
+      if constexpr (OneWord) {
+        cur.data = prev_entry.data | std::uint64_t{first} << (prev_entry.chars * cc);
+        out.put_word(cur.data, cur.chars * cc);
+      } else {
+        cur.first = first;
+        out.copy(prev_entry.start, std::uint64_t{prev_entry.chars} * cc);
+        out.put_word(first, cc);
+      }
+    } else {
+      return undefined_error(code, size, idx, code_bit_offset);
+    }
+    step.chars = cur.chars;
+
+    // Mirror of the encoder's insertion under the same freeze (capacity)
+    // and C_MDATA (width) rules, so the two dictionaries evolve in
+    // lockstep; the duplicate-child probe runs only when the add can
+    // happen. The new entry is prev's expansion plus cur's first
+    // character, which sit back to back in the output.
+    const std::uint32_t first = first_of(cur);
+    if (idx > 0 && size < dict_size && prev_entry.chars < max_chars &&
+        children.insert(prev, first)) {
+      Entry added = prev_entry;
+      added.chars = prev_entry.chars + 1;
+      if constexpr (OneWord) added.data |= std::uint64_t{first} << (prev_entry.chars * cc);
+      entries.push_back(added);
+      ++size;
+      step.added = true;
+    }
+    observe(step);
+    prev = code;
+    prev_entry = cur;
+  }
+
+  if constexpr (OneWord) {
+    // Frozen: the dictionary is full and never changes again, so every
+    // code is one word read, with no child probe and no add. The word
+    // table is the literals' words followed by the words the adds built,
+    // indexed by code with no literal branch. It is laid out once, after
+    // all N - 2^C_C >= 1 entries were decoded from the stream. Every code
+    // is now C_E bits: a full dictionary's fill width is C_E.
+    if (idx < code_count) {
+      std::vector<TableWord> table(first_code);
+      for (std::uint32_t c = 0; c < first_code; ++c) {
+        table[c] = {.data = literal_bits(c), .chars = 1};
+      }
+      table.insert(table.end(), entries.begin(), entries.end());
+      const std::uint32_t width = config.code_bits();
+      for (; idx < code_count; ++idx) {
+        const std::size_t code_bit_offset = reader.position();
+        if (reader.remaining() < width) {
+          return truncated_error(idx, code_count, width, code_bit_offset);
+        }
+        const auto code = static_cast<std::uint32_t>(reader.read(width));
+        if (code >= dict_size) {
+          return undefined_error(code, size, idx, code_bit_offset);
+        }
+        const TableWord word = table[code];
+        out.put_word(word.data, word.chars * cc);
+        observe(CodeStep{.width = width, .chars = word.chars,
+                         .kind = code < first_code ? CodeKind::Literal : CodeKind::Entry});
+      }
+    }
+  }
+
+  if (out.size() < original_bits) {
+    return decode_error(ErrorKind::StreamTooShort,
+                        "decoded " + std::to_string(out.size()) + " of " +
+                            std::to_string(original_bits) + " scan bits from " +
+                            std::to_string(code_count) + " codes",
+                        code_count, reader.position());
+  }
+  DecodeResult result;
+  result.bits = std::move(out).take();
+  result.dict_codes_used = size;
+  return result;
+}
+
 }  // namespace detail
 
 /// The LZW decode loop behind both lzw::Decoder and hw::DecompressorModel:
@@ -158,23 +379,26 @@ struct TableWord {
 /// `observe(const CodeStep&)` per code.
 /// Returns the stream truncated to `original_bits`.
 ///
-/// Storage follows the paper's Fig. 5 decompressor, whose dictionary words
-/// hold each entry's full expansion so a code costs one memory read. An
-/// entry is the previous code's expansion plus the next code's first
-/// character, and both already sit back to back in the output, so while
-/// the dictionary grows the core keeps one start offset per entry and
-/// serves a code with a single block copy of at most C_MDATA bits: the
-/// software image of that one read.
-///
-/// Once all N codes are defined the dictionary never changes again. If an
-/// entry fits one 64-bit word (max_entry_chars() * C_C <= 64), the core then
-/// lifts every code's expansion out of the output into a table of N
-/// (C_MDATA, C_MLEN) words and finishes the stream with one table read per
-/// code: no child probe, no add, no offset copy. Larger entries keep the
-/// offset copies to the end. Decode memory is the output plus one offset
-/// per entry, and at most one table word per code; it never scales with
-/// C_MDATA, which arrives untrusted in container headers. The table is
-/// built only after N - 2^C_C entries were decoded from the stream.
+/// The dictionary is decoder-only state in the form of the paper's Fig. 5
+/// memory, whose words hold each entry's full expansion so a code costs
+/// one read, plus an exact (parent, character) ChildIndex for the two
+/// questions a decoder asks of the trie: is a KwKwK code valid, and would
+/// an add duplicate an entry. An entry is the previous code's expansion
+/// plus the next code's first character:
+///  * When every entry fits one 64-bit word (max_entry_chars() * C_C <=
+///    64, every paper configuration), the add builds the entry's
+///    (C_MDATA, C_MLEN) TableWord from the previous code's word, and a
+///    code is served with one word write. Once all N codes are defined,
+///    a second loop serves every code from those words, with the
+///    literals' words laid in front, and no probe and no add.
+///  * Wider entries keep where the previous code's run starts in the
+///    output, its length and its first character, and serve a code with a
+///    single block copy of at most C_MDATA bits out of the output.
+/// Every structure is sized by the adds the stream can make,
+/// min(N - 2^C_C, code_count, stream bits), and the frozen loop's N-word
+/// table is laid out only after the stream made all N - 2^C_C adds: decode
+/// memory never scales with N or C_MDATA, which arrive untrusted in
+/// container headers.
 ///
 /// Every error carries the failing code index and a stream bit offset:
 /// where the code started (CodeStreamTruncated, UndefinedCode), or where
@@ -184,117 +408,10 @@ template <class Observer>
 Result<DecodeResult> decode_codes(const LzwConfig& config, bits::BitReader& reader,
                                   std::size_t code_count, std::uint64_t original_bits,
                                   Observer&& observe) {
-  Dictionary dict(config);
-  const std::uint32_t cc = config.char_bits;
-  const std::uint32_t first_code = config.first_code();
-  const bool one_word = std::uint64_t{config.max_entry_chars()} * cc <= 64;
-  // Entry first_code + i starts at output bit start[i]; each code adds at
-  // most one entry, and Dictionary already holds dict_size slots.
-  std::vector<std::uint64_t> start;
-  start.reserve(std::min<std::uint64_t>(config.dict_size - first_code, code_count));
-  detail::ExpansionPlane out(original_bits);
-
-  std::uint32_t prev = kNoCode;
-  std::uint64_t prev_start = 0;
-  std::size_t idx = 0;
-  for (; idx < code_count && !(one_word && dict.full()); ++idx) {
-    const std::uint32_t width =
-        config.variable_width
-            ? std::min(static_cast<std::uint32_t>(std::bit_width(dict.size())),
-                       config.code_bits())
-            : config.code_bits();
-    const std::size_t code_bit_offset = reader.position();
-    if (reader.remaining() < width) {
-      return detail::truncated_error(idx, code_count, width, code_bit_offset);
-    }
-    const auto code = static_cast<std::uint32_t>(reader.read(width));
-
-    const std::uint64_t code_start = out.size();
-    CodeStep step{.width = width};
-    std::uint32_t first = 0;
-    if (code < first_code) {
-      step.chars = 1;
-      first = code;
-      out.put_word(bits::reverse_low_bits(code, cc), cc);
-    } else if (dict.defined(code)) {
-      step.kind = CodeKind::Entry;
-      step.chars = dict.length(code);
-      first = dict.first_char(code);
-      out.copy(start[code - first_code], std::uint64_t{step.chars} * cc);
-    } else if (prev != kNoCode && code == dict.next_code() && dict.extendable(prev) &&
-               dict.child(prev, dict.first_char(prev)) == kNoCode) {
-      // KwKwK (paper Fig. 4f): the code names the entry being defined right
-      // now, Buffer plus Buffer's first character. A real encoder only emits
-      // this while (prev, first_char) is still undefined; if that child
-      // exists the code is corrupt, and treating it as KwKwK would leave
-      // `code` undefined and poison `prev`. A full dictionary defines no
-      // entry: its next_code() is the kNoCode sentinel, which no code read
-      // from the stream can equal (a code is below 2^C_E <= 2^20).
-      step.kind = CodeKind::KwKwK;
-      step.chars = dict.length(prev) + 1;
-      first = dict.first_char(prev);
-      out.copy(prev_start, std::uint64_t{step.chars - 1} * cc);
-      out.put_word(bits::reverse_low_bits(first, cc), cc);
-    } else {
-      return detail::undefined_error(code, dict.size(), idx, code_bit_offset);
-    }
-
-    // Mirror of the encoder's insertion under the same freeze (capacity)
-    // and C_MDATA (width) rules, so the two dictionaries evolve in
-    // lockstep; the duplicate-child probe runs only when add() can succeed.
-    // The new entry's run starts where prev's did.
-    if (prev != kNoCode && !dict.full() && dict.extendable(prev) &&
-        dict.child(prev, first) == kNoCode) {
-      dict.add(prev, first);
-      start.push_back(prev_start);
-      step.added = true;
-    }
-    observe(step);
-    prev = code;
-    prev_start = code_start;
+  if (std::uint64_t{config.max_entry_chars()} * config.char_bits <= 64) {
+    return detail::decode_entries<true>(config, reader, code_count, original_bits, observe);
   }
-
-  if (idx < code_count) {
-    // Frozen: every code's expansion is one table word, lifted out of the
-    // output (literals are their own expansion). If the output already
-    // reached `original_bits`, runs past it read as zeros, but nothing is
-    // stored past that limit any more. Every code is now C_E bits: a full
-    // dictionary's fill width is C_E.
-    std::vector<detail::TableWord> table(config.dict_size);
-    for (std::uint32_t c = 0; c < config.dict_size; ++c) {
-      const std::uint32_t chars = dict.length(c);
-      table[c] = {.data = c < first_code ? bits::reverse_low_bits(c, cc)
-                                         : out.field(start[c - first_code], chars * cc),
-                  .chars = chars};
-    }
-    const std::uint32_t width = config.code_bits();
-    for (; idx < code_count; ++idx) {
-      const std::size_t code_bit_offset = reader.position();
-      if (reader.remaining() < width) {
-        return detail::truncated_error(idx, code_count, width, code_bit_offset);
-      }
-      const auto code = static_cast<std::uint32_t>(reader.read(width));
-      if (code >= config.dict_size) {
-        return detail::undefined_error(code, dict.size(), idx, code_bit_offset);
-      }
-      const detail::TableWord word = table[code];
-      out.put_word(word.data, word.chars * cc);
-      observe(CodeStep{.width = width, .chars = word.chars,
-                       .kind = code < first_code ? CodeKind::Literal : CodeKind::Entry});
-    }
-  }
-
-  if (out.size() < original_bits) {
-    return detail::decode_error(ErrorKind::StreamTooShort,
-                                "decoded " + std::to_string(out.size()) + " of " +
-                                    std::to_string(original_bits) + " scan bits from " +
-                                    std::to_string(code_count) + " codes",
-                                code_count, reader.position());
-  }
-  DecodeResult result;
-  result.bits = std::move(out).take();
-  result.dict_codes_used = dict.size();
-  return result;
+  return detail::decode_entries<false>(config, reader, code_count, original_bits, observe);
 }
 
 }  // namespace tdc::lzw

@@ -7,7 +7,6 @@
 #include "bits/tritvector.h"
 #include "core/error.h"
 #include "lzw/config.h"
-#include "lzw/dictionary.h"
 #include "lzw/telemetry.h"
 
 namespace tdc::lzw {

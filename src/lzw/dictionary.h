@@ -19,18 +19,20 @@ inline constexpr std::uint32_t kNoCode = 0xffffffffu;
 /// The order a code's children keep inside its slab. Codes grow in
 /// insertion order, so under Insertion a slab is also in increasing code
 /// order. The encoder picks the order that puts its tie-break's winner at
-/// the first compatible lane; the decoder only looks children up exactly,
-/// so it keeps Insertion.
+/// the first compatible lane; the RTL reference decoder only looks
+/// children up exactly, so it keeps Insertion.
 enum class SlabOrder {
-  Insertion,   ///< append: First, MostRecent, Lookahead and the decoder
+  Insertion,   ///< append: First, MostRecent, Lookahead and the RTL decoder
   Char,        ///< ascending character: LowestChar
   ChildCount,  ///< more children first, then lower code: MostChildren
 };
 
-/// The LZW dictionary, shared in structure between compressor and
-/// decompressor so the two stay in lockstep (the paper's central
-/// requirement: "the same algorithm is used for both compression and
-/// decompression").
+/// The LZW trie the encoder matches against. The paper's central
+/// requirement, "the same algorithm is used for both compression and
+/// decompression", holds for the insertion rules: the decode core
+/// (lzw/decode_core.h) mirrors them with decoder-only state, Fig. 5 words
+/// and an exact child index, and hw::DecompressorRtl decodes through this
+/// class as the independent reference.
 ///
 /// Codes [0, 2^C_C) are implicit literals. Every explicit entry is a
 /// (parent code, appended character) pair; its uncompressed expansion is the
@@ -41,7 +43,7 @@ enum class SlabOrder {
 /// The structure is a trie stored as flat arrays rather than per-node heap
 /// objects: the fields of code `c` live at index `c` of the per-code arrays,
 /// and the first character of every expansion is memoized at add time,
-/// making first_char() O(1) (the decoder consults it per code).
+/// making first_char() O(1).
 ///
 /// Each code's children sit in one contiguous slab, in the SlabOrder its
 /// adds keep (insertion order, which is also increasing code order, by
@@ -87,15 +89,16 @@ class Dictionary {
   std::uint32_t last_char(std::uint32_t code) const { return meta_[code].ch; }
 
   /// First character of `code`'s expansion — O(1), memoized at add time.
-  /// Inline: the decode core reads it for every code.
+  /// The RTL decoder and the paper walkthrough read it for the KwKwK case
+  /// and every add.
   std::uint32_t first_char(std::uint32_t code) const {
     TDC_REQUIRE(defined(code), "first_char: undefined code");
     return meta_[code].root_ch;
   }
 
   /// Full expansion of `code`, first character first: one backward walk of
-  /// the parent chain (the reference path; the decode core copies entries
-  /// out of its output instead).
+  /// the parent chain (the reference path; the decode core keeps Fig. 5
+  /// words or output offsets instead).
   std::vector<std::uint32_t> expand(std::uint32_t code) const;
 
   /// Child of `code` along exactly character `ch`, or kNoCode: the match

@@ -139,6 +139,37 @@ grep -q '"decoder"' "$WORK/s1.json"
 # Stats on a container decodes it and reports the decoder's view.
 "$CLI" stats "$WORK/c.tdclzw" | grep -q '"codes_consumed"'
 "$CLI" stats "$WORK/c.tdclzw" | grep -q '"container"'
+# A numeric flag takes plain decimal digits that fit 32 bits: a sign or a
+# value past 2^32 - 1 is refused, never wrapped (4294967552 would run as
+# N = 256).
+for VALUE in 4294967552 +256 -1; do
+  if "$CLI" stats "$WORK/c.tests" --dict "$VALUE" >/dev/null 2>"$WORK/num.txt"; then
+    echo "stats accepted --dict $VALUE" >&2; exit 1
+  fi
+  grep -qF -- "--dict: expected an unsigned integer, got '$VALUE'" "$WORK/num.txt"
+done
+# --jobs shares the parser: 4294967297 would run as one worker.
+for VALUE in 4294967297 +2; do
+  if "$CLI" verify "$WORK/c.tdclzw" --jobs "$VALUE" >/dev/null 2>"$WORK/num.txt"; then
+    echo "verify accepted --jobs $VALUE" >&2; exit 1
+  fi
+  grep -qF -- "--jobs: expected a positive integer, got '$VALUE'" "$WORK/num.txt"
+done
+# A millisecond flag held in an int stops at INT_MAX (4294967295 would be a
+# -1 poll timeout, which waits forever); serve refuses it before the socket
+# opens.
+if "$CLI" serve "$WORK/never.sock" --io-timeout-ms 4294967295 2>"$WORK/num.txt"; then
+  echo "serve accepted --io-timeout-ms 4294967295" >&2; exit 1
+fi
+grep -qF -- "--io-timeout-ms: expected an unsigned integer up to 2147483647" "$WORK/num.txt"
+test ! -e "$WORK/never.sock"
+# wave's clock-ratio argument is read the same way (4294967297 ran at 1x).
+for VALUE in 4294967297 +4; do
+  if "$CLI" wave "$WORK/c.tdclzw" "$WORK/bad.vcd" "$VALUE" >/dev/null 2>"$WORK/num.txt"; then
+    echo "wave accepted clock ratio $VALUE" >&2; exit 1
+  fi
+  grep -qF -- "clock ratio: expected an unsigned integer, got '$VALUE'" "$WORK/num.txt"
+done
 
 # compress --stats emits the same telemetry alongside the container, and the
 # multi-input form is byte-identical for any --jobs (input order, not
@@ -186,6 +217,13 @@ grep -q '"per_codec"' "$WORK/mc.json"
 "$CLI" verify "$WORK/cr.tdclzw" | grep -q "OK"
 "$CLI" decompress "$WORK/cr.tdclzw" "$WORK/fullrace.tests"
 "$CLI" inspect "$WORK/fullrace.tests" | grep -q "0.0% don't-cares"
+# inspect counts a v3 image's records as records, as verify does.
+RECORDS=$("$CLI" verify "$WORK/cr.tdclzw" | sed -n 's/.*; \([0-9]*\) records decode.*/\1/p')
+test -n "$RECORDS"
+"$CLI" inspect "$WORK/cr.tdclzw" | grep -q ", $RECORDS records, "
+if "$CLI" inspect "$WORK/cr.tdclzw" | grep -q " codes, "; then
+  echo "inspect counts v3 records as codes" >&2; exit 1
+fi
 
 # A corrupted record payload byte in a v3 image is detected, never decoded.
 cp "$WORK/ca.tdclzw" "$WORK/badrec.tdclzw"

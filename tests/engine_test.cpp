@@ -23,7 +23,7 @@
 #include "bits/rng.h"
 #include "engine/engine.h"
 #include "engine/manifest.h"
-#include "engine/metrics.h"
+#include "obs/metrics.h"
 #include "scan/testset.h"
 #include "scan/testset_io.h"
 
@@ -33,7 +33,7 @@ namespace {
 // -------------------------------------------------------------- metrics
 
 TEST(MetricsTest, CounterAccumulates) {
-  Counter c;
+  obs::Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.add();
   c.add(41);
@@ -41,11 +41,11 @@ TEST(MetricsTest, CounterAccumulates) {
 }
 
 TEST(MetricsTest, HistogramSnapshotTracksRange) {
-  Histogram h;
+  obs::Histogram h;
   h.record(1);
   h.record(2);
   h.record(1000);
-  const Histogram::Snapshot s = h.snapshot();
+  const obs::Histogram::Snapshot s = h.snapshot();
   EXPECT_EQ(s.count, 3u);
   EXPECT_EQ(s.sum, 1003u);
   EXPECT_EQ(s.min, 1u);
@@ -54,7 +54,7 @@ TEST(MetricsTest, HistogramSnapshotTracksRange) {
 }
 
 TEST(MetricsTest, RegistryJsonIsDeterministicAndNamed) {
-  MetricsRegistry registry;
+  obs::MetricsRegistry registry;
   registry.counter("zeta").add(7);
   registry.counter("alpha").add(1);
   registry.histogram("lat").record(5);
@@ -69,9 +69,9 @@ TEST(MetricsTest, RegistryJsonIsDeterministicAndNamed) {
 }
 
 TEST(MetricsTest, InstrumentReferencesAreStable) {
-  MetricsRegistry registry;
-  Counter& a = registry.counter("x");
-  Counter& b = registry.counter("x");
+  obs::MetricsRegistry registry;
+  obs::Counter& a = registry.counter("x");
+  obs::Counter& b = registry.counter("x");
   EXPECT_EQ(&a, &b);
   a.add(3);
   EXPECT_EQ(registry.counter("x").value(), 3u);
@@ -335,7 +335,7 @@ TEST(EngineTest, MoreWorkersThanJobsCommitsTheSameBatch) {
 }
 
 TEST(EngineTest, EmptyManifestReturnsNoJobs) {
-  MetricsRegistry registry;
+  obs::MetricsRegistry registry;
   Engine eng(EngineOptions{.workers = 4}, &registry);
   const BatchResult result = eng.run(Manifest{});
   EXPECT_TRUE(result.jobs.empty());
@@ -523,7 +523,7 @@ TEST(EngineTest, MetricsTrackTheBatch) {
   bad.config = lzw::LzwConfig{.dict_size = 256, .char_bits = 7, .entry_bits = 63};
   manifest.jobs.push_back(std::move(bad));
 
-  MetricsRegistry registry;
+  obs::MetricsRegistry registry;
   Engine eng(EngineOptions{.workers = 2}, &registry);
   const BatchResult result = eng.run(manifest);
   EXPECT_EQ(result.ok_count(), 5u);
@@ -548,7 +548,7 @@ TEST(EngineTest, MetricsTrackTheBatch) {
 TEST(EngineTest, VerifyStageCanBeDisabled) {
   Manifest manifest = inline_manifest();
   manifest.jobs.resize(3);
-  MetricsRegistry registry;
+  obs::MetricsRegistry registry;
   EngineOptions options;
   options.workers = 2;
   options.verify = false;
@@ -656,7 +656,7 @@ TEST(JobRunnerTest, RefusesSubmissionsPastTheInFlightCap) {
 
 TEST(JobRunnerTest, InFlightGaugeSettlesAtZeroWithPeakAtTheCap) {
   constexpr std::size_t kCap = 3;
-  MetricsRegistry registry;
+  obs::MetricsRegistry registry;
   JobRunner runner(JobRunner::Options{.workers = 2, .max_in_flight = kCap},
                    &registry);
   Gate gate;

@@ -5,12 +5,15 @@
 // bits, and the LZW hardware model must agree with the software decoder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <functional>
 #include <optional>
-#include <string>
-#include <vector>
-
 #include <sstream>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "bits/rng.h"
 #include "codec/huffman.h"
@@ -18,6 +21,7 @@
 #include "codec/rle.h"
 #include "hw/decompressor.h"
 #include "hw/decompressor_rtl.h"
+#include "lzw/dictionary.h"
 #include "lzw/stream_io.h"
 #include "lzw/verify.h"
 
@@ -237,6 +241,226 @@ TEST_P(FuzzTest, DamagedContainersAlwaysFailCleanly) {
     tdc::Result<lzw::CompressedImage> image = lzw::try_read_image(in);
     if (image.ok()) (void)image.value().try_decode();
   }
+}
+
+// Code-level differential check: packed code streams with targeted damage
+// go straight to lzw::Decoder and hw::DecompressorModel, which run the
+// shared decode core, and to hw::DecompressorRtl, which walks
+// lzw::Dictionary's trie. No container CRC filters the damage. The three
+// must agree on success and the decoded bits, or on the error's kind, code
+// index and bit offset.
+
+/// A valid stream replayed code by code through lzw::Dictionary under the
+/// decoders' update rules: where each code sits, and where a targeted
+/// mutation applies.
+struct Replay {
+  std::vector<std::uint32_t> codes;
+  std::vector<std::uint32_t> widths;
+  std::vector<std::size_t> offsets;
+  /// The dictionary's next code before each code (kNoCode when full).
+  std::vector<std::uint32_t> next_code;
+  /// Codes i where (code i - 1, its first character) is already defined
+  /// and the dictionary can still grow: next_code there is corrupt, not
+  /// KwKwK.
+  std::vector<std::size_t> kwkwk_taken;
+  /// (i, v): code v once followed code i - 1, so v at i would add a child
+  /// that already exists.
+  std::vector<std::pair<std::size_t, std::uint32_t>> duplicates;
+};
+
+Replay replay(const lzw::EncodeResult& encoded) {
+  const lzw::LzwConfig& config = encoded.config;
+  lzw::Dictionary dict(config);
+  bits::BitReader reader(encoded.stream);
+  Replay r;
+  std::unordered_map<std::uint32_t, std::uint32_t> follower;  // code -> last code after it
+  std::uint32_t prev = lzw::kNoCode;
+  for (std::size_t i = 0; i < encoded.code_count; ++i) {
+    const std::uint32_t width =
+        config.variable_width
+            ? std::min(static_cast<std::uint32_t>(std::bit_width(dict.size())),
+                       config.code_bits())
+            : config.code_bits();
+    r.offsets.push_back(reader.position());
+    r.widths.push_back(width);
+    r.next_code.push_back(dict.next_code());
+    const auto code = static_cast<std::uint32_t>(reader.read(width));
+    r.codes.push_back(code);
+    if (prev != lzw::kNoCode && !dict.full() && dict.extendable(prev)) {
+      if (dict.child(prev, dict.first_char(prev)) != lzw::kNoCode) r.kwkwk_taken.push_back(i);
+      if (const auto it = follower.find(prev);
+          it != follower.end() && it->second != code &&
+          dict.child(prev, dict.first_char(it->second)) != lzw::kNoCode) {
+        r.duplicates.emplace_back(i, it->second);
+      }
+    }
+    const std::uint32_t first =
+        dict.defined(code) ? dict.first_char(code) : dict.first_char(prev);  // KwKwK
+    if (prev != lzw::kNoCode) {
+      if (dict.child(prev, first) == lzw::kNoCode) dict.add(prev, first);
+      follower[prev] = code;
+    }
+    prev = code;
+  }
+  return r;
+}
+
+/// Moves the next `n` bits of `in` to the end of `out`.
+void append_bits(bits::BitReader& in, bits::BitWriter& out, std::size_t n) {
+  for (; n > 0; n -= std::min<std::size_t>(n, 32)) {
+    const auto w = static_cast<unsigned>(std::min<std::size_t>(n, 32));
+    out.write(in.read(w), w);
+  }
+}
+
+/// `stream` with bits [at, at + width) replaced by `value`.
+bits::BitWriter rewrite(const bits::BitWriter& stream, std::size_t at, std::uint32_t width,
+                        std::uint64_t value) {
+  bits::BitReader in(stream);
+  bits::BitWriter out;
+  append_bits(in, out, at);
+  out.write(value, width);
+  in.read(width);
+  append_bits(in, out, in.remaining());
+  return out;
+}
+
+/// The first `bits` bits of `stream`.
+bits::BitWriter truncate(const bits::BitWriter& stream, std::size_t bits) {
+  bits::BitReader in(stream);
+  bits::BitWriter out;
+  append_bits(in, out, bits);
+  return out;
+}
+
+/// Runs the three decoders on `view` and checks they agree; returns the
+/// shared decode core's error, if any.
+std::optional<tdc::Error> expect_decoders_agree(const lzw::EncodeResult& view) {
+  bits::BitReader reader(view.stream);
+  const tdc::Result<lzw::DecodeResult> decoded =
+      lzw::Decoder(view.config).try_decode_stream(reader, view.code_count, view.original_bits);
+  const hw::HwConfig hc{.lzw = view.config, .clock_ratio = 2};
+  const tdc::Result<hw::HwRunResult> model = hw::DecompressorModel(hc).try_run(view);
+  std::optional<hw::HwRunResult> rtl;
+  std::optional<tdc::Error> rtl_error;
+  try {
+    rtl = hw::DecompressorRtl(hc).run(view);
+  } catch (const tdc::TdcErrorBase& e) {
+    rtl_error = e.error();
+  }
+  EXPECT_EQ(model.ok(), decoded.ok());
+  EXPECT_EQ(rtl.has_value(), decoded.ok());
+  if (decoded.ok()) {
+    if (model.ok()) {
+      EXPECT_EQ(model.value().scan_bits, decoded.value().bits);
+    }
+    if (rtl) {
+      EXPECT_EQ(rtl->scan_bits, decoded.value().bits);
+      if (model.ok()) {
+        EXPECT_EQ(rtl->internal_cycles, model.value().internal_cycles);
+      }
+    }
+    return std::nullopt;
+  }
+  const tdc::Error& want = decoded.error();
+  if (!model.ok()) {
+    EXPECT_EQ(model.error().kind, want.kind);
+    EXPECT_EQ(model.error().code_index, want.code_index);
+    EXPECT_EQ(model.error().bit_offset, want.bit_offset);
+  }
+  if (rtl_error) {
+    EXPECT_EQ(rtl_error->kind, want.kind);
+    EXPECT_EQ(rtl_error->code_index, want.code_index);
+    // The RTL reports an undefined code at the bit after it. Its width
+    // follows from the dictionary size the codes before it left.
+    std::int64_t offset = rtl_error->bit_offset;
+    if (rtl_error->kind == ErrorKind::UndefinedCode && want.code_index >= 0) {
+      std::uint32_t width = view.config.code_bits();
+      if (view.config.variable_width) {
+        bits::BitReader prefix(view.stream);
+        const auto before = lzw::Decoder(view.config).try_decode_stream(
+            prefix, static_cast<std::size_t>(want.code_index), 0);
+        EXPECT_TRUE(before.ok());
+        if (before.ok()) {
+          width = std::min(static_cast<std::uint32_t>(
+                               std::bit_width(before.value().dict_codes_used)),
+                           width);
+        }
+      }
+      offset -= width;
+    }
+    EXPECT_EQ(offset, want.bit_offset);
+  }
+  return want;
+}
+
+TEST(CodeStreamFuzz, MutatedStreamsAgreeAcrossDecoders) {
+  // One-word entries (32 and 63 bits), then entries over 64 bits (65 at
+  // C_C = 5, and 127); N = 256 lets most inputs fill the dictionary.
+  constexpr std::uint32_t kGeometries[][2] = {{4, 32}, {7, 63}, {5, 65}, {7, 127}};
+  std::vector<lzw::LzwConfig> configs;
+  for (const bool variable : {false, true}) {
+    for (const auto& [char_bits, entry_bits] : kGeometries) {
+      configs.push_back(lzw::LzwConfig{.dict_size = 256, .char_bits = char_bits,
+                                       .entry_bits = entry_bits, .variable_width = variable});
+    }
+  }
+  constexpr std::size_t kPerKind = 8;
+  std::size_t kwkwk_rejected = 0, duplicates = 0, randoms = 0, truncations = 0;
+  Rng rng(0xD1FF'C0DE);
+  for (const Workload& wl : workloads()) {
+    const TritVector input = wl.make(17);
+    for (const lzw::LzwConfig& config : configs) {
+      SCOPED_TRACE(wl.name + " " + config.describe() +
+                   (config.variable_width ? " variable" : " fixed"));
+      const lzw::EncodeResult encoded = lzw::Encoder(config).encode(input);
+      ASSERT_FALSE(expect_decoders_agree(encoded).has_value());
+      const Replay r = replay(encoded);
+      const auto mutated = [&](bits::BitWriter stream) {
+        lzw::EncodeResult view;
+        view.config = config;
+        view.stream = std::move(stream);
+        view.code_count = encoded.code_count;
+        view.original_bits = encoded.original_bits;
+        return view;
+      };
+      // The next code where (prev, first(prev)) exists: corrupt, and every
+      // decoder must reject it right there.
+      for (std::size_t n = 0; n < kPerKind && !r.kwkwk_taken.empty(); ++n) {
+        const std::size_t i = r.kwkwk_taken[rng.below(r.kwkwk_taken.size())];
+        const auto error = expect_decoders_agree(
+            mutated(rewrite(encoded.stream, r.offsets[i], r.widths[i], r.next_code[i])));
+        ASSERT_TRUE(error.has_value());
+        EXPECT_EQ(error->kind, ErrorKind::UndefinedCode);
+        EXPECT_EQ(error->code_index, static_cast<std::int64_t>(i));
+        EXPECT_EQ(error->bit_offset, static_cast<std::int64_t>(r.offsets[i]));
+        ++kwkwk_rejected;
+      }
+      // A code that repeats an earlier successor of the same previous code:
+      // its add would duplicate a child, so no decoder makes it.
+      for (std::size_t n = 0; n < kPerKind && !r.duplicates.empty(); ++n) {
+        const auto [i, v] = r.duplicates[rng.below(r.duplicates.size())];
+        expect_decoders_agree(mutated(rewrite(encoded.stream, r.offsets[i], r.widths[i], v)));
+        ++duplicates;
+      }
+      for (std::size_t n = 0; n < kPerKind; ++n) {
+        const std::size_t i = rng.below(r.codes.size());
+        expect_decoders_agree(mutated(rewrite(encoded.stream, r.offsets[i], r.widths[i],
+                                              rng.below(std::uint64_t{1} << r.widths[i]))));
+        ++randoms;
+      }
+      for (std::size_t n = 0; n < kPerKind; ++n) {
+        expect_decoders_agree(
+            mutated(truncate(encoded.stream, rng.below(encoded.stream.bit_count()))));
+        ++truncations;
+      }
+    }
+  }
+  // Every mutation kind really ran.
+  EXPECT_GT(kwkwk_rejected, 0u);
+  EXPECT_GT(duplicates, 0u);
+  EXPECT_GT(randoms, 0u);
+  EXPECT_GT(truncations, 0u);
 }
 
 }  // namespace
