@@ -38,19 +38,15 @@ constexpr std::size_t kJobs = 32;
 constexpr std::size_t kBitsPerJob = 1 << 18;
 constexpr double kXDensity = 0.9;
 
-std::shared_ptr<const scan::TestSet> synthetic_tests(std::uint64_t seed) {
+std::shared_ptr<const bits::TritVector> synthetic_stream(std::uint64_t seed) {
   bits::Rng rng(seed);
-  auto tests = std::make_shared<scan::TestSet>();
-  tests->circuit = "synthetic";
-  tests->width = kBitsPerJob;
-  bits::TritVector cube(kBitsPerJob);
+  auto stream = std::make_shared<bits::TritVector>(kBitsPerJob);
   for (std::size_t i = 0; i < kBitsPerJob; ++i) {
     if (!rng.chance(kXDensity)) {
-      cube.set(i, rng.bit() ? bits::Trit::One : bits::Trit::Zero);
+      stream->set(i, rng.bit() ? bits::Trit::One : bits::Trit::Zero);
     }
   }
-  tests->cubes.push_back(std::move(cube));
-  return tests;
+  return stream;
 }
 
 engine::Manifest build_suite() {
@@ -61,7 +57,7 @@ engine::Manifest build_suite() {
   for (std::size_t i = 0; i < kJobs; ++i) {
     engine::JobSpec spec;
     spec.name = "synth" + std::to_string(i);
-    spec.inline_tests = synthetic_tests(0xE11 + i);
+    spec.inline_stream = synthetic_stream(0xE11 + i);
     spec.config = lzw::LzwConfig{.dict_size = 1024, .char_bits = 7, .entry_bits = 63};
     spec.tiebreak = tiebreaks[i % std::size(tiebreaks)];
     spec.container.version = i % 2 == 0 ? 2u : 1u;

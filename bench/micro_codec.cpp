@@ -9,8 +9,9 @@
 // encoder under each of the five tie-break policies, the three decode paths —
 // lzw::Decoder over the packed stream, the Fig. 5 cycle model, and
 // codec::decode_records over the corpus cut into 4096-trit LZW records — and
-// the .tests text codec (TritVector::from_string / to_string) on a dense and a
-// 90%-X corpus. Per-class rows then time every policy on corpora dominated
+// the .tests text codec (TritVector::from_string / to_string, and the
+// multi-line reader scan::read_test_stream) on a dense and a 90%-X corpus.
+// Per-class rows then time every policy on corpora dominated
 // by all-X, partly specified and fully specified characters, with the share
 // of characters encoded after the dictionary fills. It prints chars/sec
 // for every path and writes the numbers to BENCH_micro_codec.json
@@ -47,6 +48,7 @@
 #include "lzw/decoder.h"
 #include "lzw/encoder.h"
 #include "reference_encoders.h"
+#include "scan/testset_io.h"
 #include "sim/logicsim.h"
 
 namespace {
@@ -299,6 +301,21 @@ double chars_per_sec(double chars, const Fn& run) {
   return best;
 }
 
+/// Width of the reader row's cubes: s9234f's, one of the Table 3 circuits.
+/// Not a multiple of 64, so most cube lines start inside a plane word.
+constexpr std::uint32_t kReaderWidth = 247;
+
+/// `input` cut into whole `width`-trit cubes (a shorter tail is dropped).
+scan::TestSet as_cubes(const bits::TritVector& input, std::uint32_t width) {
+  scan::TestSet tests;
+  tests.circuit = "corpus";
+  tests.width = width;
+  for (std::size_t at = 0; at + width <= input.size(); at += width) {
+    tests.cubes.push_back(input.slice(at, width));
+  }
+  return tests;
+}
+
 /// lzw::Encoder chars/sec for one (corpus, policy) point.
 double encode_chars_per_sec(const bits::TritVector& input, double chars,
                             lzw::Tiebreak tiebreak = lzw::Tiebreak::First) {
@@ -350,6 +367,10 @@ struct Corpus {
   // pinned the same way on the same VM.
   double baseline_parse;
   double baseline_format;
+  // Cube chars/sec (one per trit) of read_tests(text) + serialize() on the
+  // reader row's text before scan::TestsReader: the median of five
+  // best-of-3 runs on the same VM, each pinned to one CPU.
+  double baseline_reader;
   // Indexed encode chars/sec per tie-break policy (kPolicies order) before
   // the slab match kernel (sibling-chain walk, hash index), pinned the
   // same way on the same VM.
@@ -451,10 +472,10 @@ int run_path_comparison() {
   const bool pinned = kBits == kDefaultBits;
   const Corpus corpora[] = {
       {"dense_x0.1", 0.1, 7462016.0, 17060744.0, 19110358.0, 8501895.0, 41256911.0,
-       130692087.0, 229273160.0,
+       130692087.0, 229273160.0, 1408255473.0,
        {16377178.0, 15802133.0, 18609972.0, 21594033.0, 23130007.0}},
       {"sparse_x0.9", 0.9, 13488172.0, 26738851.0, 42778798.0, 18884487.0, 96724713.0,
-       266148981.0, 222615079.0,
+       266148981.0, 222615079.0, 1420007352.0,
        {51779467.0, 21554348.0, 28847432.0, 19353293.0, 10452327.0}}};
 
   std::string json = "{\n  \"bench\": \"micro_codec\",\n  \"config\": {"
@@ -577,6 +598,23 @@ int run_path_comparison() {
                                   round_trips, pinned, c.baseline_parse, text_table));
     text_rows.push_back(bench_row(c, "path", "format", kBits, format_rate, "round_trips",
                                   round_trips, pinned, c.baseline_format, text_table));
+
+    // The .tests reader: a multi-line text of kReaderWidth-trit cubes (the
+    // corpus cut to whole cubes) to one scan stream. The rate counts cube
+    // characters, one per trit.
+    const scan::TestSet cubes = as_cubes(input, kReaderWidth);
+    const std::string tests_text = scan::format_tests(cubes);
+    const bits::TritVector expected = cubes.serialize();
+    const scan::TestStream read = scan::read_test_stream(tests_text);
+    const bool reader_round_trips = read.stream == expected && read.width == kReaderWidth &&
+                                    read.patterns == cubes.cubes.size();
+    const double reader_rate = chars_per_sec(static_cast<double>(expected.size()), [&] {
+      benchmark::DoNotOptimize(scan::read_test_stream(tests_text));
+    });
+    text_ok = text_ok && reader_round_trips;
+    text_rows.push_back(bench_row(c, "path", "reader", expected.size(), reader_rate,
+                                  "round_trips", reader_round_trips, pinned,
+                                  c.baseline_reader, text_table));
   }
   // Per-class rows: every policy on a corpus 80% of whose characters are
   // all-X, partly specified or fully specified, with the share of
@@ -659,7 +697,8 @@ int run_path_comparison() {
     return 1;
   }
   if (!text_ok) {
-    std::fprintf(stderr, "micro_codec: a text corpus does not survive format + parse\n");
+    std::fprintf(stderr,
+                 "micro_codec: a text corpus does not survive format + parse or the reader\n");
     return 1;
   }
   return 0;

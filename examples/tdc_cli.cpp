@@ -200,8 +200,9 @@ int cmd_wave(exp::Args& args) {
   if (!accept(args, 2, 3, &pos)) return usage();
   std::uint32_t k = 10;  // clock ratio
   if (pos.size() == 3) {
+    // k counts internal cycles per tester bit, so 0 is no ratio at all.
     const std::optional<std::uint32_t> ratio = exp::parse_u32(pos[2]);
-    if (!ratio) {
+    if (!ratio || *ratio == 0) {
       throw std::invalid_argument("clock ratio: expected an unsigned integer, got '" + pos[2] +
                                   "'");
     }
@@ -450,8 +451,7 @@ int cmd_stats(exp::Args& args) {
 
   // A raw test set: run the full encode + decode cycle and report both sides.
   config.validate();
-  const scan::TestSet tests = scan::read_tests_file(path);
-  const bits::TritVector stream = tests.serialize();
+  const bits::TritVector stream = scan::read_test_stream_file(path).stream;
   const auto encoded = lzw::Encoder(config).encode(stream);
   bits::BitReader reader(encoded.stream);
   const auto decoded =
@@ -785,11 +785,11 @@ int cmd_inspect(exp::Args& args) {
     return 0;
   }
   // Not a readable container: try the .tests format.
-  const scan::TestSet tests = scan::read_tests_file(path);
+  const scan::TestStream tests = scan::read_test_stream_file(path);
   std::printf("%s: test set '%s', %llu patterns x %u bits, %.1f%% don't-cares\n",
               path.c_str(), tests.circuit.c_str(),
-              static_cast<unsigned long long>(tests.pattern_count()), tests.width,
-              100.0 * tests.x_density());
+              static_cast<unsigned long long>(tests.patterns), tests.width,
+              100.0 * tests.stream.x_density());
   return 0;
 }
 

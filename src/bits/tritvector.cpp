@@ -1,5 +1,6 @@
 #include "bits/tritvector.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <utility>
@@ -46,17 +47,52 @@ TritVector TritVector::from_value_plane(std::vector<std::uint64_t> values,
 
 TritVector TritVector::from_string(std::string_view s) {
   TritVector v;
-  v.size_ = s.size();
-  v.care_.resize(words_for(s.size()));
-  v.value_.resize(words_for(s.size()));
-  if (const std::size_t bad =
-          simd::parse_trit_chars(s.data(), s.size(), v.care_.data(), v.value_.data());
-      bad != s.size()) {
-    Error{ErrorKind::InvalidInput, "TritVector::from_string: bad character '" +
-                                       std::string(1, s[bad]) + "'"}
-        .raise();
-  }
+  v.append_chars(s);
   return v;
+}
+
+void TritVector::append_chars(std::string_view s) {
+  const std::size_t at = size_;
+  care_.resize(words_for(at + s.size()), 0);
+  value_.resize(words_for(at + s.size()), 0);
+  // The head completes the partly filled last word; storage past size() is
+  // zero (normal form), so its bits OR in above the ones already there.
+  const std::size_t used = at % 64;
+  const std::size_t head = used == 0 ? 0 : std::min(64 - used, s.size());
+  std::size_t bad = 0;
+  if (head != 0) {
+    std::uint64_t care = 0;
+    std::uint64_t value = 0;
+    bad = simd::parse_trit_chars(s.data(), head, &care, &value);
+    if (bad == head) {
+      care_[at / 64] |= care << used;
+      value_[at / 64] |= value << used;
+    }
+  }
+  if (bad == head) {
+    const std::size_t w = (at + head) / 64;
+    bad = head + simd::parse_trit_chars(s.data() + head, s.size() - head,
+                                        care_.data() + w, value_.data() + w);
+  }
+  if (bad == s.size()) {
+    size_ = at + s.size();
+    return;
+  }
+  // Back to the old size, in normal form again.
+  care_.resize(words_for(at));
+  value_.resize(words_for(at));
+  if (used != 0) {
+    care_.back() &= low_mask(static_cast<unsigned>(used));
+    value_.back() &= low_mask(static_cast<unsigned>(used));
+  }
+  Error{ErrorKind::InvalidInput,
+        "TritVector::from_string: bad character '" + std::string(1, s[bad]) + "'"}
+      .raise();
+}
+
+void TritVector::reserve(std::size_t n) {
+  care_.reserve(words_for(n));
+  value_.reserve(words_for(n));
 }
 
 Trit TritVector::get(std::size_t i) const {

@@ -35,8 +35,20 @@ class TritVector {
 
   /// Parses a textual cube, e.g. "01XX10-1" ('x' and '-' are X aliases),
   /// 64 characters per kernel step. Any other byte raises InvalidInput
-  /// (std::invalid_argument) naming the first such byte.
+  /// (std::invalid_argument) naming the first such byte. append_chars on an
+  /// empty vector.
   static TritVector from_string(std::string_view s);
+
+  /// Appends the trits of the text `s`, parsed as from_string parses it,
+  /// at the current end: the characters that complete a partly filled last
+  /// word are shifted in, the rest are parsed in place, 64 per kernel step.
+  /// A bad byte raises from_string's InvalidInput and leaves the vector as
+  /// it was.
+  void append_chars(std::string_view s);
+
+  /// Makes room for `n` trits in all, so appends up to that size do not
+  /// reallocate.
+  void reserve(std::size_t n);
 
   /// Number of trits.
   std::size_t size() const { return size_; }

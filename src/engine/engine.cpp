@@ -25,7 +25,7 @@ namespace {
 /// One job in flight: the spec plus whatever earlier stages produced.
 struct Job {
   const JobSpec* spec = nullptr;
-  bits::TritVector stream;        // load
+  std::shared_ptr<const bits::TritVector> stream;  // load
   lzw::EncodeResult encoded;      // encode, legacy whole-buffer LZW
   codec::EncodedChunks chunks;    // encode, codec= per-chunk selection
   std::string container;          // containerize
@@ -107,12 +107,13 @@ void init_outcome(Job& job) {
 
 Status stage_load(GenMemo& gen, Job& job) {
   const JobSpec& spec = *job.spec;
-  if (spec.inline_tests) {
-    job.stream = spec.inline_tests->serialize();
+  if (spec.inline_stream) {
+    job.stream = spec.inline_stream;
     return {};
   }
   if (!spec.input_path.empty()) {
-    job.stream = scan::read_tests_file(spec.input_path).serialize();
+    job.stream = std::make_shared<const bits::TritVector>(
+        scan::read_test_stream_file(spec.input_path).stream);
     return {};
   }
   // gen= source: memoized exp::prepare so concurrent jobs over the same
@@ -140,7 +141,7 @@ Status stage_load(GenMemo& gen, Job& job) {
       promise.set_exception(std::current_exception());
     }
   }
-  job.stream = *future.get();
+  job.stream = future.get();
   return {};
 }
 
@@ -157,7 +158,7 @@ Status stage_encode(Job& job, obs::MetricsRegistry& metrics) {
     options.tiebreak = spec.tiebreak;
     if (spec.chunk_trits != 0) options.chunk_trits = spec.chunk_trits;
     Result<codec::EncodedChunks> chunks =
-        codec::encode_chunks(job.stream, options, &metrics);
+        codec::encode_chunks(*job.stream, options, &metrics);
     if (!chunks.ok()) return chunks.error();
     job.chunks = std::move(chunks).take();
     job.outcome.original_bits = job.chunks.original_bits;
@@ -168,7 +169,7 @@ Status stage_encode(Job& job, obs::MetricsRegistry& metrics) {
     return {};
   }
   const lzw::Encoder encoder(spec.config, spec.tiebreak);
-  job.encoded = encoder.encode(job.stream, spec.xassign, spec.rng_seed);
+  job.encoded = encoder.encode(*job.stream, spec.xassign, spec.rng_seed);
   job.outcome.original_bits = job.encoded.original_bits;
   job.outcome.compressed_bits = job.encoded.compressed_bits();
   job.outcome.ratio_percent = job.encoded.ratio_percent();
@@ -204,10 +205,10 @@ Status stage_verify(Job& job) {
   // through the codec registry, so one verify covers both container paths.
   Result<bits::TritVector> decoded = codec::decode_image(image.value());
   if (!decoded.ok()) return decoded.error();
-  if (decoded.value().size() != job.stream.size()) {
+  if (decoded.value().size() != job.stream->size()) {
     return Error{ErrorKind::StreamTooShort, "decoded stream length mismatch"};
   }
-  if (!job.stream.covered_by(decoded.value())) {
+  if (!job.stream->covered_by(decoded.value())) {
     return Error{ErrorKind::ConfigMismatch,
                  "decoded stream does not cover the input care bits"};
   }

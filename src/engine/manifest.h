@@ -6,10 +6,10 @@
 #include <string>
 #include <vector>
 
+#include "bits/tritvector.h"
 #include "core/error.h"
 #include "lzw/encoder.h"
 #include "lzw/stream_io.h"
-#include "scan/testset.h"
 
 namespace tdc::engine {
 
@@ -21,7 +21,9 @@ struct JobSpec {
   // --- input source (exactly one)
   std::string input_path;   ///< a .tests cube file
   std::string gen_circuit;  ///< suite profile name, prepared via exp::prepare
-  std::shared_ptr<const scan::TestSet> inline_tests;  ///< benches/tests
+  /// A scan stream already in memory: tdcd's parsed compress payload, or a
+  /// bench's or test's input.
+  std::shared_ptr<const bits::TritVector> inline_stream;
 
   // --- codec parameterization
   lzw::LzwConfig config;

@@ -41,6 +41,16 @@ struct HwConfig {
   /// while the current one shifts out (a one-code pipeline) — the
   /// extension evaluated by bench/ablation_hw_pipeline.
   bool pipelined = false;
+
+  /// Raises Error{ConfigMismatch} (a std::invalid_argument) unless the LZW
+  /// configuration is realizable and clock_ratio is at least 1: the tester
+  /// cycle count divides by it.
+  void validate() const {
+    lzw.validate();
+    if (clock_ratio == 0) {
+      Error{ErrorKind::ConfigMismatch, "HwConfig: clock_ratio must be at least 1"}.raise();
+    }
+  }
 };
 
 /// Outcome of one simulated download-and-decompress run.
@@ -97,7 +107,7 @@ struct HwRunResult {
 class DecompressorModel {
  public:
   explicit DecompressorModel(const HwConfig& config) : config_(config) {
-    config_.lzw.validate();
+    config_.validate();
   }
 
   const HwConfig& config() const { return config_; }

@@ -87,12 +87,14 @@ HwRunResult DecompressorRtl::run(const lzw::EncodeResult& encoded,
                        lc.code_bits())
             : lc.code_bits();
 
-    // ---- RECEIVE: one tester bit lands every k internal cycles.
+    // ---- RECEIVE: one tester bit lands every k internal cycles. Every
+    // error about this code reports its first bit.
+    const std::size_t code_start = reader.position();
     if (reader.remaining() < width) {
       fail(ErrorKind::CodeStreamTruncated,
            "rtl: tester image ends inside code " + std::to_string(idx) + " of " +
                std::to_string(code_count),
-           idx, reader.position());
+           idx, code_start);
     }
     std::uint32_t got = 0;
     std::uint32_t code_reg = 0;
@@ -112,8 +114,7 @@ HwRunResult DecompressorRtl::run(const lzw::EncodeResult& encoded,
     std::uint32_t decode_cycles;
     if (code < lc.first_code()) {
       if (!dict.defined(code)) {
-        fail(ErrorKind::UndefinedCode, "rtl: literal code out of range", idx,
-             reader.position());
+        fail(ErrorKind::UndefinedCode, "rtl: literal code out of range", idx, code_start);
       }
       entry = dict.expand(code);
       decode_cycles = config_.literal_load_cycles;
@@ -131,7 +132,7 @@ HwRunResult DecompressorRtl::run(const lzw::EncodeResult& encoded,
     } else {
       fail(ErrorKind::UndefinedCode,
            "rtl: code value " + std::to_string(code) + " undefined in stream", idx,
-           reader.position());
+           code_start);
     }
     for (std::uint32_t d = 0; d < decode_cycles; ++d) {
       tick(kDecode, width, code, 0, false, false, false);

@@ -18,7 +18,7 @@ namespace tdc::hw {
 class DecompressorRtl {
  public:
   explicit DecompressorRtl(const HwConfig& config) : config_(config) {
-    config_.lzw.validate();
+    config_.validate();
   }
 
   const HwConfig& config() const { return config_; }

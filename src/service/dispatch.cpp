@@ -231,13 +231,13 @@ Frame Dispatcher::dispatch(const Frame& request) {
         return resp;
       }
       // Not a readable container: try the .tests text format.
-      const scan::TestSet tests = scan::read_tests(payload);
+      const scan::TestStream tests = scan::read_test_stream(payload);
       char buf[256];
       std::snprintf(buf, sizeof buf,
                     "test set '%s', %llu patterns x %u bits, %.1f%% don't-cares",
                     tests.circuit.c_str(),
-                    static_cast<unsigned long long>(tests.pattern_count()),
-                    tests.width, 100.0 * tests.x_density());
+                    static_cast<unsigned long long>(tests.patterns), tests.width,
+                    100.0 * tests.stream.x_density());
       Frame resp;
       resp.op = "ok";
       resp.add_param("kind", "tests");
@@ -265,8 +265,8 @@ Frame Dispatcher::do_compress(const Frame& request) {
   if (checked.ok()) checked = engine::check_job(spec);
   if (checked.ok()) {
     checked = engine::guarded([&spec, &request]() -> Status {
-      spec.inline_tests =
-          std::make_shared<const scan::TestSet>(scan::read_tests(request.payload));
+      spec.inline_stream = std::make_shared<const bits::TritVector>(
+          scan::read_test_stream(request.payload).stream);
       return {};
     });
   }

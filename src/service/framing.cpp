@@ -82,12 +82,11 @@ bool Frame::has_param(const std::string& key) const {
   return false;
 }
 
-Result<std::string> encode_frame(const Frame& frame) {
+Result<std::string> encode_frame_header(const Frame& frame) {
   if (!valid_token(frame.id) || !valid_token(frame.op)) {
     return protocol_error("frame id and op must be non-empty space-free tokens");
   }
   std::string out;
-  out.reserve(64 + frame.payload.size());
   out += kMagic;
   out += ' ';
   out += frame.id;
@@ -105,14 +104,13 @@ Result<std::string> encode_frame(const Frame& frame) {
   }
   out += '\n';
   put_u64_le(out, frame.payload.size());
-  out += frame.payload;
   return out;
 }
 
 Status write_frame(int fd, const Frame& frame, int timeout_ms) {
-  Result<std::string> wire = encode_frame(frame);
-  if (!wire.ok()) return wire.error();
-  return write_all(fd, wire.value().data(), wire.value().size(), timeout_ms);
+  Result<std::string> header = encode_frame_header(frame);
+  if (!header.ok()) return header.error();
+  return write_all(fd, header.value(), frame.payload, timeout_ms);
 }
 
 Status FrameReader::fill(std::size_t n) {
@@ -168,7 +166,6 @@ Result<bool> FrameReader::read(Frame& out) {
   out.id = tokens[1];
   out.op = tokens[2];
   out.params.clear();
-  out.payload.clear();
   if (!valid_token(out.id) || !valid_token(out.op)) {
     return protocol_error("empty id or op in frame header");
   }
@@ -191,12 +188,15 @@ Result<bool> FrameReader::read(Frame& out) {
                           std::to_string(limits_.max_payload_bytes) + "-byte cap");
   }
 
+  // The payload is sized once, reusing any capacity `out` kept from an
+  // earlier frame. The bytes already buffered are copied in, and the rest
+  // is read straight into place.
   const std::size_t size = static_cast<std::size_t>(declared);
   const std::size_t from_buffer = buffer_.size() < size ? buffer_.size() : size;
-  out.payload.assign(buffer_.data(), from_buffer);
+  out.payload.resize(size);
+  buffer_.copy(out.payload.data(), from_buffer);
   buffer_.erase(0, from_buffer);
   if (from_buffer < size) {
-    out.payload.resize(size);
     if (Status s = read_exact(fd_, out.payload.data() + from_buffer,
                               size - from_buffer, timeout_ms_);
         !s.ok()) {

@@ -47,14 +47,16 @@ struct FrameLimits {
   std::size_t max_payload_bytes = 256ull << 20;  // 256 MiB
 };
 
-/// Renders header line + length prefix + payload into one contiguous buffer
-/// (a single write_all per frame). Raises ContractViolation via Status if a
-/// token contains a space or newline — ids, ops and params are ASCII tokens
-/// by construction; bulk data belongs in the payload.
-Result<std::string> encode_frame(const Frame& frame);
+/// Renders the header line and the length prefix: the bytes that go before
+/// the payload. A ProtocolError if a token contains a space or newline —
+/// ids, ops and params are ASCII tokens by construction; bulk data belongs
+/// in the payload.
+Result<std::string> encode_frame_header(const Frame& frame);
 
-/// Encodes and writes one frame. `timeout_ms` bounds each poll wait (the
-/// slow-reader contract of write_all).
+/// Writes one frame: the encoded header and the payload leave together in
+/// one gather write (sendmsg over two buffers), so the payload is never
+/// copied. `timeout_ms` bounds each poll wait (the slow-reader contract of
+/// write_all).
 Status write_frame(int fd, const Frame& frame, int timeout_ms);
 
 /// Buffered frame parser over one socket. Distinguishes the three failure
@@ -70,7 +72,10 @@ class FrameReader {
       : fd_(fd), limits_(limits), timeout_ms_(timeout_ms) {}
 
   /// Reads one complete frame into `out`. Returns false on clean EOF before
-  /// the first byte of a new frame; true when `out` holds a frame.
+  /// the first byte of a new frame; true when `out` holds a frame. The
+  /// payload is resized once to the declared length, after the cap check,
+  /// and filled in place; a caller that passes the same Frame again reuses
+  /// its payload's capacity. On an error `out` holds no frame.
   Result<bool> read(Frame& out);
 
  private:

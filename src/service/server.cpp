@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <fstream>
+#include <string>
 #include <utility>
 
 #include <poll.h>
@@ -14,6 +15,12 @@
 namespace tdc::service {
 
 namespace {
+
+/// The most payload capacity a connection keeps between requests. A run
+/// of large requests reuses one buffer instead of allocating, faulting in
+/// and freeing a fresh one per frame; past this cap the buffer is released
+/// after its request, so an idle connection holds at most this much.
+constexpr std::size_t kKeptPayloadBytes = 1 << 20;
 
 Frame busy_refusal() {
   Error e;
@@ -151,8 +158,8 @@ void Server::serve_connection(Connection* conn) {
   FrameReader reader(
       fd, FrameLimits{.max_payload_bytes = options_.max_payload_bytes},
       options_.io_timeout_ms);
+  Frame request;  // kept across requests, see kKeptPayloadBytes
   for (;;) {
-    Frame request;
     Result<bool> got = reader.read(request);
     if (!got.ok()) {
       if (got.error().kind == ErrorKind::ProtocolError) {
@@ -169,6 +176,7 @@ void Server::serve_connection(Connection* conn) {
     if (!got.value()) break;  // clean EOF: the peer is done
 
     const Frame response = dispatcher_.handle(request);
+    if (request.payload.capacity() > kKeptPayloadBytes) std::string().swap(request.payload);
     if (Status s = write_frame(fd, response, options_.io_timeout_ms); !s.ok()) {
       metrics_.counter("serve.io_errors").add();
       log_.warn("conn.write_failed").str("detail", s.error().describe());

@@ -8,6 +8,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -116,13 +117,35 @@ Result<Fd> connect_unix_retry(const std::string& path, int wait_ms) {
 }
 
 Status write_all(int fd, const void* data, std::size_t size, int timeout_ms) {
-  const char* p = static_cast<const char*>(data);
-  std::size_t remaining = size;
-  while (remaining > 0) {
-    const ssize_t n = ::send(fd, p, remaining, MSG_NOSIGNAL);
+  return write_all(fd, std::string_view(static_cast<const char*>(data), size), {},
+                   timeout_ms);
+}
+
+Status write_all(int fd, std::string_view head, std::string_view body, int timeout_ms) {
+  iovec parts[2] = {{const_cast<char*>(head.data()), head.size()},
+                    {const_cast<char*>(body.data()), body.size()}};
+  iovec* next = parts;
+  std::size_t left = 2;
+  // Drops the parts the last send finished, and trims a part it cut short.
+  const auto advance = [&](std::size_t sent) {
+    while (left > 0 && sent >= next->iov_len) {
+      sent -= next->iov_len;
+      ++next;
+      --left;
+    }
+    if (left > 0) {
+      next->iov_base = static_cast<char*>(next->iov_base) + sent;
+      next->iov_len -= sent;
+    }
+  };
+  advance(0);
+  while (left > 0) {
+    msghdr msg{};
+    msg.msg_iov = next;
+    msg.msg_iovlen = left;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n > 0) {
-      p += n;
-      remaining -= static_cast<std::size_t>(n);
+      advance(static_cast<std::size_t>(n));
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "core/error.h"
@@ -69,6 +70,12 @@ Result<Fd> connect_unix_retry(const std::string& path, int wait_ms);
 /// the slow-reader backpressure contract of the daemon. Sends with
 /// SIGPIPE suppressed: a vanished peer is an IoError, never a signal.
 Status write_all(int fd, const void* data, std::size_t size, int timeout_ms);
+
+/// write_all of `head` then `body` as one byte sequence, gathered by
+/// sendmsg from both buffers, so neither is copied into the other. One
+/// send loop serves both forms: short writes resume mid-buffer and EAGAIN
+/// polls, under the same timeout and SIGPIPE rules.
+Status write_all(int fd, std::string_view head, std::string_view body, int timeout_ms);
 
 /// Reads exactly `size` bytes, with the same timeout discipline. EOF before
 /// `size` bytes is IoError (message "connection closed").

@@ -170,6 +170,13 @@ for VALUE in 4294967297 +4; do
   fi
   grep -qF -- "clock ratio: expected an unsigned integer, got '$VALUE'" "$WORK/num.txt"
 done
+# A clock ratio of 0 (tester cycles divide by it) gets the same refusal,
+# exit 1, and no waveform is written.
+STATUS=0
+"$CLI" wave "$WORK/c.tdclzw" "$WORK/k0.vcd" 0 >/dev/null 2>"$WORK/num.txt" || STATUS=$?
+test "$STATUS" -eq 1
+grep -qF -- "clock ratio: expected an unsigned integer, got '0'" "$WORK/num.txt"
+test ! -e "$WORK/k0.vcd"
 
 # compress --stats emits the same telemetry alongside the container, and the
 # multi-input form is byte-identical for any --jobs (input order, not

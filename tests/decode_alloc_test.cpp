@@ -1,20 +1,26 @@
 // Decode memory follows the stream, not the header: the decode core sizes
 // its entries, child index and output from the adds a stream can make, so
 // an untrusted header declaring N = 2^20 costs a 10-code stream a few
-// hundred bytes, not N-sized state. This binary replaces the global
-// operator new to count the bytes one decode allocates; it is its own
-// binary so no other suite runs under the counting allocator.
+// hundred bytes, not N-sized state. The .tests reader keeps the same rule:
+// its stream is reserved from the bytes it can still read, never from the
+// header's width x patterns. This binary replaces the global operator new
+// to count the bytes one read allocates; it is its own binary so no other
+// suite runs under the counting allocator.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <sstream>
+#include <string>
+#include <string_view>
 
 #include "bits/bitstream.h"
 #include "bits/rng.h"
 #include "bits/tritvector.h"
 #include "lzw/decoder.h"
 #include "lzw/encoder.h"
+#include "scan/testset_io.h"
 
 namespace {
 std::size_t g_allocated = 0;
@@ -63,3 +69,39 @@ TEST(DecodeAlloc, HeaderDictSizeDoesNotSizeDecodeState) {
 
 }  // namespace
 }  // namespace tdc::lzw
+
+namespace tdc::scan {
+namespace {
+
+TEST(ReadTestsAlloc, HeaderCountsDoNotSizeTheStream) {
+  // Ten cube bytes under headers that declare up to 2^32 - 1 patterns of
+  // 2^32 - 1 trits: one refused at the cube's width, one at the count.
+  const std::string texts[] = {
+      "circuit c\nwidth 4294967295\npatterns 4294967295\n0101XX10X1\n",
+      "circuit c\nwidth 10\npatterns 4294967295\n0101XX10X1\n",
+  };
+  for (const std::string& text : texts) {
+    for (const bool streamed : {false, true}) {
+      SCOPED_TRACE(text + (streamed ? " (istream)" : " (in place)"));
+      std::istringstream in(text);
+      bool refused = false;
+      g_allocated = 0;
+      g_counting = true;
+      try {
+        if (streamed) {
+          (void)read_test_stream(in);
+        } else {
+          (void)read_test_stream(std::string_view(text));
+        }
+      } catch (const TdcErrorBase& e) {
+        refused = e.error().kind == ErrorKind::InvalidInput;
+      }
+      g_counting = false;
+      EXPECT_TRUE(refused);
+      EXPECT_LT(g_allocated, 4096u);
+    }
+  }
+}
+
+}  // namespace
+}  // namespace tdc::scan

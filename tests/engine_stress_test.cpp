@@ -16,26 +16,22 @@
 #include <vector>
 
 #include "bits/rng.h"
+#include "bits/tritvector.h"
 #include "engine/engine.h"
 #include "engine/manifest.h"
-#include "scan/testset.h"
 
 namespace tdc::engine {
 namespace {
 
-std::shared_ptr<const scan::TestSet> tiny_tests(std::uint64_t seed) {
+std::shared_ptr<const bits::TritVector> tiny_stream(std::uint64_t seed) {
   bits::Rng rng(seed);
-  auto tests = std::make_shared<scan::TestSet>();
-  tests->circuit = "stress";
-  tests->width = 512;
-  bits::TritVector cube(512);
+  auto stream = std::make_shared<bits::TritVector>(512);
   for (std::size_t i = 0; i < 512; ++i) {
     if (!rng.chance(0.8)) {
-      cube.set(i, rng.bit() ? bits::Trit::One : bits::Trit::Zero);
+      stream->set(i, rng.bit() ? bits::Trit::One : bits::Trit::Zero);
     }
   }
-  tests->cubes.push_back(std::move(cube));
-  return tests;
+  return stream;
 }
 
 /// Worker count under test: $TDC_JOBS if set (the CI job exports 8), else 8
@@ -63,7 +59,7 @@ Manifest stress_manifest(std::size_t jobs, bool with_failures) {
     if (with_failures && i % 7 == 3) {
       spec.input_path = "/nonexistent/stress.tests";  // fails in load
     } else {
-      spec.inline_tests = tiny_tests(0xBEEF + i);
+      spec.inline_stream = tiny_stream(0xBEEF + i);
     }
     manifest.jobs.push_back(std::move(spec));
   }

@@ -226,6 +226,11 @@ std::shared_ptr<const scan::TestSet> synthetic_tests(std::uint64_t seed,
   return tests;
 }
 
+/// synthetic_tests' scan stream, as a job's inline input.
+std::shared_ptr<const bits::TritVector> synthetic_stream(std::uint64_t seed) {
+  return std::make_shared<const bits::TritVector>(synthetic_tests(seed)->serialize());
+}
+
 /// Ten inline jobs: each tiebreak against both container versions, a pinch
 /// of xassign/variable variety. Containers stay in memory (no out=).
 Manifest inline_manifest() {
@@ -236,7 +241,7 @@ Manifest inline_manifest() {
   for (int i = 0; i < 10; ++i) {
     JobSpec spec;
     spec.name = "inline" + std::to_string(i);
-    spec.inline_tests = synthetic_tests(100 + i);
+    spec.inline_stream = synthetic_stream(100 + i);
     spec.config = lzw::LzwConfig{.dict_size = 256, .char_bits = 7, .entry_bits = 63};
     spec.config.variable_width = i % 3 == 0;
     spec.tiebreak = tiebreaks[i % 5];
@@ -288,14 +293,14 @@ TEST(EngineTest, OutcomeCarriesTheEncodeReport) {
   for (const char* codec : {"", "auto"}) {
     JobSpec& spec = manifest.jobs.emplace_back();
     spec.name = codec;
-    spec.inline_tests = synthetic_tests(7);
+    spec.inline_stream = synthetic_stream(7);
     spec.config.dict_size = 256;
     spec.codec = codec;
     spec.chunk_trits = *codec != '\0' ? 512 : 0;
   }
   const BatchResult result = run_with_workers(manifest, 2);
   ASSERT_EQ(result.ok_count(), 2u);
-  const bits::TritVector stream = manifest.jobs[0].inline_tests->serialize();
+  const bits::TritVector& stream = *manifest.jobs[0].inline_stream;
 
   const lzw::EncodeResult encoded = lzw::Encoder(manifest.jobs[0].config).encode(stream);
   const JobOutcome& lzw_job = result.jobs[0];
@@ -473,7 +478,7 @@ TEST(EngineTest, FailFastCancelsPendingJobs) {
   for (int i = 0; i < 12; ++i) {
     JobSpec spec;
     spec.name = "ok" + std::to_string(i);
-    spec.inline_tests = synthetic_tests(500 + i);
+    spec.inline_stream = synthetic_stream(500 + i);
     spec.config = lzw::LzwConfig{.dict_size = 256, .char_bits = 7, .entry_bits = 63};
     manifest.jobs.push_back(std::move(spec));
   }
@@ -623,7 +628,7 @@ TEST(JobRunnerTest, KeepsFailuresTypedAndIsolated) {
 
   JobSpec good;
   good.name = "good";
-  good.inline_tests = synthetic_tests(1);
+  good.inline_stream = synthetic_stream(1);
   EXPECT_TRUE(run_one(runner, std::move(good)).ok());
   EXPECT_EQ(runner.metrics().counter("runner.failed").value(), 1u);
   EXPECT_EQ(runner.metrics().counter("runner.ok").value(), 1u);
@@ -639,7 +644,7 @@ TEST(JobRunnerTest, RefusesSubmissionsPastTheInFlightCap) {
 
   JobSpec spec;
   spec.name = "refused";
-  spec.inline_tests = synthetic_tests(2);
+  spec.inline_stream = synthetic_stream(2);
   EXPECT_FALSE(runner.run(std::move(spec)).has_value());
   EXPECT_FALSE(runner.run_task([] {}));
   EXPECT_EQ(runner.metrics().counter("runner.busy_rejects").value(), 2u);
@@ -650,7 +655,7 @@ TEST(JobRunnerTest, RefusesSubmissionsPastTheInFlightCap) {
   // Capacity is available again once the call has returned.
   JobSpec retry;
   retry.name = "retry";
-  retry.inline_tests = synthetic_tests(3);
+  retry.inline_stream = synthetic_stream(3);
   EXPECT_TRUE(run_one(runner, std::move(retry)).ok());
 }
 
@@ -671,7 +676,7 @@ TEST(JobRunnerTest, InFlightGaugeSettlesAtZeroWithPeakAtTheCap) {
   for (int i = 0; i < 4; ++i) EXPECT_FALSE(runner.run_task([] {}));
   JobSpec spec;
   spec.name = "refused";
-  spec.inline_tests = synthetic_tests(4);
+  spec.inline_stream = synthetic_stream(4);
   EXPECT_FALSE(runner.run(std::move(spec)).has_value());
   EXPECT_EQ(registry.counter("runner.busy_rejects").value(), 5u);
   EXPECT_EQ(registry.gauge("runner.in_flight").value(),
@@ -753,7 +758,7 @@ TEST(JobRunnerTest, StopDrainsQueuedWorkAndStaysIdempotent) {
   EXPECT_FALSE(runner.run_task([] {}));  // stopped runners refuse work
   JobSpec spec;
   spec.name = "late";
-  spec.inline_tests = synthetic_tests(5);
+  spec.inline_stream = synthetic_stream(5);
   EXPECT_FALSE(runner.run(std::move(spec)).has_value());
   EXPECT_EQ(runner.in_flight(), 0u);
 }

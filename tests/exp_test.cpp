@@ -1,13 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
 #include <sstream>
+#include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
+#include "bits/rng.h"
 #include "exp/flow.h"
 #include "exp/table.h"
+#include "reference_testset_io.h"
 #include "scan/testset_io.h"
 
 namespace tdc {
@@ -142,6 +149,220 @@ TEST(TestSetIoTest, FileRoundTrip) {
   EXPECT_EQ(back.cubes, ts.cubes);
   std::filesystem::remove(path);
   EXPECT_THROW(scan::read_tests_file(path), std::runtime_error);
+}
+
+// ---------------------------------------------------------------- TestsReader
+
+/// What one read gave: the stream and header fields, or the error.
+struct ReadOutcome {
+  bool ok = false;
+  std::string circuit;
+  std::uint32_t width = 0;
+  std::uint64_t patterns = 0;
+  TritVector stream;
+  ErrorKind kind = ErrorKind::IoError;
+  std::string message;
+};
+
+template <class Read>
+ReadOutcome read_outcome(const Read& read) {
+  ReadOutcome out;
+  try {
+    scan::TestStream s = read();
+    out.ok = true;
+    out.circuit = std::move(s.circuit);
+    out.width = s.width;
+    out.patterns = s.patterns;
+    out.stream = std::move(s.stream);
+  } catch (const TdcErrorBase& e) {
+    out.kind = e.error().kind;
+    out.message = e.error().message;
+  }
+  return out;
+}
+
+/// The reference's outcome: getline + LineParser, then serialize().
+ReadOutcome reference_outcome(const std::string& text) {
+  return read_outcome([&text] {
+    const scan::TestSet ts = reference::read_tests(std::string_view(text));
+    return scan::TestStream{ts.circuit, ts.width, ts.cubes.size(), ts.serialize()};
+  });
+}
+
+/// Feeds `text` to one TestsReader in blocks whose sizes `next_block`
+/// picks.
+template <class NextBlock>
+ReadOutcome fed_outcome(const std::string& text, NextBlock next_block) {
+  return read_outcome([&] {
+    scan::TestsReader reader;
+    for (std::size_t at = 0; at < text.size();) {
+      const std::size_t n = std::min(next_block(), text.size() - at);
+      reader.feed(std::string_view(text).substr(at, n));
+      at += n;
+    }
+    return reader.finish();
+  });
+}
+
+/// `text` with newlines and other control or high bytes escaped, for the
+/// failure trace.
+std::string printable(const std::string& text) {
+  std::string out;
+  for (const char c : text) {
+    if (c == '\n') {
+      out += "\\n";
+    } else if (static_cast<unsigned char>(c) < 0x20 || static_cast<unsigned char>(c) >= 0x7f) {
+      char hex[8];
+      std::snprintf(hex, sizeof hex, "\\x%02x", static_cast<unsigned char>(c));
+      out += hex;
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+/// Reads `text` whole, through an istream, byte by byte and in random
+/// block splits, and expects each read to match the reference. Returns
+/// whether the reference accepted the text.
+bool expect_reader_matches_reference(const std::string& text, bits::Rng& rng) {
+  SCOPED_TRACE(printable(text));
+  const ReadOutcome want = reference_outcome(text);
+  const std::pair<const char*, ReadOutcome> reads[] = {
+      {"whole", read_outcome([&] { return scan::read_test_stream(std::string_view(text)); })},
+      {"istream", read_outcome([&] {
+         std::istringstream in(text);
+         return scan::read_test_stream(in);
+       })},
+      {"bytes", fed_outcome(text, [] { return std::size_t{1}; })},
+      {"blocks", fed_outcome(text, [&rng] { return 1 + rng.below(97); })},
+  };
+  for (const auto& [how, got] : reads) {
+    SCOPED_TRACE(how);
+    EXPECT_EQ(got.ok, want.ok) << (got.ok ? want.message : got.message);
+    if (got.ok && want.ok) {
+      EXPECT_EQ(got.circuit, want.circuit);
+      EXPECT_EQ(got.width, want.width);
+      EXPECT_EQ(got.patterns, want.patterns);
+      EXPECT_EQ(got.stream, want.stream);
+    } else if (!got.ok && !want.ok) {
+      EXPECT_EQ(got.kind, want.kind);
+      EXPECT_EQ(got.message, want.message);
+    }
+  }
+  // The TestSet form cuts the same cubes the reference built.
+  if (want.ok) {
+    EXPECT_EQ(scan::read_tests(std::string_view(text)).cubes,
+              reference::read_tests(std::string_view(text)).cubes);
+  }
+  return want.ok;
+}
+
+/// A seeded .tests text as lines (no '\n'): header lines with comments,
+/// blank lines, leading blanks and a trailing '\r' here and there, then
+/// `patterns` cubes of `width` characters over all five trit spellings,
+/// comments and blank lines between them. Cube lines are the ones
+/// `cube_lines` lists.
+std::vector<std::string> seeded_lines(bits::Rng& rng, std::uint32_t width,
+                                      std::uint32_t patterns,
+                                      std::vector<std::size_t>& cube_lines) {
+  std::vector<std::string> lines;
+  const auto noise = [&] {
+    if (rng.chance(0.2)) lines.push_back("# note " + std::to_string(rng.below(1000)));
+    if (rng.chance(0.2)) lines.emplace_back();
+  };
+  const auto header = [&](const std::string& line) {
+    noise();
+    lines.push_back((rng.chance(0.2) ? " \t" : "") + line + (rng.chance(0.2) ? "\r" : ""));
+  };
+  if (rng.bit()) lines.push_back("# opentdc test set");
+  header("circuit c" + std::to_string(rng.below(100)));
+  header("width " + std::to_string(width));
+  header("patterns " + std::to_string(patterns));
+  for (std::uint32_t p = 0; p < patterns; ++p) {
+    noise();
+    std::string cube(width, '0');
+    for (char& c : cube) c = "01Xx-"[rng.below(5)];
+    cube_lines.push_back(lines.size());
+    lines.push_back(std::move(cube));
+  }
+  noise();
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines, bool final_newline) {
+  std::string text;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    text += lines[i];
+    if (i + 1 < lines.size() || final_newline) text += '\n';
+  }
+  return text;
+}
+
+TEST(TestsReaderTest, MatchesTheReferenceForAnySplit) {
+  bits::Rng rng(0x7E575);
+  constexpr char kBadBytes[] = {'2', '?', ' ', '\t', '\r', '\0', 'Y', '\xff', '#'};
+  std::size_t accepted = 0, refused = 0;
+  const auto check = [&](const std::string& text) {
+    (expect_reader_matches_reference(text, rng) ? accepted : refused) += 1;
+  };
+  for (int round = 0; round < 24; ++round) {
+    // Widths on both sides of every 64-trit word boundary a cube can start
+    // at, and empty sets.
+    const auto width = static_cast<std::uint32_t>(1 + rng.below(round % 3 == 0 ? 200 : 70));
+    const auto patterns = static_cast<std::uint32_t>(rng.below(6));
+    std::vector<std::size_t> cubes;
+    std::vector<std::string> lines = seeded_lines(rng, width, patterns, cubes);
+    check(join_lines(lines, true));
+    check(join_lines(lines, false));  // no final newline
+    const std::string text = join_lines(lines, true);
+    check(text.substr(0, rng.below(text.size() + 1)));  // cut anywhere
+    if (!cubes.empty()) {
+      const std::size_t victim = cubes[rng.below(cubes.size())];
+      // A bad byte at every position of one cube.
+      for (std::size_t i = 0; i < width; ++i) {
+        std::vector<std::string> bad = lines;
+        bad[victim][i] = kBadBytes[rng.below(std::size(kBadBytes))];
+        check(join_lines(bad, rng.bit()));
+      }
+      // One trit too many or too few, and a CRLF cube.
+      for (const int delta : {1, -1}) {
+        std::vector<std::string> wrong = lines;
+        if (delta > 0) {
+          wrong[victim] += 'X';
+        } else {
+          wrong[victim].pop_back();
+        }
+        check(join_lines(wrong, rng.bit()));
+      }
+      std::vector<std::string> crlf = lines;
+      crlf[victim] += '\r';
+      check(join_lines(crlf, true));
+    }
+    // Pattern counts one off either way, and odd header values.
+    for (const std::string& count :
+         {std::to_string(patterns + 1), std::to_string(patterns == 0 ? 7 : patterns - 1)}) {
+      std::vector<std::string> wrong = lines;
+      for (std::string& line : wrong) {
+        if (line.find("patterns ") != std::string::npos) line = "patterns " + count;
+      }
+      check(join_lines(wrong, true));
+    }
+    for (const char* value : {"+5", "abc", "-1", "99999999999", "5x", ""}) {
+      std::vector<std::string> odd = lines;
+      for (std::string& line : odd) {
+        if (line.find("width ") != std::string::npos) line = std::string("width ") + value;
+      }
+      check(join_lines(odd, true));
+    }
+    std::vector<std::string> unknown = lines;
+    const std::size_t before = rng.below(cubes.empty() ? 1 : cubes.front() + 1);
+    unknown.insert(unknown.begin() + static_cast<std::ptrdiff_t>(before), "colour blue");
+    check(join_lines(unknown, true));
+  }
+  // Both outcomes are exercised in bulk.
+  EXPECT_GE(accepted, 48u);
+  EXPECT_GE(refused, 500u);
 }
 
 // ---------------------------------------------------------------- vertical fill

@@ -109,6 +109,26 @@ TEST(DecompressorModelTest, RejectsCorruptStream) {
   EXPECT_THROW(hw.run(fake), std::invalid_argument);
 }
 
+// Tester cycles divide by k, so a ratio of 0 is refused where either model
+// is built, as a typed ConfigMismatch.
+TEST(DecompressorModelTest, ZeroClockRatioIsRefusedAtConstruction) {
+  const HwConfig zero{.lzw = paper_config(), .clock_ratio = 0};
+  for (const bool rtl : {false, true}) {
+    try {
+      if (rtl) {
+        (void)DecompressorRtl(zero);
+      } else {
+        (void)DecompressorModel(zero);
+      }
+      ADD_FAILURE() << (rtl ? "DecompressorRtl" : "DecompressorModel") << " took k = 0";
+    } catch (const TdcErrorBase& e) {
+      EXPECT_EQ(e.error().kind, ErrorKind::ConfigMismatch);
+      EXPECT_EQ(e.error().message, "HwConfig: clock_ratio must be at least 1");
+    }
+  }
+  EXPECT_NO_THROW((void)DecompressorModel(HwConfig{.lzw = paper_config(), .clock_ratio = 1}));
+}
+
 // ---------------------------------------------------------------- timing model
 
 TEST(DecompressorModelTest, SerialModeMatchesAnalyticFormula) {

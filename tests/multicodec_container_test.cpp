@@ -193,10 +193,11 @@ TEST(MultiCodecEngineTest, CodecJobsAreDeterministicForAnyWorkerCount) {
     tests->circuit = "inline";
     tests->width = 64;
     for (int p = 0; p < 40; ++p) tests->cubes.push_back(random_cube(64, 0.8, 100 + p));
+    const auto stream = std::make_shared<const TritVector>(tests->serialize());
     for (const char* mode : {"auto", "race", "bwt", "lzw"}) {
       engine::JobSpec spec;
       spec.name = std::string("job_") + mode;
-      spec.inline_tests = tests;
+      spec.inline_stream = stream;
       spec.codec = mode;
       spec.chunk_trits = 640;
       manifest.jobs.push_back(std::move(spec));
@@ -227,10 +228,11 @@ TEST(MultiCodecEngineTest, AutoJobNeverLosesToPureLzwJob) {
   tests->circuit = "inline";
   tests->width = 128;
   for (int p = 0; p < 30; ++p) tests->cubes.push_back(random_cube(128, 0.6, 500 + p));
+  const auto stream = std::make_shared<const TritVector>(tests->serialize());
   for (const char* mode : {"", "auto"}) {
     engine::JobSpec spec;
     spec.name = mode[0] == '\0' ? "pure" : "auto";
-    spec.inline_tests = tests;
+    spec.inline_stream = stream;
     spec.codec = mode;
     manifest.jobs.push_back(std::move(spec));
   }

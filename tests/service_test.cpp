@@ -88,6 +88,50 @@ TEST(FramingTest, BackToBackFramesShareTheBuffer) {
   }
 }
 
+// Payloads around the reader's 4 KiB header read and the default 212,992-
+// byte unix socket buffer, up to 1 MiB, each through a reader that sleeps
+// before every frame: the gather send loop meets full buffers (short
+// writes, then EAGAIN and a poll) and must resume mid-header or
+// mid-payload without losing or repeating a byte.
+TEST(FramingTest, PayloadSizesRoundTripThroughASlowReader) {
+  auto [writer, reader_fd] = make_socketpair();
+  const std::size_t sizes[] = {0, 1, 4087, 4096, 4097, 212991, 212992, 212993, 1u << 20};
+  std::vector<Frame> frames;
+  bits::Rng rng(0xF4A3E);
+  for (std::size_t i = 0; i < std::size(sizes); ++i) {
+    Frame f;
+    f.id = std::to_string(100 + i);
+    f.op = "ping";
+    f.add_param("size", std::to_string(sizes[i]));
+    f.add_param("seed", std::to_string(rng.below(1000)));
+    f.payload.resize(sizes[i]);
+    for (char& c : f.payload) c = static_cast<char>(rng.below(256));
+    frames.push_back(std::move(f));
+  }
+  Status sent;
+  std::thread sender([&, fd = writer.get()] {
+    for (const Frame& f : frames) {
+      sent = write_frame(fd, f, 5000);
+      if (!sent.ok()) return;
+    }
+  });
+  FrameReader reader(reader_fd.get(), FrameLimits{}, 5000);
+  Frame in;  // one Frame for every read, as a connection keeps it
+  for (const Frame& want : frames) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    Result<bool> got = reader.read(in);
+    ASSERT_TRUE(got.ok()) << got.error().describe();
+    ASSERT_TRUE(got.value());
+    EXPECT_EQ(in.id, want.id);
+    EXPECT_EQ(in.op, want.op);
+    EXPECT_EQ(in.params, want.params);
+    EXPECT_EQ(in.payload.size(), want.payload.size());
+    EXPECT_TRUE(in.payload == want.payload) << "payload of " << want.id << " differs";
+  }
+  sender.join();
+  EXPECT_TRUE(sent.ok()) << sent.error().describe();
+}
+
 TEST(FramingTest, LastParamValueWins) {
   Frame f;
   f.add_param("chunk", "1024");
@@ -152,12 +196,11 @@ TEST(FramingTest, TruncatedPayloadIsIoError) {
   f.id = "1";
   f.op = "ping";
   f.payload = std::string(1000, 'p');
-  Result<std::string> wire = encode_frame(f);
-  ASSERT_TRUE(wire.ok());
+  Result<std::string> header = encode_frame_header(f);
+  ASSERT_TRUE(header.ok());
+  const std::string wire = header.value() + f.payload;
   // Send all but the last 100 payload bytes, then vanish.
-  ASSERT_TRUE(
-      write_all(writer.get(), wire.value().data(), wire.value().size() - 100, 1000)
-          .ok());
+  ASSERT_TRUE(write_all(writer.get(), wire.data(), wire.size() - 100, 1000).ok());
   writer.reset();
   FrameReader reader(reader_fd.get(), FrameLimits{}, 1000);
   Frame in;
@@ -192,10 +235,10 @@ TEST(FramingTest, EncodeRefusesNonTokenFields) {
   Frame f;
   f.id = "has space";
   f.op = "ping";
-  EXPECT_FALSE(encode_frame(f).ok());
+  EXPECT_FALSE(encode_frame_header(f).ok());
   f.id = "1";
   f.add_param("key", "value with space");
-  EXPECT_FALSE(encode_frame(f).ok());
+  EXPECT_FALSE(encode_frame_header(f).ok());
 }
 
 TEST(FramingTest, ErrorKindNamesRoundTrip) {
@@ -653,6 +696,28 @@ TEST_F(ServiceTest, OversizedDeclaredLengthIsRefusedWithTypedError) {
 
   Client client = MustConnect();
   EXPECT_TRUE(client.call("ping").ok());
+}
+
+// The connection loop keeps one request Frame, and its payload capacity up
+// to 1 MiB, between requests: each later request must still see exactly
+// its own bytes. The 2 MiB request's buffer is released after it, so the
+// requests after it start from an empty one.
+TEST_F(ServiceTest, KeptRequestBufferCarriesNoStaleBytes) {
+  StartServer();
+  Client client = MustConnect();
+  bits::Rng rng(0x57A1E);
+  std::uint64_t bytes = 0;
+  for (const std::size_t size : {std::size_t{1} << 20, std::size_t{10}, std::size_t{0},
+                                 std::size_t{2} << 20, std::size_t{10}, std::size_t{0}}) {
+    std::string payload(size, '\0');
+    for (char& c : payload) c = static_cast<char>('a' + rng.below(26));
+    Result<Frame> resp = client.call("ping", {}, payload);
+    ASSERT_TRUE(resp.ok()) << resp.error().describe();
+    EXPECT_EQ(resp.value().payload.size(), size);
+    EXPECT_TRUE(resp.value().payload == payload) << "echo of " << size << " bytes differs";
+    bytes += size;
+  }
+  EXPECT_EQ(server_->metrics().counter("serve.ping.bytes_in").value(), bytes);
 }
 
 // A valid image that declares more trits than the payload cap would need
